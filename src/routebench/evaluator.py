@@ -459,8 +459,9 @@ def affinity_scorer(config: AffinityConfig) -> AffinityScorer:
 
 
 # Judging pipeline: all six personas at the canonical geometry (64 tokens,
-# 24 dims) so no alignment resampling or adapters distort the descriptors,
-# with an identity two-stage projector.
+# 24 dims) so no alignment resampling or adapters distort the descriptors.
+# The projector's two stages are identity adapters around the GELU, so the
+# projector is GELU applied per feature, not an identity map.
 JUDGING_TOKENS = 64
 JUDGING_DIM = 24
 

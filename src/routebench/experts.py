@@ -27,6 +27,7 @@ another feature width, so any expert can be aligned to a shared geometry.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -277,8 +278,45 @@ _RAW_PERSONAS = {
 }
 
 
-def _tile_columns(raw: np.ndarray, dim: int) -> np.ndarray:
+def tile_columns(raw: np.ndarray, dim: int) -> np.ndarray:
+    """Repeat the columns of ``raw`` cyclically out to ``dim`` columns."""
     return raw[:, np.arange(dim) % raw.shape[1]]
+
+
+def descriptor_width(spec: ToyExpertSpec) -> int:
+    """How many leading columns of the expert's output are distinct.
+
+    Every later column repeats them cyclically, so ``tile_columns`` of the
+    leading block rebuilds the whole output.
+    """
+    return min(_RAW_WIDTHS.get(spec.persona, spec.native_dim), spec.native_dim)
+
+
+def fold_tiled_rows(weights: np.ndarray, width: int) -> np.ndarray:
+    """Sum the rows of ``weights`` by their index modulo ``width``.
+
+    For an ``n``-row ``weights`` and ``width = min(raw.shape[1], n)``,
+    ``tile_columns(raw, n) @ weights`` equals ``raw[:, :width] @
+    fold_tiled_rows(weights, width)`` up to summation order.
+    """
+    folded = weights[:width].copy()
+    for start in range(width, weights.shape[0], width):
+        block = weights[start : start + width]
+        folded[: block.shape[0]] += block
+    return folded
+
+
+@functools.lru_cache(maxsize=8)
+def _gaussian_projection(seed: int, rows: int, cols: int) -> np.ndarray:
+    """The seeded ``random-projection`` matrix, scaled by 1/rows.
+
+    Memoized because it depends only on its arguments and drawing it costs
+    more than applying it; the array is read-only since callers share it.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    proj = rng.standard_normal((rows, cols)) / rows
+    proj.setflags(write=False)
+    return proj
 
 
 def encode_toy_expert(image: ImageGrid, spec: ToyExpertSpec) -> FeatureMap:
@@ -292,12 +330,10 @@ def encode_toy_expert(image: ImageGrid, spec: ToyExpertSpec) -> FeatureMap:
     patches = _patch_view(image, side)
     if spec.persona == "random-projection":
         flat = patches.reshape(patches.shape[0], -1)
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        proj = rng.standard_normal((flat.shape[1], spec.native_dim)) / flat.shape[1]
-        values = flat @ proj
+        values = flat @ _gaussian_projection(spec.seed, flat.shape[1], spec.native_dim)
     else:
         raw = _RAW_PERSONAS[spec.persona](patches, side)
-        values = _tile_columns(raw, spec.native_dim)
+        values = tile_columns(raw, spec.native_dim)
     return FeatureMap(np.ascontiguousarray(values), source=str(spec.id))
 
 

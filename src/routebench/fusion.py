@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -31,10 +32,13 @@ from .experts import (
     LinearAdapter,
     ToyExpertSpec,
     adapt_dim,
+    descriptor_width,
     encode_toy_expert,
+    fold_tiled_rows,
     identity_adapter,
     resample_tokens,
     seeded_adapter,
+    tile_columns,
 )
 from .router import (
     ClipOutput,
@@ -58,12 +62,14 @@ PIPELINE_STAGES = ("encode", "align", "route", "fuse", "project")
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh-approximated GELU, the projector nonlinearity."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + _GELU_CUBIC * x**3)))
+    # x * x * x, not x**3: numpy sends a cube to libm pow, which is tens of
+    # times slower on arrays with negative entries.
+    return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    u = _GELU_SCALE * (x + _GELU_CUBIC * x**3)
+    u = _GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))
     th = np.tanh(u)
     du = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * x**2)
     return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
@@ -374,23 +380,77 @@ def load_pipeline_config(path) -> PipelineConfig:
     return pipeline_config_from_json(doc)
 
 
-def _aligned_expert_maps(image: ImageGrid, config: PipelineConfig, native):
-    aligned = []
-    for spec, fm in zip(config.experts, native):
-        fm = resample_tokens(fm, config.canonical_tokens)
-        adapter = config.expert_adapter(spec)
-        if spec.native_dim != config.canonical_dim:
-            fm = adapt_dim(fm, adapter)
-        aligned.append(fm)
-    return aligned
+@dataclass(frozen=True, eq=False)
+class _AlignStep:
+    """How one expert's encoder output reaches the canonical geometry.
+
+    Only the first ``width`` columns are resampled, since the rest of the
+    encoder output repeats them.  ``adapter`` is the expert's width adapter
+    folded onto those columns; it is None when ``native_dim`` already equals
+    ``canonical_dim``, and the resampled columns are tiled back out instead.
+    """
+
+    width: int
+    adapter: Optional[LinearAdapter]
+
+
+def _align_step(config: PipelineConfig, spec: ToyExpertSpec) -> _AlignStep:
+    width = descriptor_width(spec)
+    if spec.native_dim == config.canonical_dim:
+        return _AlignStep(width, None)
+    adapter = config.expert_adapter(spec)
+    return _AlignStep(width, LinearAdapter(fold_tiled_rows(adapter.weights, width), adapter.bias))
+
+
+_ALIGN_STEPS_LOCK = threading.Lock()
+
+
+def _align_steps(config: PipelineConfig) -> tuple:
+    """Per-expert align steps, built on first use and kept on the config.
+
+    The steps depend only on fields of the frozen config, so they stay valid
+    for its lifetime; a ``dataclasses.replace`` copy builds its own.  The
+    lock makes concurrent first runs build them once and publish them whole.
+    """
+    steps = config.__dict__.get("_align_steps")
+    if steps is None:
+        with _ALIGN_STEPS_LOCK:
+            steps = config.__dict__.get("_align_steps")
+            if steps is None:
+                steps = tuple(_align_step(config, spec) for spec in config.experts)
+                object.__setattr__(config, "_align_steps", steps)
+    return steps
+
+
+def _align(fm: FeatureMap, step: _AlignStep, config: PipelineConfig) -> FeatureMap:
+    if step.width < fm.dim:
+        fm = FeatureMap(fm.values[:, : step.width], fm.source)
+    fm = resample_tokens(fm, config.canonical_tokens)
+    if step.adapter is not None:
+        return adapt_dim(fm, step.adapter)
+    if fm.dim < config.canonical_dim:
+        return FeatureMap(tile_columns(fm.values, config.canonical_dim), fm.source)
+    return fm
 
 
 def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
-    """Run encode -> align -> route -> fuse -> project and report timings.
+    """Run route -> encode -> align -> fuse -> project and report timings.
+
+    The image is clip-encoded and routed first (the ``"route"`` timing covers
+    both).  Under ``routed`` fusion only experts with a non-zero weight are
+    then encoded and aligned: an expert that top-k masking or softmax
+    underflow leaves at exactly 0 is never run, so an expert that cannot
+    encode the image fails the run only when it is active.  ``add`` and
+    ``concat`` encode every expert.
+
+    Config-only state is derived once: the folded width adapters are built
+    on the first run with a config and kept on it for its lifetime, and the
+    seeded Gaussian projections of the ``random-projection`` persona and the
+    clip encoder sit in a small memo in ``experts``.
 
     Stage failures re-raise as :class:`PipelineError` with the stage name
-    prefixed.  Expert encodings are combined in expert-id order, so results
-    are deterministic for a fixed (image, config) pair.
+    prefixed.  Expert maps are combined in expert-id order, so results are
+    deterministic for a fixed (image, config) pair.
     """
     timings: dict[str, float] = {}
 
@@ -403,11 +463,6 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
         timings[stage] = time.perf_counter() - start
         return result
 
-    native = staged(
-        "encode", lambda: [encode_toy_expert(image, spec) for spec in config.experts]
-    )
-    aligned = staged("align", lambda: _aligned_expert_maps(image, config, native))
-
     def route_stage():
         clip = clip_encode(image, config.clip_params())
         logits = route_logits(clip.cls, config.router)
@@ -417,14 +472,28 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
         return clip, weights
 
     clip, weights = staged("route", route_stage)
+    routed = config.strategy.kind == "routed"
+    used = [i for i, w in enumerate(weights.weights) if not routed or w != 0.0]
+    native = staged("encode", lambda: [encode_toy_expert(image, config.experts[i]) for i in used])
+
+    def align_stage():
+        steps = _align_steps(config)
+        return [_align(fm, steps[i], config) for i, fm in zip(used, native)]
+
+    aligned = staged("align", align_stage)
 
     def fuse_stage():
-        if config.strategy.kind == "routed":
-            return residual_merge(clip.patches, weighted_fuse(weights, aligned))
+        if routed:
+            # weighted_fuse skips weight-0 experts without reading their maps,
+            # so the slots of masked experts reuse an active expert's map.
+            maps = dict(zip(used, aligned))
+            experts = [maps.get(i, aligned[0]) for i in range(len(config.experts))]
+            return residual_merge(clip.patches, weighted_fuse(weights, experts))
         if config.strategy.kind == "add":
             return residual_merge(clip.patches, fuse_add(aligned))
         return fuse_concat(aligned)
 
     fused = staged("fuse", fuse_stage)
     features = staged("project", lambda: project(fused, config.projector))
-    return PipelineResult(features=features, routing=weights, stage_seconds=timings)
+    stage_seconds = {stage: timings[stage] for stage in PIPELINE_STAGES}
+    return PipelineResult(features=features, routing=weights, stage_seconds=stage_seconds)

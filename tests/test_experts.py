@@ -12,12 +12,15 @@ from routebench.experts import (
     LinearAdapter,
     ToyExpertSpec,
     adapt_dim,
+    descriptor_width,
     encode_toy_expert,
+    fold_tiled_rows,
     identity_adapter,
     load_raw_image,
     resample_tokens,
     save_raw_image,
     seeded_adapter,
+    tile_columns,
 )
 
 
@@ -129,6 +132,26 @@ class TestEncode:
         b = encode_toy_expert(image, ToyExpertSpec(seed=2, **base))
         assert not np.array_equal(a.values, b.values)
 
+    def test_random_projection_matches_a_fresh_draw(self):
+        # The Gaussian matrix is memoized per (seed, rows, cols); repeated
+        # encodes must still equal the documented draw.
+        image = random_image(16, 16, 5)
+        spec = ToyExpertSpec(id=0, persona="random-projection", seed=3, native_tokens=4, native_dim=5)
+        flat = image.data.reshape(2, 8, 2, 8, CHANNELS).transpose(0, 2, 1, 3, 4).reshape(4, -1)
+        proj = np.random.Generator(np.random.PCG64(3)).standard_normal((flat.shape[1], 5))
+        want = flat @ (proj / flat.shape[1])
+        for _ in range(2):
+            np.testing.assert_array_equal(encode_toy_expert(image, spec).values, want)
+
+    def test_leading_descriptor_columns_rebuild_the_output(self):
+        image = random_image(24, 24, 12)
+        for persona in PERSONAS:
+            for native_dim in (4, 13, 40):
+                spec = ToyExpertSpec(id=0, persona=persona, seed=5, native_tokens=9, native_dim=native_dim)
+                values = encode_toy_expert(image, spec).values
+                lead = values[:, : descriptor_width(spec)]
+                np.testing.assert_array_equal(tile_columns(lead, native_dim), values)
+
     def test_text_stripe_prefers_stripes_over_flat(self):
         data = np.full((16, 16, CHANNELS), 0.5)
         data[:, 0:8:2, :] = 0.9  # 1-pixel vertical stripes in the left half
@@ -216,6 +239,16 @@ class TestAdapt:
                 - (a + b - 1.0) * adapter.bias
             )
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)
+
+    def test_folded_rows_match_tiled_columns(self):
+        rng = np.random.default_rng(18)
+        for width, n in ((6, 6), (6, 16), (24, 6), (9, 768)):
+            raw = rng.normal(size=(5, width))
+            weights = rng.normal(size=(n, 4))
+            lead = min(width, n)
+            want = tile_columns(raw, n) @ weights
+            got = raw[:, :lead] @ fold_tiled_rows(weights, lead)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_dim_mismatch_rejected(self):
         fm = FeatureMap(np.ones((2, 3)), source="0")

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +13,10 @@ from routebench.experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    adapt_dim,
+    encode_toy_expert,
     identity_adapter,
+    resample_tokens,
     seeded_adapter,
 )
 from routebench.fusion import (
@@ -28,7 +36,14 @@ from routebench.fusion import (
     run_pipeline,
     weighted_fuse,
 )
-from routebench.router import RouterParams, RoutingWeights, clip_encode
+from routebench.router import (
+    RouterParams,
+    RoutingWeights,
+    clip_encode,
+    route_logits,
+    routing_weights,
+    select_top_k,
+)
 
 
 def const_map(tokens, dim, value, source="0"):
@@ -167,6 +182,15 @@ class TestResidualAndProject:
         fd = (gelu(xs + eps) - gelu(xs - eps)) / (2 * eps)
         np.testing.assert_allclose(gelu_grad(xs), fd, rtol=0, atol=1e-8)
 
+    def test_gelu_matches_the_power_form(self):
+        # gelu and gelu_grad cube by multiplication; np.power is the reference.
+        x = np.random.default_rng(21).uniform(-8.0, 8.0, size=4096)
+        scale, cubic = math.sqrt(2.0 / math.pi), 0.044715
+        th = np.tanh(scale * (x + cubic * np.power(x, 3)))
+        np.testing.assert_allclose(gelu(x), 0.5 * x * (1.0 + th), rtol=0, atol=1e-12)
+        grad = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * scale * (1.0 + 3.0 * cubic * x**2)
+        np.testing.assert_allclose(gelu_grad(x), grad, rtol=0, atol=1e-12)
+
 
 class TestPipeline:
     def random_image(self, seed, size=16):
@@ -239,6 +263,179 @@ class TestPipeline:
         )
         result = run_pipeline(self.random_image(5), config)
         assert (result.features.tokens, result.features.dim) == (16, 8)
+
+
+# (persona, native_tokens, native_dim) against a 16-token, 16-dim canonical
+# grid: token grids below, at and above it; color-histogram (raw width 24)
+# narrowed to 6 and tiled to 48; a random-projection expert; edge-shape at
+# the canonical width, so tiled without an adapter; patch-statistics cut to
+# 5 of its 6 raw columns.
+MIXED_EXPERTS = (
+    ("color-histogram", 4, 6),
+    ("color-histogram", 64, 48),
+    ("random-projection", 16, 12),
+    ("edge-shape", 4, 16),
+    ("patch-statistics", 16, 5),
+)
+# Experts whose native_dim differs from the canonical 16: 0, 1, 2 and 4.
+MIXED_ADAPTED = 4
+
+
+def mixed_config(strategy, seed_offset=0):
+    experts = tuple(
+        ToyExpertSpec(id=i, persona=p, seed=seed_offset + i, native_tokens=t, native_dim=d)
+        for i, (p, t, d) in enumerate(MIXED_EXPERTS)
+    )
+    n, dim = len(experts), 16
+    rng = np.random.default_rng(30)
+    router = RouterParams(rng.normal(scale=2.0, size=(dim, n)), rng.normal(size=n))
+    proj_in = n * dim if strategy.kind == "concat" else dim
+    projector = ProjectorParams(
+        stage1=seeded_adapter(proj_in, dim, seed=5), stage2=seeded_adapter(dim, dim, seed=6)
+    )
+    return PipelineConfig(
+        experts=experts,
+        router=router,
+        strategy=strategy,
+        projector=projector,
+        canonical_tokens=16,
+        canonical_dim=dim,
+        clip_seed=7,
+    )
+
+
+def reference_pipeline(image, config):
+    """Unoptimised composition of the public stages: every expert encoded,
+    resampled and passed through its full width adapter."""
+    aligned = []
+    for spec in config.experts:
+        fm = resample_tokens(encode_toy_expert(image, spec), config.canonical_tokens)
+        if spec.native_dim != config.canonical_dim:
+            fm = adapt_dim(fm, config.expert_adapter(spec))
+        aligned.append(fm)
+    clip = clip_encode(image, config.clip_params())
+    routing = routing_weights(route_logits(clip.cls, config.router))
+    kind, k = config.strategy.kind, config.strategy.k
+    if kind == "routed" and k is not None:
+        routing = select_top_k(routing, k)
+    if kind == "routed":
+        fused = residual_merge(clip.patches, weighted_fuse(routing, aligned))
+    elif kind == "add":
+        fused = residual_merge(clip.patches, fuse_add(aligned))
+    else:
+        fused = fuse_concat(aligned)
+    return routing, project(fused, config.projector)
+
+
+def assert_matches_reference(result, image, config):
+    routing, features = reference_pipeline(image, config)
+    np.testing.assert_array_equal(result.routing.weights, routing.weights)
+    assert result.routing.active == routing.active
+    want = features.values
+    assert np.abs(result.features.values - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def image_of(seed, size):
+    return ImageGrid(np.random.default_rng(seed).random((size, size, 3)))
+
+
+@pytest.fixture
+def adapter_builds(monkeypatch):
+    """Records the spec of every PipelineConfig.expert_adapter call."""
+    calls = []
+    build = PipelineConfig.expert_adapter
+
+    def counted(self, spec):
+        calls.append(spec)
+        return build(self, spec)
+
+    monkeypatch.setattr(PipelineConfig, "expert_adapter", counted)
+    return calls
+
+
+class TestPlannedPipeline:
+    STRATEGIES = (
+        [FusionStrategy(kind="routed")]
+        + [FusionStrategy(kind="routed", k=k) for k in range(1, len(MIXED_EXPERTS) + 1)]
+        + [FusionStrategy(kind="add"), FusionStrategy(kind="concat")]
+    )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=str)
+    def test_matches_unoptimised_composition(self, strategy):
+        config = mixed_config(strategy)
+        for seed in (1, 2):
+            image = image_of(seed, 16)
+            assert_matches_reference(run_pipeline(image, config), image, config)
+
+    def test_masked_expert_is_never_encoded(self):
+        # Expert 1's 3x3 grid does not divide a 16x16 image: that fails the
+        # run only while the expert carries weight.
+        def config(bias, k):
+            experts = tuple(
+                ToyExpertSpec(id=i, persona="edge-shape", seed=i, native_tokens=t, native_dim=8)
+                for i, t in enumerate((16, 9))
+            )
+            return PipelineConfig(
+                experts=experts,
+                router=RouterParams(np.zeros((8, 2)), np.asarray(bias, dtype=np.float64)),
+                strategy=FusionStrategy(kind="routed", k=k),
+                projector=identity_projector(8),
+                canonical_tokens=16,
+                canonical_dim=8,
+            )
+
+        image = image_of(3, 16)
+        top1 = run_pipeline(image, config([1.0, 0.0], k=1))
+        assert top1.routing.active == frozenset({0})
+        # Softmax underflow: exp(-1000) is exactly 0 without any top-k mask.
+        underflow = run_pipeline(image, config([0.0, -1000.0], k=None))
+        np.testing.assert_array_equal(underflow.routing.weights, [1.0, 0.0])
+        assert underflow.features.values.tobytes() == top1.features.values.tobytes()
+        with pytest.raises(PipelineError, match="encode: "):
+            run_pipeline(image, config([0.0, 1.0], k=1))
+
+    def test_align_state_built_once_per_config(self, adapter_builds):
+        config = mixed_config(FusionStrategy(kind="routed"))
+        run_pipeline(image_of(1, 16), config)
+        run_pipeline(image_of(2, 16), config)
+        assert len(adapter_builds) == MIXED_ADAPTED
+        # Another image size needs other Gaussian projections, not other
+        # align state.
+        image = image_of(3, 24)
+        result = run_pipeline(image, config)
+        assert len(adapter_builds) == MIXED_ADAPTED
+        assert_matches_reference(result, image, config)
+        # A replaced config (as the bench CLI makes) derives its own state.
+        other = dataclasses.replace(config, experts=mixed_config(config.strategy, 100).experts)
+        del adapter_builds[:]
+        result = run_pipeline(image, other)
+        assert sorted(spec.seed for spec in adapter_builds) == [100, 101, 102, 104]
+        assert_matches_reference(result, image, other)
+
+    def test_concurrent_first_runs_build_once(self, adapter_builds):
+        config = mixed_config(FusionStrategy(kind="routed"))
+        image = image_of(4, 16)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def run(slot):
+            barrier.wait(timeout=10)
+            results[slot] = run_pipeline(image, config).features.values.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(adapter_builds) == MIXED_ADAPTED
+        assert None not in results and len(set(results)) == 1
 
 
 class TestConfigValidation:
