@@ -660,9 +660,9 @@ def _sample_from_json_dict(doc: dict) -> BenchmarkSample:
     )
 
 
-def loads_dataset(text: str) -> list:
-    samples = []
-    seen_ids = set()
+def iter_jsonl(text: str):
+    """Yield ``(line_num, doc)`` per non-blank line (1-based numbers);
+    a line that does not parse raises ``DatasetError``."""
     for line_num, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -670,6 +670,13 @@ def loads_dataset(text: str) -> list:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {line_num}: invalid JSON: {exc}") from exc
+        yield line_num, doc
+
+
+def loads_dataset(text: str) -> list:
+    samples = []
+    seen_ids = set()
+    for line_num, doc in iter_jsonl(text):
         try:
             sample = _sample_from_json_dict(doc)
         except ValueError as exc:

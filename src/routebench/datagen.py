@@ -39,6 +39,7 @@ from .benchmark import (
     HallucinationCategory,
     image_ref_from_json_dict,
     image_ref_to_json_dict,
+    iter_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -580,13 +581,7 @@ def generate_dataset(
 def loads_caption_items(text: str) -> list:
     """Parse JSONL {"image": <image ref>, "caption": <text>} item lines."""
     items = []
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_num}: invalid JSON: {exc}") from exc
+    for line_num, doc in iter_jsonl(text):
         try:
             image = image_ref_from_json_dict(doc["image"])
             caption = str(doc["caption"])

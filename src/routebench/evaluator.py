@@ -39,6 +39,7 @@ from .benchmark import (
     DatasetError,
     HallucinationCategory,
     ImageRef,
+    iter_jsonl,
     rasterize,
 )
 from .experts import (
@@ -49,7 +50,7 @@ from .experts import (
     identity_adapter,
     load_raw_image,
 )
-from .fusion import FusionStrategy, PipelineConfig, ProjectorParams, run_pipeline
+from .fusion import FusionStrategy, PipelineConfig, PipelineError, ProjectorParams, run_pipeline
 from .router import RouterParams
 
 # How a caption would be framed for a real captioning model.  Toy scorers do
@@ -201,13 +202,7 @@ def dumps_judgements(judgements) -> str:
 
 def loads_judgements(text: str) -> list:
     judgements = []
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_num}: invalid JSON: {exc}") from exc
+    for line_num, doc in iter_jsonl(text):
         try:
             judgements.append(
                 Judgement(
@@ -247,6 +242,12 @@ def evaluate_dataset(
     strict mode any per-sample failure aborts the run; in lenient mode failed
     samples are skipped and their messages appended to ``failures`` when the
     caller provides a list.
+
+    A per-sample failure is a domain error: ``ValueError`` or ``OSError``
+    from resolving the image, ``PipelineError`` from a pipeline stage's bad
+    input, or ``EvaluationError`` from the scorer (``judge_sample`` wraps
+    whatever a pluggable scorer raises).  Any other exception is a bug and
+    propagates unwrapped in both modes.
     """
     samples = list(dataset)
     if not samples:
@@ -259,7 +260,7 @@ def evaluate_dataset(
             image = _resolve_image(sample.image, base_dir)
             result = run_pipeline(image, pipeline_config)
             return judge_sample(scorer, result.features, sample), None
-        except Exception as exc:
+        except (ValueError, OSError, PipelineError, EvaluationError) as exc:
             return None, f"sample {sample.id}: {exc}"
 
     if parallelism == 1:

@@ -113,6 +113,27 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; the message is prefixed with the stage name."""
 
 
+def weighted_sum(weights, arrays) -> np.ndarray:
+    """Unvalidated ``sum(w * a)`` in list order, skipping (not reading)
+    arrays whose weight is exactly 0; the order keeps it byte-reproducible."""
+    acc = np.zeros(arrays[0].shape)
+    for w, values in zip(weights, arrays):
+        if w != 0.0:
+            acc += w * values
+    return acc
+
+
+def _check_same_shape(experts: list[FeatureMap]) -> None:
+    if not experts:
+        raise ValueError("cannot fuse an empty expert list")
+    shape = (experts[0].tokens, experts[0].dim)
+    for i, fm in enumerate(experts):
+        if (fm.tokens, fm.dim) != shape:
+            raise ValueError(
+                f"expert {i}: shape ({fm.tokens}, {fm.dim}) does not match expert 0 shape {shape}"
+            )
+
+
 def weighted_fuse(routing: RoutingWeights, experts: list[FeatureMap]) -> FeatureMap:
     """Weighted sum of aligned expert maps.
 
@@ -124,36 +145,18 @@ def weighted_fuse(routing: RoutingWeights, experts: list[FeatureMap]) -> Feature
         raise ValueError(
             f"{routing.n_experts} routing weights for {len(experts)} expert maps"
         )
-    if not experts:
-        raise ValueError("cannot fuse an empty expert list")
-    shape = (experts[0].tokens, experts[0].dim)
-    for i, fm in enumerate(experts):
-        if (fm.tokens, fm.dim) != shape:
-            raise ValueError(
-                f"expert {i}: shape ({fm.tokens}, {fm.dim}) does not match expert 0 shape {shape}"
-            )
-    acc = np.zeros(shape)
-    for i, fm in enumerate(experts):
-        w = routing.weights[i]
-        if w != 0.0:
-            acc += w * fm.values
-    return FeatureMap(acc, source="fused")
+    _check_same_shape(experts)
+    return FeatureMap(
+        weighted_sum(routing.weights, [fm.values for fm in experts]), source="fused"
+    )
 
 
 def fuse_add(experts: list[FeatureMap]) -> FeatureMap:
-    """Unweighted sum baseline."""
-    if not experts:
-        raise ValueError("cannot fuse an empty expert list")
-    shape = (experts[0].tokens, experts[0].dim)
-    for i, fm in enumerate(experts):
-        if (fm.tokens, fm.dim) != shape:
-            raise ValueError(
-                f"expert {i}: shape ({fm.tokens}, {fm.dim}) does not match expert 0 shape {shape}"
-            )
-    acc = np.zeros(shape)
-    for fm in experts:
-        acc += fm.values
-    return FeatureMap(acc, source="fused")
+    """Unweighted sum baseline: :func:`weighted_sum` with unit weights."""
+    _check_same_shape(experts)
+    return FeatureMap(
+        weighted_sum([1.0] * len(experts), [fm.values for fm in experts]), source="fused"
+    )
 
 
 def fuse_concat(experts: list[FeatureMap]) -> FeatureMap:
@@ -179,14 +182,22 @@ def residual_merge(patches: FeatureMap, fused: FeatureMap) -> FeatureMap:
     return FeatureMap(patches.values + fused.values, source="fused")
 
 
+def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """Unvalidated two-layer GELU MLP over the rows of ``x``; returns
+    ``(hidden, act, out)`` so gradients can reuse the intermediates."""
+    hidden = x @ w1 + b1
+    act = gelu(hidden)
+    return hidden, act, act @ w2 + b2
+
+
 def project(fm: FeatureMap, params: ProjectorParams) -> FeatureMap:
     """Run the two-layer MLP projector over every token."""
     if params.stage1.in_dim != fm.dim:
         raise ValueError(
             f"projector expects {params.stage1.in_dim} input features, feature map has {fm.dim}"
         )
-    hidden = gelu(fm.values @ params.stage1.weights + params.stage1.bias)
-    out = hidden @ params.stage2.weights + params.stage2.bias
+    s1, s2 = params.stage1, params.stage2
+    out = mlp(fm.values, s1.weights, s1.bias, s2.weights, s2.bias)[-1]
     return FeatureMap(out, source=fm.source)
 
 
@@ -448,8 +459,9 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     seeded Gaussian projections of the ``random-projection`` persona and the
     clip encoder sit in a small memo in ``experts``.
 
-    Stage failures re-raise as :class:`PipelineError` with the stage name
-    prefixed.  Expert maps are combined in expert-id order, so results are
+    A stage's ``ValueError`` re-raises as :class:`PipelineError` with the
+    stage name prefixed; any other exception is a bug and propagates as is.
+    Expert maps are combined in expert-id order, so results are
     deterministic for a fixed (image, config) pair.
     """
     timings: dict[str, float] = {}
@@ -458,7 +470,7 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
         start = time.perf_counter()
         try:
             result = fn()
-        except Exception as exc:
+        except ValueError as exc:
             raise PipelineError(f"{stage}: {exc}") from exc
         timings[stage] = time.perf_counter() - start
         return result

@@ -15,11 +15,10 @@ Wire formats, one JSON object per line: ``{"pred": "yes"|"no", "label":
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .benchmark import DatasetError
+from .benchmark import DatasetError, iter_jsonl
 
 YES = "yes"
 NO = "no"
@@ -156,13 +155,7 @@ def avg_metric(pope_f1: float, autohallusion_overall: float) -> float:
 
 def loads_binary_outcomes(text: str) -> list:
     outcomes = []
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_num}: invalid JSON: {exc}") from exc
+    for line_num, doc in iter_jsonl(text):
         try:
             outcomes.append(BinaryOutcome(pred=doc["pred"], label=doc["label"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -179,13 +172,7 @@ def load_binary_outcomes(path) -> list:
 
 def loads_scenario_results(text: str) -> list:
     results = []
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_num}: invalid JSON: {exc}") from exc
+    for line_num, doc in iter_jsonl(text):
         try:
             scenario = doc["scenario"]
             correct = doc["correct"]

@@ -8,6 +8,10 @@ Two harnesses live here:
 * a latency harness that medians per-stage wall-clock timings over repeated
   pipeline runs.
 
+The checker runs the pipeline's own align path and the unvalidated
+``softmax``/``weighted_sum``/``mlp`` kernels behind the public stage
+functions, so its forward is byte-equal to ``run_pipeline``.
+
 The analytic path relies on the softmax Jacobian diag(w) - w w^T and the
 tanh-GELU derivative; both have their own unit checks.  Relative error uses
 |analytic - fd| / max(1, |analytic|, |fd|), so tiny gradients are compared
@@ -21,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Tracers patch encode_toy_expert, resample_tokens, adapt_dim and clip_encode
+# on this module to time gradcheck's prefix, so all four stay imported here.
 from .experts import (
     ImageGrid,
     LinearAdapter,
@@ -33,11 +39,14 @@ from .fusion import (
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
-    gelu,
+    _align,
+    _align_steps,
     gelu_grad,
+    mlp,
     run_pipeline,
+    weighted_sum,
 )
-from .router import RouterParams, clip_encode
+from .router import RouterParams, clip_encode, softmax
 
 CHECKED_PARAMS = (
     "router.weights",
@@ -91,12 +100,6 @@ def softmax_jacobian(weights: np.ndarray) -> np.ndarray:
     return np.diag(w) - np.outer(w, w)
 
 
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
 def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function at ``point``."""
     point = np.asarray(point, dtype=np.float64)
@@ -126,8 +129,8 @@ class _RoutedChain:
     """Precomputed inputs and the differentiable tail of a routed pipeline.
 
     Expert maps, patches, and cls are constants with respect to the checked
-    parameters, so they are computed once; forward/backward only rebuild the
-    route -> fuse -> merge -> project tail.
+    parameters, so they are computed once by the pipeline's align path;
+    forward/backward only rebuild the route -> fuse -> merge -> project tail.
     """
 
     def __init__(self, image: ImageGrid, config: PipelineConfig):
@@ -139,14 +142,9 @@ class _RoutedChain:
             raise ValueError(
                 "gradient check requires soft routing over all experts (k = None or k = N)"
             )
-        aligned = []
-        for spec in config.experts:
-            fm = encode_toy_expert(image, spec)
-            fm = resample_tokens(fm, config.canonical_tokens)
-            if spec.native_dim != config.canonical_dim:
-                fm = adapt_dim(fm, config.expert_adapter(spec))
-            aligned.append(fm.values)
-        self.z = np.stack(aligned)  # (N, T, D)
+        pairs = zip(config.experts, _align_steps(config))
+        aligned = [_align(encode_toy_expert(image, spec), step, config) for spec, step in pairs]
+        self.z = np.stack([fm.values for fm in aligned])  # (N, T, D)
         clip = clip_encode(image, config.clip_params())
         self.patches = clip.patches.values
         self.cls = clip.cls
@@ -161,35 +159,29 @@ class _RoutedChain:
             "projector.stage2.weights": c.projector.stage2.weights,
         }
 
+    def forward(self, params: dict) -> tuple:
+        """``(w, merged, hidden, act, out)`` for the checked ``params``."""
+        c = self.config
+        w = softmax(self.cls @ params["router.weights"] + params["router.bias"])
+        merged = self.patches + weighted_sum(w, self.z)
+        return (w, merged) + mlp(
+            merged,
+            params["projector.stage1.weights"],
+            c.projector.stage1.bias,
+            params["projector.stage2.weights"],
+            c.projector.stage2.bias,
+        )
+
     def loss(self, overrides: dict | None = None) -> float:
         p = self.params()
         if overrides:
             p = {**p, **overrides}
-        c = self.config
-        logits = self.cls @ p["router.weights"] + p["router.bias"]
-        w = _stable_softmax(logits)
-        y = np.zeros_like(self.z[0])
-        for i in range(self.z.shape[0]):
-            y += w[i] * self.z[i]
-        merged = self.patches + y
-        hidden = merged @ p["projector.stage1.weights"] + c.projector.stage1.bias
-        act = gelu(hidden)
-        out = act @ p["projector.stage2.weights"] + c.projector.stage2.bias
+        out = self.forward(p)[-1]
         return float((out**2).sum())
 
     def analytic_gradients(self) -> dict:
         p = self.params()
-        c = self.config
-        logits = self.cls @ p["router.weights"] + p["router.bias"]
-        w = _stable_softmax(logits)
-        y = np.zeros_like(self.z[0])
-        for i in range(self.z.shape[0]):
-            y += w[i] * self.z[i]
-        merged = self.patches + y
-        hidden = merged @ p["projector.stage1.weights"] + c.projector.stage1.bias
-        act = gelu(hidden)
-        out = act @ p["projector.stage2.weights"] + c.projector.stage2.bias
-
+        w, merged, hidden, act, out = self.forward(p)
         d_out = 2.0 * out
         d_stage2 = act.T @ d_out
         d_act = d_out @ p["projector.stage2.weights"].T
@@ -330,7 +322,7 @@ def fit_router_demo(
     losses = []
     for _ in range(steps + 1):
         logits = cls @ weights + bias
-        w = _stable_softmax(logits)
+        w = softmax(logits)
         diff = w - target
         losses.append(float(diff @ diff))
         d_logits = softmax_jacobian(w).T @ (2.0 * diff)

@@ -194,22 +194,25 @@ def route_logits(cls: np.ndarray, params: RouterParams) -> np.ndarray:
     return cls @ params.weights + params.bias
 
 
-def routing_weights(logits: np.ndarray) -> RoutingWeights:
-    """Numerically stable softmax over expert logits.
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Unvalidated, numerically stable softmax of a logit vector.
 
     The maximum logit is subtracted before exponentiation, which leaves the
     result unchanged mathematically but keeps it finite for logits of any
     magnitude.
     """
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
+
+
+def routing_weights(logits: np.ndarray) -> RoutingWeights:
+    """Validated :func:`softmax` over expert logits, all experts active."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size < 1:
         raise ValueError("logits must be a non-empty vector")
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite values")
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    weights = exp / exp.sum()
-    return RoutingWeights(weights, frozenset(range(logits.size)))
+    return RoutingWeights(softmax(logits), frozenset(range(logits.size)))
 
 
 def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:

@@ -26,6 +26,7 @@ from routebench.benchmark import (
     classify_pair,
     dump_dataset,
     dumps_dataset,
+    iter_jsonl,
     load_dataset,
     loads_dataset,
     rasterize,
@@ -36,6 +37,9 @@ from routebench.benchmark import (
     synth_caption_pair,
     synth_scene,
 )
+from routebench.datagen import loads_caption_items
+from routebench.evaluator import loads_judgements
+from routebench.metrics import loads_binary_outcomes, loads_scenario_results
 
 # Frozen sha256 digests of rasterized scenes for seeds 0..19, with the object
 # count each seed produces.  Regenerating these bytes must stay stable across
@@ -442,6 +446,23 @@ class TestDatasetIO:
         good = dumps_dataset(build_synthetic_dataset(1, seed=1)[:1]).rstrip("\n")
         with pytest.raises(DatasetError, match="line 2"):
             loads_dataset(good + "\n{oops\n")
+
+    def test_iter_jsonl_numbers_lines_and_skips_blanks(self):
+        assert list(iter_jsonl('{"a": 1}\n  \n\n[2]\n')) == [(1, {"a": 1}), (4, [2])]
+
+    @pytest.mark.parametrize(
+        "loads",
+        [
+            loads_dataset,
+            loads_judgements,
+            loads_binary_outcomes,
+            loads_scenario_results,
+            loads_caption_items,
+        ],
+    )
+    def test_every_jsonl_loader_names_the_invalid_line(self, loads):
+        with pytest.raises(DatasetError, match=r"^line 3: invalid JSON: "):
+            loads("\n  \n{oops\n")
 
     def test_unknown_category_lists_valid_names(self):
         doc = sample_to_json_dict(build_synthetic_dataset(1, seed=1)[0])

@@ -373,6 +373,37 @@ class TestEvaluateDataset:
         assert len(failures) == 1 and "missing-image" in failures[0]
         assert report.overall.n == len(dataset)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_stage_bugs_are_not_sample_failures(self, monkeypatch, strict):
+        from routebench import fusion
+
+        def broken(fm, params):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(fusion, "project", broken)
+        failures = []
+        with pytest.raises(TypeError, match="not a domain error"):
+            evaluate_dataset(
+                affinity_scorer(AffinityConfig()),
+                toy_judging_config(),
+                build_synthetic_dataset(1, seed=31),
+                strict=strict,
+                failures=failures,
+            )
+        assert failures == []
+
+    def test_lenient_mode_collects_scorer_failures(self):
+        class Boom:
+            def score(self, features, caption):
+                raise RuntimeError("scorer exploded")
+
+        dataset = build_synthetic_dataset(1, seed=31)
+        failures = []
+        with pytest.raises(EvaluationError, match="no samples were judged"):
+            evaluate_dataset(Boom(), toy_judging_config(), dataset, strict=False, failures=failures)
+        assert len(failures) == len(dataset)
+        assert all("scorer exploded" in f for f in failures)
+
     def test_rejects_bad_inputs(self):
         scorer = affinity_scorer(AffinityConfig())
         with pytest.raises(ValueError, match="empty"):

@@ -241,6 +241,17 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="encode: "):
             run_pipeline(bad, config)
 
+    def test_stage_bugs_propagate_unwrapped(self, monkeypatch):
+        from routebench import fusion
+
+        def broken(fm, params):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(fusion, "project", broken)
+        config = small_config(FusionStrategy(kind="routed"))
+        with pytest.raises(TypeError, match="not a domain error"):
+            run_pipeline(self.random_image(3), config)
+
     def test_stage_timings_present(self):
         config = small_config(FusionStrategy(kind="add"))
         result = run_pipeline(self.random_image(4), config)

@@ -3,14 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from routebench.experts import ImageGrid, ToyExpertSpec, identity_adapter
-from routebench.fusion import FusionStrategy, PipelineConfig, ProjectorParams
+from routebench.experts import ImageGrid, ToyExpertSpec, identity_adapter, seeded_adapter
+from routebench.fusion import FusionStrategy, PipelineConfig, ProjectorParams, run_pipeline
 from routebench.numerics import (
     CHECKED_PARAMS,
     check_router_fusion_gradients,
     finite_diff_gradient,
     fit_router_demo,
     measure_fusion_latency,
+    _RoutedChain,
     small_gradcheck_config,
     softmax_jacobian,
 )
@@ -92,8 +93,6 @@ class TestGradCheck:
             canonical_dim=4,
         )
         image = ImageGrid(np.full((8, 8, 3), 0.7))
-        from routebench.numerics import _RoutedChain
-
         chain = _RoutedChain(image, config)
         grads = chain.analytic_gradients()
         assert np.all(grads["router.weights"] == 0.0)
@@ -103,6 +102,31 @@ class TestGradCheck:
         assert reports["router.bias"].degenerate
         assert reports["router.weights"].passed
         assert not reports["projector.stage1.weights"].degenerate
+
+    def test_checked_forward_is_the_pipeline_forward(self):
+        # Widths 48 and 40 fold their adapters; 16 tiles with no adapter.
+        experts = tuple(
+            ToyExpertSpec(id=i, persona=p, seed=10 + i, native_tokens=16, native_dim=d)
+            for i, (p, d) in enumerate(
+                (("color-histogram", 48), ("edge-shape", 40), ("random-projection", 16))
+            )
+        )
+        router = seeded_adapter(16, 3, seed=5)
+        config = PipelineConfig(
+            experts=experts,
+            router=RouterParams(router.weights, router.bias),
+            strategy=FusionStrategy(kind="routed"),
+            projector=ProjectorParams(seeded_adapter(16, 12, seed=1), seeded_adapter(12, 16, seed=2)),
+            canonical_tokens=16,
+            canonical_dim=16,
+        )
+        image = ImageGrid(np.random.default_rng(4).random((16, 16, 3)))
+        chain = _RoutedChain(image, config)
+        w, *_, out = chain.forward(chain.params())
+        result = run_pipeline(image, config)
+        assert np.count_nonzero(w) == 3
+        assert w.tobytes() == result.routing.weights.tobytes()
+        assert out.tobytes() == result.features.values.tobytes()
 
     def test_eps_sweep_does_not_blow_up(self):
         config, image = small_gradcheck_config(11)
