@@ -61,6 +61,7 @@ from .evaluator import (
 )
 from .experts import PERSONAS, identity_adapter, load_raw_image, seeded_adapter
 from .fusion import (
+    FUSION_KINDS,
     FusionStrategy,
     PipelineError,
     ProjectorParams,
@@ -83,7 +84,6 @@ from .numerics import (
 logger = logging.getLogger("routebench")
 
 SCORER_CHOICES = ("oracle", "negated-oracle", "coinflip", "affinity")
-STRATEGY_CHOICES = ("routed", "add", "concat")
 
 
 class UsageError(Exception):
@@ -289,7 +289,7 @@ def cmd_bench(args) -> int:
         image = load_raw_image(args.image)
     else:
         _, image = synth_scene(args.scene_seed)
-    strategies = [args.strategy] if args.strategy else list(STRATEGY_CHOICES)
+    strategies = [args.strategy] if args.strategy else list(FUSION_KINDS)
     reports = []
     for strategy in strategies:
         config = _bench_config(strategy, args.config_seed)
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="per-stage pipeline latency")
     _add_image_flags(bench, scene_seed_default=0)
-    bench.add_argument("--strategy", choices=STRATEGY_CHOICES, default=None)
+    bench.add_argument("--strategy", choices=FUSION_KINDS, default=None)
     bench.add_argument("--repeats", type=int, default=5)
     bench.add_argument(
         "--config-seed", type=int, default=0, help="seed for the benchmarked toy pipeline"

@@ -27,7 +27,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -35,11 +35,11 @@ import requests
 
 from .benchmark import (
     BenchmarkSample,
-    DatasetError,
     HallucinationCategory,
+    dumps_jsonl,
     image_ref_from_json_dict,
     image_ref_to_json_dict,
-    iter_jsonl,
+    parse_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -226,6 +226,12 @@ def parse_generation(raw: str):
     return stripped
 
 
+def _check_known_keys(cls, doc: dict, what: str) -> None:
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class ClientShape:
     """How to shape requests and unpack responses for a specific provider."""
@@ -247,23 +253,11 @@ class ClientShape:
         object.__setattr__(self, "response_path", tuple(self.response_path))
 
     def to_json_dict(self) -> dict:
-        return {
-            "prompt_mode": self.prompt_mode,
-            "model_key": self.model_key,
-            "temperature_key": self.temperature_key,
-            "max_tokens_key": self.max_tokens_key,
-            "prompt_key": self.prompt_key,
-            "response_path": list(self.response_path),
-            "auth_header": self.auth_header,
-            "auth_scheme": self.auth_scheme,
-        }
+        return {**asdict(self), "response_path": list(self.response_path)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClientShape":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown client shape keys: {sorted(unknown)}")
+        _check_known_keys(cls, doc, "client shape")
         return cls(**doc)
 
 
@@ -308,28 +302,13 @@ class DatagenConfig:
             raise ValueError("timeout_seconds must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "auth_env": self.auth_env,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "max_retries": self.max_retries,
-            "backoff_base_ms": self.backoff_base_ms,
-            "max_in_flight": self.max_in_flight,
-            "max_failure_fraction": self.max_failure_fraction,
-            "timeout_seconds": self.timeout_seconds,
-            "shape": self.shape.to_json_dict(),
-        }
+        return {**asdict(self), "shape": self.shape.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DatagenConfig":
+        _check_known_keys(cls, doc, "config")
         doc = dict(doc)
         shape_doc = doc.pop("shape", None)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if shape_doc is not None:
             doc["shape"] = ClientShape.from_json_dict(shape_doc)
         return cls(**doc)
@@ -578,23 +557,17 @@ def generate_dataset(
     return GenerationResult(samples=samples, stats=stats)
 
 
+def _caption_item(doc: dict) -> tuple:
+    image = image_ref_from_json_dict(doc["image"])
+    caption = str(doc["caption"])
+    if not caption.strip():
+        raise ValueError("caption must be non-empty")
+    return image, caption
+
+
 def loads_caption_items(text: str) -> list:
     """Parse JSONL {"image": <image ref>, "caption": <text>} item lines."""
-    items = []
-    for line_num, doc in iter_jsonl(text):
-        try:
-            image = image_ref_from_json_dict(doc["image"])
-            caption = str(doc["caption"])
-        except KeyError as exc:
-            raise DatasetError(f"line {line_num}: missing field {exc}") from exc
-        except ValueError as exc:
-            raise DatasetError(f"line {line_num}: {exc}") from exc
-        if not caption.strip():
-            raise DatasetError(f"line {line_num}: caption must be non-empty")
-        items.append((image, caption))
-    if not items:
-        raise DatasetError("item file contains no entries")
-    return items
+    return parse_jsonl(text, _caption_item, "item file contains no entries")
 
 
 def load_caption_items(path) -> list:
@@ -602,12 +575,6 @@ def load_caption_items(path) -> list:
 
 
 def dumps_caption_items(items) -> str:
-    return "".join(
-        json.dumps(
-            {"image": image_ref_to_json_dict(image), "caption": caption},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-        for image, caption in items
+    return dumps_jsonl(
+        {"image": image_ref_to_json_dict(image), "caption": caption} for image, caption in items
     )

@@ -18,10 +18,9 @@ visible in the error rates.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -36,13 +35,15 @@ from .benchmark import (
     SHAPES,
     VERTICAL_RELATIONS,
     BenchmarkSample,
-    DatasetError,
     HallucinationCategory,
     ImageRef,
-    iter_jsonl,
+    dumps_jsonl,
+    parse_jsonl,
     rasterize,
 )
 from .experts import (
+    CHANNELS,
+    HISTOGRAM_BINS,
     PERSONAS,
     FeatureMap,
     ImageGrid,
@@ -126,12 +127,7 @@ class CategoryStats:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "errors": self.errors,
-            "error_rate": self.error_rate,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -194,30 +190,21 @@ def radar_csv(reports: dict) -> str:
 
 
 def dumps_judgements(judgements) -> str:
-    return "".join(
-        json.dumps(j.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        for j in judgements
+    return dumps_jsonl(j.to_json_dict() for j in judgements)
+
+
+def _judgement_from_json_dict(doc: dict) -> Judgement:
+    return Judgement(
+        sample_id=str(doc["sample_id"]),
+        ppl_real=float(doc["ppl_real"]),
+        ppl_hall=float(doc["ppl_hall"]),
+        is_error=bool(doc["is_error"]),
+        category=HallucinationCategory(doc["category"]),
     )
 
 
 def loads_judgements(text: str) -> list:
-    judgements = []
-    for line_num, doc in iter_jsonl(text):
-        try:
-            judgements.append(
-                Judgement(
-                    sample_id=str(doc["sample_id"]),
-                    ppl_real=float(doc["ppl_real"]),
-                    ppl_hall=float(doc["ppl_hall"]),
-                    is_error=bool(doc["is_error"]),
-                    category=HallucinationCategory(doc["category"]),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise DatasetError(f"line {line_num}: {exc}") from exc
-    if not judgements:
-        raise DatasetError("judgement file contains no entries")
-    return judgements
+    return parse_jsonl(text, _judgement_from_json_dict, "judgement file contains no entries")
 
 
 def _resolve_image(ref: ImageRef, base_dir) -> ImageGrid:
@@ -346,13 +333,12 @@ class CoinFlipScorer:
 
 
 # Column positions of the saturated histogram bins inside the color-histogram
-# persona's 24-wide raw block (8 bins per channel, palette highs land in the
-# top bin).  Yellow saturates both the red and green channels, so pure red is
-# "bin 7 without bin 15", pure green the reverse, and yellow the coincidence.
-_HISTOGRAM_WIDTH = 24
-_RED_BIN = 7
-_GREEN_BIN = 15
-_BLUE_BIN = 23
+# persona's raw block (one block of bins per channel, palette highs land in
+# each block's top bin).  Yellow saturates both the red and green channels, so
+# pure red is "red top bin without green top bin", pure green the reverse, and
+# yellow the coincidence.
+_HISTOGRAM_WIDTH = CHANNELS * HISTOGRAM_BINS
+_RED_BIN, _GREEN_BIN, _BLUE_BIN = (HISTOGRAM_BINS * (ch + 1) - 1 for ch in range(CHANNELS))
 _COLOR_WORDS = frozenset(COLORS)
 _RELATION_WORDS = frozenset(HORIZONTAL_RELATIONS + VERTICAL_RELATIONS + INTERACTION_WORDS)
 

@@ -152,8 +152,8 @@ class LinearAdapter:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"adapter weights must be 2-D, got shape {w.shape}")
+        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
+            raise ValueError(f"adapter weights must be 2-D and non-empty, got shape {w.shape}")
         if b.shape != (w.shape[1],):
             raise ValueError(
                 f"adapter bias shape {b.shape} does not match output width {w.shape[1]}"
@@ -170,6 +170,32 @@ class LinearAdapter:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[1]
+
+    # The flat-weights document: both widths under the caller's keys, then
+    # row-major weights and the bias.  Subclasses name the widths differently.
+    def _to_json_dict(self, in_key: str = "in_dim", out_key: str = "out_dim") -> dict:
+        return {
+            in_key: self.in_dim,
+            out_key: self.out_dim,
+            "weights": self.weights.ravel().tolist(),
+            "bias": self.bias.tolist(),
+        }
+
+    @classmethod
+    def _from_json_dict(cls, doc, what: str, in_key: str = "in_dim", out_key: str = "out_dim"):
+        try:
+            rows = int(doc[in_key])
+            cols = int(doc[out_key])
+            weights = np.asarray(doc["weights"], dtype=np.float64)
+            bias = np.asarray(doc["bias"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed {what}: {exc}") from exc
+        if weights.size != rows * cols:
+            raise ValueError(
+                f"{what}: weights length {weights.size} does not match "
+                f"{in_key}*{out_key} = {rows * cols}"
+            )
+        return cls(weights.reshape(rows, cols), bias)
 
 
 def identity_adapter(dim: int) -> LinearAdapter:

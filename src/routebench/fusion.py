@@ -21,7 +21,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -272,30 +272,6 @@ class PipelineResult:
     stage_seconds: dict
 
 
-def _adapter_from_json(doc: dict, what: str) -> LinearAdapter:
-    try:
-        weights = np.asarray(doc["weights"], dtype=np.float64)
-        bias = np.asarray(doc["bias"], dtype=np.float64)
-        in_dim = int(doc["in_dim"])
-        out_dim = int(doc["out_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed {what}: {exc}") from exc
-    if weights.size != in_dim * out_dim:
-        raise ValueError(
-            f"{what}: weights length {weights.size} does not match {in_dim}x{out_dim}"
-        )
-    return LinearAdapter(weights.reshape(in_dim, out_dim), bias)
-
-
-def _adapter_to_json(adapter: LinearAdapter) -> dict:
-    return {
-        "in_dim": adapter.in_dim,
-        "out_dim": adapter.out_dim,
-        "weights": [float(v) for v in adapter.weights.ravel()],
-        "bias": [float(v) for v in adapter.bias],
-    }
-
-
 def _projector_from_json(doc: dict, in_dim: int, out_default: int) -> ProjectorParams:
     if doc.get("init") == "seeded":
         seed = int(doc.get("seed", 0))
@@ -306,8 +282,8 @@ def _projector_from_json(doc: dict, in_dim: int, out_default: int) -> ProjectorP
             stage2=seeded_adapter(hidden, out, seed=seed + 1),
         )
     return ProjectorParams(
-        stage1=_adapter_from_json(doc["stage1"], "projector stage1"),
-        stage2=_adapter_from_json(doc["stage2"], "projector stage2"),
+        stage1=LinearAdapter._from_json_dict(doc["stage1"], "projector stage1"),
+        stage2=LinearAdapter._from_json_dict(doc["stage2"], "projector stage2"),
     )
 
 
@@ -323,61 +299,52 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     """Build a PipelineConfig from its JSON document form.
 
     ``router`` and ``projector`` accept either explicit weight documents or
-    ``{"init": "seeded", "seed": ..., ...}`` for derived parameters.
+    ``{"init": "seeded", "seed": ..., ...}`` for derived parameters.  Any
+    missing, mistyped or rejected field raises ``ValueError("malformed
+    pipeline config: ...")``.
     """
     try:
-        expert_docs = doc["experts"]
-        strategy_doc = doc["strategy"]
-        canonical_tokens = int(doc.get("canonical_tokens", 576))
-        canonical_dim = int(doc.get("canonical_dim", 1024))
-        clip_seed = int(doc.get("clip_seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed pipeline config: {exc}") from exc
-    experts = tuple(
-        ToyExpertSpec(
-            id=int(e["id"]),
-            persona=str(e["persona"]),
-            seed=int(e["seed"]),
-            native_tokens=int(e["native_tokens"]),
-            native_dim=int(e["native_dim"]),
+        experts = tuple(
+            ToyExpertSpec(
+                id=int(e["id"]),
+                persona=str(e["persona"]),
+                seed=int(e["seed"]),
+                native_tokens=int(e["native_tokens"]),
+                native_dim=int(e["native_dim"]),
+            )
+            for e in doc["experts"]
         )
-        for e in expert_docs
-    )
-    strategy = FusionStrategy(
-        kind=str(strategy_doc["kind"]),
-        k=None if strategy_doc.get("k") is None else int(strategy_doc["k"]),
-    )
-    router = _router_from_json(doc["router"], canonical_dim, len(experts))
-    proj_in = canonical_dim * len(experts) if strategy.kind == "concat" else canonical_dim
-    projector = _projector_from_json(doc["projector"], proj_in, canonical_dim)
-    return PipelineConfig(
-        experts=experts,
-        router=router,
-        strategy=strategy,
-        projector=projector,
-        canonical_tokens=canonical_tokens,
-        canonical_dim=canonical_dim,
-        clip_seed=clip_seed,
-    )
+        strategy_doc = doc["strategy"]
+        strategy = FusionStrategy(
+            kind=str(strategy_doc["kind"]),
+            k=None if strategy_doc.get("k") is None else int(strategy_doc["k"]),
+        )
+        canonical_dim = int(doc.get("canonical_dim", 1024))
+        router = _router_from_json(doc["router"], canonical_dim, len(experts))
+        proj_in = canonical_dim * len(experts) if strategy.kind == "concat" else canonical_dim
+        return PipelineConfig(
+            experts=experts,
+            router=router,
+            strategy=strategy,
+            projector=_projector_from_json(doc["projector"], proj_in, canonical_dim),
+            canonical_tokens=int(doc.get("canonical_tokens", 576)),
+            canonical_dim=canonical_dim,
+            clip_seed=int(doc.get("clip_seed", 0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"malformed pipeline config: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed pipeline config: {exc}") from exc
 
 
 def pipeline_config_to_json(config: PipelineConfig) -> dict:
     return {
-        "experts": [
-            {
-                "id": e.id,
-                "persona": e.persona,
-                "seed": e.seed,
-                "native_tokens": e.native_tokens,
-                "native_dim": e.native_dim,
-            }
-            for e in config.experts
-        ],
+        "experts": [asdict(e) for e in config.experts],
         "router": config.router.to_json_dict(),
-        "strategy": {"kind": config.strategy.kind, "k": config.strategy.k},
+        "strategy": asdict(config.strategy),
         "projector": {
-            "stage1": _adapter_to_json(config.projector.stage1),
-            "stage2": _adapter_to_json(config.projector.stage2),
+            "stage1": config.projector.stage1._to_json_dict(),
+            "stage2": config.projector.stage2._to_json_dict(),
         },
         "canonical_tokens": config.canonical_tokens,
         "canonical_dim": config.canonical_dim,

@@ -15,10 +15,10 @@ Wire formats, one JSON object per line: ``{"pred": "yes"|"no", "label":
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .benchmark import DatasetError, iter_jsonl
+from .benchmark import parse_jsonl
 
 YES = "yes"
 NO = "no"
@@ -57,13 +57,7 @@ class MetricsRow:
         object.__setattr__(self, "degenerate", tuple(self.degenerate))
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate": list(self.degenerate),
-        }
+        return {**asdict(self), "degenerate": list(self.degenerate)}
 
 
 def confusion_counts(outcomes) -> tuple:
@@ -154,41 +148,28 @@ def avg_metric(pope_f1: float, autohallusion_overall: float) -> float:
 
 
 def loads_binary_outcomes(text: str) -> list:
-    outcomes = []
-    for line_num, doc in iter_jsonl(text):
-        try:
-            outcomes.append(BinaryOutcome(pred=doc["pred"], label=doc["label"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise DatasetError(f"line {line_num}: {message}") from exc
-    if not outcomes:
-        raise DatasetError("outcome file contains no entries")
-    return outcomes
+    return parse_jsonl(
+        text,
+        lambda doc: BinaryOutcome(pred=doc["pred"], label=doc["label"]),
+        "outcome file contains no entries",
+    )
 
 
 def load_binary_outcomes(path) -> list:
     return loads_binary_outcomes(Path(path).read_text(encoding="utf-8"))
 
 
+def _scenario_result(doc: dict) -> tuple:
+    scenario, correct = doc["scenario"], doc["correct"]
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; expected 'synthetic' or 'real'")
+    if not isinstance(correct, bool):
+        raise ValueError("'correct' must be a boolean")
+    return scenario, correct
+
+
 def loads_scenario_results(text: str) -> list:
-    results = []
-    for line_num, doc in iter_jsonl(text):
-        try:
-            scenario = doc["scenario"]
-            correct = doc["correct"]
-        except KeyError as exc:
-            raise DatasetError(f"line {line_num}: missing field {exc}") from exc
-        if scenario not in SCENARIOS:
-            raise DatasetError(
-                f"line {line_num}: unknown scenario {scenario!r}; "
-                "expected 'synthetic' or 'real'"
-            )
-        if not isinstance(correct, bool):
-            raise DatasetError(f"line {line_num}: 'correct' must be a boolean")
-        results.append((scenario, correct))
-    if not results:
-        raise DatasetError("scenario file contains no entries")
-    return results
+    return parse_jsonl(text, _scenario_result, "scenario file contains no entries")
 
 
 def load_scenario_results(path) -> list:

@@ -21,13 +21,14 @@ absolutely and large ones relatively.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 # Tracers patch encode_toy_expert, resample_tokens, adapt_dim and clip_encode
 # on this module to time gradcheck's prefix, so all four stay imported here.
 from .experts import (
+    PERSONAS,
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
@@ -67,15 +68,7 @@ class GradCheckReport:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "parameter_name": self.parameter_name,
-            "max_rel_error": self.max_rel_error,
-            "mean_rel_error": self.mean_rel_error,
-            "n_coordinates": self.n_coordinates,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,12 +79,7 @@ class LatencyReport:
     repeats: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "prefill_ms": self.prefill_ms,
-            "per_stage_ms": dict(self.per_stage_ms),
-            "repeats": self.repeats,
-        }
+        return asdict(self)
 
 
 def softmax_jacobian(weights: np.ndarray) -> np.ndarray:
@@ -100,14 +88,20 @@ def softmax_jacobian(weights: np.ndarray) -> np.ndarray:
     return np.diag(w) - np.outer(w, w)
 
 
-def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function at ``point``."""
+def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5, coords=None) -> np.ndarray:
+    """Central-difference gradient of a scalar function at ``point``.
+
+    With ``coords`` (flat indices into ``point``) only those coordinates are
+    differentiated and the result is a vector in ``coords`` order; otherwise
+    it is the full gradient, shaped like ``point``.
+    """
     point = np.asarray(point, dtype=np.float64)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     flat = point.ravel().copy()
-    grad = np.empty_like(flat)
-    for i in range(flat.size):
+    indices = range(flat.size) if coords is None else coords
+    grad = np.empty(len(indices))
+    for pos, i in enumerate(indices):
         orig = flat[i]
         flat[i] = orig + eps
         f_plus = float(fn(flat.reshape(point.shape)))
@@ -116,8 +110,8 @@ def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5) -> np.ndarray
         flat[i] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise ValueError(f"non-finite loss while perturbing coordinate {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad.reshape(point.shape)
+        grad[pos] = (f_plus - f_minus) / (2.0 * eps)
+    return grad.reshape(point.shape) if coords is None else grad
 
 
 def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
@@ -221,25 +215,14 @@ def check_router_fusion_gradients(
     reports = []
     for name in CHECKED_PARAMS:
         base = chain.params()[name]
-        grad_a = analytic[name].ravel()
-        flat = base.ravel().copy()
-        coords = np.arange(flat.size)
-        if max_coords_per_param is not None and flat.size > max_coords_per_param:
-            coords = np.sort(rng.choice(flat.size, size=max_coords_per_param, replace=False))
-        errors = np.empty(coords.size)
-        for pos, i in enumerate(coords):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = chain.loss({name: flat.reshape(base.shape)})
-            flat[i] = orig - eps
-            f_minus = chain.loss({name: flat.reshape(base.shape)})
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError(
-                    f"non-finite loss while perturbing {name} coordinate {i}"
-                )
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            errors[pos] = _rel_error(np.array(grad_a[i]), np.array(fd))
+        coords = np.arange(base.size)
+        if max_coords_per_param is not None and base.size > max_coords_per_param:
+            coords = np.sort(rng.choice(base.size, size=max_coords_per_param, replace=False))
+        try:
+            fd = finite_diff_gradient(lambda p: chain.loss({name: p}), base, eps, coords)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+        errors = _rel_error(analytic[name].ravel()[coords], fd)
         max_err = float(errors.max())
         reports.append(
             GradCheckReport(
@@ -265,18 +248,10 @@ def small_gradcheck_config(seed: int):
     n_experts = int(rng.integers(2, 5))
     tokens = int(rng.choice([4, 16]))
     dim = int(rng.choice([4, 8]))
-    personas = [
-        "global-context",
-        "color-histogram",
-        "edge-shape",
-        "patch-statistics",
-        "text-stripe",
-        "random-projection",
-    ]
     experts = tuple(
         ToyExpertSpec(
             id=i,
-            persona=personas[int(rng.integers(0, len(personas)))],
+            persona=PERSONAS[int(rng.integers(0, len(PERSONAS)))],
             seed=int(rng.integers(0, 2**31)),
             native_tokens=tokens,
             native_dim=int(rng.choice([6, dim])),

@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .experts import FeatureMap, ImageGrid, ToyExpertSpec, encode_toy_expert, resample_tokens
+from .experts import (
+    FeatureMap,
+    ImageGrid,
+    LinearAdapter,
+    ToyExpertSpec,
+    encode_toy_expert,
+    resample_tokens,
+)
 
 
 @dataclass(frozen=True)
@@ -58,57 +65,27 @@ class ClipOutput:
 
 
 @dataclass(frozen=True, eq=False)
-class RouterParams:
-    """Linear routing head: logits = cls @ weights + bias."""
+class RouterParams(LinearAdapter):
+    """Linear routing head: logits = cls @ weights + bias.
 
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-            raise ValueError(f"router weights must be 2-D and non-empty, got shape {w.shape}")
-        if b.shape != (w.shape[1],):
-            raise ValueError(
-                f"router bias shape {b.shape} does not match expert count {w.shape[1]}"
-            )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError("router parameters contain non-finite values")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+    Its file is the adapter document with the widths under ``dim_in`` and
+    ``n_experts``.
+    """
 
     @property
     def dim_in(self) -> int:
-        return self.weights.shape[0]
+        return self.in_dim
 
     @property
     def n_experts(self) -> int:
-        return self.weights.shape[1]
+        return self.out_dim
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim_in": self.dim_in,
-            "n_experts": self.n_experts,
-            "weights": [float(v) for v in self.weights.ravel()],
-            "bias": [float(v) for v in self.bias],
-        }
+        return self._to_json_dict("dim_in", "n_experts")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RouterParams":
-        try:
-            dim_in = int(doc["dim_in"])
-            n_experts = int(doc["n_experts"])
-            weights = np.asarray(doc["weights"], dtype=np.float64)
-            bias = np.asarray(doc["bias"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed router document: {exc}") from exc
-        if weights.size != dim_in * n_experts:
-            raise ValueError(
-                f"router weights length {weights.size} does not match "
-                f"dim_in*n_experts = {dim_in * n_experts}"
-            )
-        return cls(weights.reshape(dim_in, n_experts), bias)
+        return cls._from_json_dict(doc, "router document", "dim_in", "n_experts")
 
 
 def load_router(path) -> RouterParams:

@@ -464,6 +464,22 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=r"^line 3: invalid JSON: "):
             loads("\n  \n{oops\n")
 
+    @pytest.mark.parametrize(
+        "loads, field",
+        [
+            (loads_dataset, "id"),
+            (loads_judgements, "sample_id"),
+            (loads_binary_outcomes, "pred"),
+            (loads_scenario_results, "scenario"),
+            (loads_caption_items, "image"),
+        ],
+    )
+    def test_every_jsonl_loader_names_missing_fields_and_non_objects(self, loads, field):
+        with pytest.raises(DatasetError, match=rf"^line 3: missing field '{field}'$"):
+            loads("\n  \n{}\n")
+        with pytest.raises(DatasetError, match=r"^line 2: "):
+            loads("\n[1]\n")
+
     def test_unknown_category_lists_valid_names(self):
         doc = sample_to_json_dict(build_synthetic_dataset(1, seed=1)[0])
         doc["category"] = "Sizes"

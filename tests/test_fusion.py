@@ -541,3 +541,19 @@ class TestConfigJson:
     def test_malformed_config_rejected(self):
         with pytest.raises(ValueError, match="malformed pipeline config"):
             pipeline_config_from_json({"experts": []})
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda doc: doc["experts"][1].pop("seed"),
+            lambda doc: doc["strategy"].pop("kind"),
+            lambda doc: doc["projector"].pop("stage1"),
+            lambda doc: doc.update(router=[1.0, 2.0]),
+        ],
+        ids=["expert-seed", "strategy-kind", "projector-stage1", "router-not-object"],
+    )
+    def test_malformed_nested_field_rejected(self, breakage):
+        doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
+        breakage(doc)
+        with pytest.raises(ValueError, match="^malformed pipeline config: "):
+            pipeline_config_from_json(doc)

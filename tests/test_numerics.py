@@ -36,6 +36,15 @@ class TestFiniteDiff:
         with pytest.raises(ValueError, match="coordinate 1"):
             finite_diff_gradient(fn, np.array([0.0, 0.5, 0.0]))
 
+    def test_coordinate_subset_matches_full_gradient(self):
+        def fn(x):
+            return float((x**3).sum())
+
+        point = np.arange(6.0).reshape(2, 3)
+        full = finite_diff_gradient(fn, point).ravel()
+        coords = np.array([4, 0, 5])
+        np.testing.assert_array_equal(finite_diff_gradient(fn, point, coords=coords), full[coords])
+
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             finite_diff_gradient(lambda x: 0.0, np.zeros(2), eps=0.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from routebench.experts import ImageGrid
+from routebench.experts import ImageGrid, LinearAdapter
 from routebench.router import (
     ClipOutput,
     RouterParams,
@@ -151,6 +151,18 @@ class TestRouteLogits:
         path.write_text('{"dim_in": 2, "n_experts": 2, "weights": [1, 2, 3], "bias": [0, 0]}')
         with pytest.raises(ValueError, match="length"):
             load_router(path)
+
+    def test_router_is_a_validated_adapter(self):
+        params = RouterParams(np.zeros((4, 3)), np.zeros(3))
+        assert isinstance(params, LinearAdapter)
+        assert (params.dim_in, params.n_experts) == (params.in_dim, params.out_dim) == (4, 3)
+        for weights, bias in (
+            (np.zeros((0, 3)), np.zeros(3)),
+            (np.zeros((4, 3)), np.zeros(2)),
+            (np.full((4, 3), np.nan), np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match="adapter"):
+                RouterParams(weights, bias)
 
 
 class TestClipEncode:
