@@ -173,6 +173,13 @@ def scene_to_json_dict(desc: SceneDescriptor) -> dict:
     }
 
 
+def _json_bool(value, field: str) -> bool:
+    # bool("false") is True: only a JSON true/false is a flag.
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def scene_from_json_dict(doc: dict) -> SceneDescriptor:
     try:
         objects = tuple(
@@ -181,7 +188,7 @@ def scene_from_json_dict(doc: dict) -> SceneDescriptor:
                 color=o["color"],
                 cell=(o["cell"][0], o["cell"][1]),
                 count_group=int(o["count_group"]),
-                occluded=bool(o["occluded"]),
+                occluded=_json_bool(o["occluded"], "occluded"),
                 label_text=o.get("label_text"),
             )
             for o in doc["objects"]
@@ -229,6 +236,25 @@ class BenchmarkSample:
             raise ValueError(f"sample {self.id}: category must be a HallucinationCategory")
 
 
+def _cell_shape_masks() -> dict:
+    yy, xx = np.mgrid[0:CELL_PIXELS, 0:CELL_PIXELS]
+    masks = {
+        "circle": (yy - 7.5) ** 2 + (xx - 7.5) ** 2 <= 5.5**2,
+        "square": (yy >= 2) & (yy <= 13) & (xx >= 2) & (xx <= 13),
+        "triangle": (yy >= 2) & (yy <= 13) & (np.abs(xx - 7.5) <= 0.5 * (yy - 2) + 0.5),
+    }
+    for mask in masks.values():
+        mask.setflags(write=False)
+    return masks
+
+
+# Fixed per-cell drawing geometry, shared read-only by every rasterize call:
+# the pixels each shape covers, and the 1-pixel stripe row of a text label.
+_SHAPE_MASKS = _cell_shape_masks()
+_LABEL_STRIPES = np.where(np.arange(CELL_PIXELS) % 2 == 0, STRIPE_LIGHT, STRIPE_DARK)
+_LABEL_STRIPES.setflags(write=False)
+
+
 def rasterize(desc: SceneDescriptor) -> ImageGrid:
     """Draw the scene onto a 64x64 canvas.
 
@@ -238,20 +264,13 @@ def rasterize(desc: SceneDescriptor) -> ImageGrid:
     geometry plus fixed palette constants, so output bytes are stable.
     """
     canvas = np.full((SCENE_PIXELS, SCENE_PIXELS, 3), BACKGROUND_VALUE)
-    yy, xx = np.mgrid[0:CELL_PIXELS, 0:CELL_PIXELS]
-    masks = {
-        "circle": (yy - 7.5) ** 2 + (xx - 7.5) ** 2 <= 5.5**2,
-        "square": (yy >= 2) & (yy <= 13) & (xx >= 2) & (xx <= 13),
-        "triangle": (yy >= 2) & (yy <= 13) & (np.abs(xx - 7.5) <= 0.5 * (yy - 2) + 0.5),
-    }
     for obj in desc.objects:
         r0 = obj.cell[0] * CELL_PIXELS
         c0 = obj.cell[1] * CELL_PIXELS
         cell = canvas[r0 : r0 + CELL_PIXELS, c0 : c0 + CELL_PIXELS]
-        cell[masks[obj.shape]] = PALETTE[obj.color]
+        cell[_SHAPE_MASKS[obj.shape]] = PALETTE[obj.color]
         if obj.label_text is not None:
-            stripes = np.where(np.arange(CELL_PIXELS) % 2 == 0, STRIPE_LIGHT, STRIPE_DARK)
-            cell[12:16, :, :] = stripes[None, :, None]
+            cell[12:16, :, :] = _LABEL_STRIPES[None, :, None]
         if obj.occluded:
             cell[0 : CELL_PIXELS // 2, :, :] = OCCLUDER_VALUE
     return ImageGrid(canvas)

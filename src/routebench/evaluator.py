@@ -17,6 +17,7 @@ visible in the error rates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -341,6 +342,40 @@ _HISTOGRAM_WIDTH = CHANNELS * HISTOGRAM_BINS
 _RED_BIN, _GREEN_BIN, _BLUE_BIN = (HISTOGRAM_BINS * (ch + 1) - 1 for ch in range(CHANNELS))
 _COLOR_WORDS = frozenset(COLORS)
 _RELATION_WORDS = frozenset(HORIZONTAL_RELATIONS + VERTICAL_RELATIONS + INTERACTION_WORDS)
+# What an attribute keyword other than a color is scored by.
+_ENERGY = "energy"
+
+
+@functools.lru_cache(maxsize=64)
+def _bin_columns(dim: int, offset: int) -> np.ndarray:
+    """Indices of the feature columns ``j < dim`` with ``j % _HISTOGRAM_WIDTH
+    == offset``; read-only, since callers share it.
+
+    Gathering them by index array copies the same columns as a list would, so
+    their mean rounds the same; a strided slice would not.
+    """
+    cols = np.arange(offset, dim, _HISTOGRAM_WIDTH)
+    cols.setflags(write=False)
+    return cols
+
+
+@functools.lru_cache(maxsize=4096)
+def _token_kind(token: str) -> Optional[str]:
+    """The statistic a caption token is scored by: its lowercase color word,
+    ``_ENERGY`` for other attribute keywords, or None (base NLL)."""
+    word = token.rstrip(".,")
+    lowered = word.lower()
+    if lowered in _COLOR_WORDS:
+        return lowered
+    if (
+        lowered in SHAPES
+        or lowered in COUNT_WORDS
+        or lowered.isdigit()
+        or lowered in _RELATION_WORDS
+        or word in LABEL_WORDS
+    ):
+        return _ENERGY
+    return None
 
 
 @dataclass(frozen=True)
@@ -391,8 +426,8 @@ class AffinityScorer:
 
     @staticmethod
     def _bin_column(positive: np.ndarray, offset: int) -> np.ndarray:
-        cols = [j for j in range(positive.shape[1]) if j % _HISTOGRAM_WIDTH == offset]
-        if not cols:
+        cols = _bin_columns(positive.shape[1], offset)
+        if not cols.size:
             return np.zeros(positive.shape[0])
         return positive[:, cols].mean(axis=1)
 
@@ -409,36 +444,29 @@ class AffinityScorer:
             per_token = np.minimum(red, green)
         return float(per_token.sum() / positive.shape[0])
 
+    def _nll(self, positive: np.ndarray, kind: Optional[str]) -> float:
+        config = self.config
+        affinity = 0.0
+        if kind == _ENERGY:
+            if any(p != "color-histogram" for p in config.personas):
+                affinity = float(positive.mean())
+        elif kind is not None and "color-histogram" in config.personas:
+            affinity = self._color_affinity(positive, kind)
+        nll = config.base_nll - config.alpha * affinity
+        return min(max(nll, config.nll_min), config.nll_max)
+
     def score(self, features: FeatureMap, caption: str) -> list:
         tokens = caption.split()
         if not tokens:
             raise ValueError("cannot score an empty caption")
-        config = self.config
         values = features.values
         centered = values - values.mean(axis=0, keepdims=True)
         positive = np.maximum(centered, 0.0)
-        color_aware = "color-histogram" in config.personas
-        texture_aware = any(p != "color-histogram" for p in config.personas)
-        energy = float(positive.mean()) if texture_aware else 0.0
-        nlls = []
-        for token in tokens:
-            word = token.rstrip(".,")
-            lowered = word.lower()
-            affinity = 0.0
-            if lowered in _COLOR_WORDS:
-                if color_aware:
-                    affinity = self._color_affinity(positive, lowered)
-            elif (
-                lowered in SHAPES
-                or lowered in COUNT_WORDS
-                or lowered.isdigit()
-                or lowered in _RELATION_WORDS
-                or word in LABEL_WORDS
-            ):
-                affinity = energy
-            nll = config.base_nll - config.alpha * affinity
-            nlls.append(min(max(nll, config.nll_min), config.nll_max))
-        return nlls
+        # One NLL per token kind, so the energy and each color's affinity are
+        # computed at most once per caption.
+        kinds = [_token_kind(token) for token in tokens]
+        table = {kind: self._nll(positive, kind) for kind in dict.fromkeys(kinds)}
+        return [table[kind] for kind in kinds]
 
 
 def affinity_scorer(config: AffinityConfig) -> AffinityScorer:

@@ -218,80 +218,109 @@ def _grid_side(tokens: int, what: str) -> int:
     return side
 
 
+_PIXEL = np.dtype((np.void, CHANNELS * np.dtype(np.float64).itemsize))
+
+
+def _patch_grid(image: ImageGrid, side: int) -> np.ndarray:
+    """The image as a (side, patch_h, side, patch_w, channels) view."""
+    h, w = image.height, image.width
+    if h % side != 0 or w % side != 0:
+        raise ValueError(
+            f"{h}x{w} image cannot be divided into a {side}x{side} token grid"
+        )
+    return image.data.reshape(side, h // side, side, w // side, CHANNELS)
+
+
 def _patch_view(image: ImageGrid, side: int) -> np.ndarray:
     """Split the image into a side x side grid of equal patches.
 
     Returns an array of shape (side*side, patch_h, patch_w, channels) with
     tokens in row-major grid order.
     """
-    h, w = image.height, image.width
-    if h % side != 0 or w % side != 0:
-        raise ValueError(
-            f"{h}x{w} image cannot be divided into a {side}x{side} token grid"
-        )
-    ph, pw = h // side, w // side
-    v = image.data.reshape(side, ph, side, pw, CHANNELS)
+    v = _patch_grid(image, side)
+    ph, pw = v.shape[1], v.shape[3]
     return v.transpose(0, 2, 1, 3, 4).reshape(side * side, ph, pw, CHANNELS)
 
 
-def _raw_global_context(patches: np.ndarray, side: int) -> np.ndarray:
-    local = patches.mean(axis=(1, 2))  # (T, C)
-    rows = np.repeat(np.arange(side), side)
-    cols = np.tile(np.arange(side), side)
-    quadrant = ((2 * rows) // side) * 2 + (2 * cols) // side
-    quad_means = np.zeros((4, CHANNELS))
-    for q in range(4):
-        members = local[quadrant == q]
-        if members.size:
-            quad_means[q] = members.mean(axis=0)
+def _pixel_major(image: ImageGrid, side: int) -> np.ndarray:
+    """The patches of :func:`_patch_view` as a contiguous (patch_h, patch_w,
+    side*side, channels) array.
+
+    Each in-patch pixel position is one contiguous row holding that pixel of
+    every token, so reducing over the two leading axes adds whole rows, in the
+    same pixel order (and so with the same rounding) as reducing the
+    token-major view over its patch axes one 3-channel pixel at a time.
+    """
+    v = _patch_grid(image, side)
+    ph, pw = v.shape[1], v.shape[3]
+    # Copied as one 24-byte item per pixel: the transposing copy then moves
+    # whole pixels instead of one 3-value run per pixel.
+    pixels = np.ascontiguousarray(v).view(_PIXEL).reshape(side, ph, side, pw)
+    moved = np.ascontiguousarray(pixels.transpose(1, 3, 0, 2))
+    return moved.view(np.float64).reshape(ph, pw, side * side, CHANNELS)
+
+
+# Pixel persona kernels: each maps a pixel-major (patch_h, patch_w, T, C)
+# array to a (T, raw width) descriptor.
+
+
+def _raw_global_context(pixels: np.ndarray, side: int) -> np.ndarray:
+    local = pixels.mean(axis=(0, 1))  # (T, C)
+    grid = local.reshape(side, side, CHANNELS)
+    # Grid row or column i lies in the first half of the quadrant split when
+    # 2*i < side.  A quadrant's mean adds its tokens in row-major order.
+    half = (side + 1) // 2
+    quads = np.empty_like(grid)
+    for rows in (slice(0, half), slice(half, side)):
+        for cols in (slice(0, half), slice(half, side)):
+            block = grid[rows, cols]
+            if block.size:
+                quads[rows, cols] = block.mean(axis=(0, 1))
     overall = np.broadcast_to(local.mean(axis=0), local.shape)
-    return np.concatenate([local, quad_means[quadrant], overall], axis=1)
+    return np.concatenate([local, quads.reshape(side * side, CHANNELS), overall], axis=1)
 
 
-def _raw_color_histogram(patches: np.ndarray, side: int) -> np.ndarray:
-    t, ph, pw, _ = patches.shape
-    npix = ph * pw
-    bins = np.minimum((patches * HISTOGRAM_BINS).astype(np.int64), HISTOGRAM_BINS - 1)
-    out = np.empty((t, CHANNELS * HISTOGRAM_BINS))
-    row_offsets = np.arange(t)[:, None] * HISTOGRAM_BINS
-    for ch in range(CHANNELS):
-        flat = bins[..., ch].reshape(t, npix)
-        counts = np.bincount(
-            (flat + row_offsets).ravel(), minlength=t * HISTOGRAM_BINS
-        ).reshape(t, HISTOGRAM_BINS)
-        out[:, ch * HISTOGRAM_BINS : (ch + 1) * HISTOGRAM_BINS] = counts / npix
+def _raw_color_histogram(pixels: np.ndarray, side: int) -> np.ndarray:
+    ph, pw, t, _ = pixels.shape
+    bins = (pixels * HISTOGRAM_BINS).astype(np.intp)
+    np.minimum(bins, HISTOGRAM_BINS - 1, out=bins)
+    # Bin b of channel c in token k counts into slot (k*C + c)*BINS + b, so one
+    # bincount fills the (T, C*BINS) table in output column order.
+    bins += np.arange(t * CHANNELS).reshape(t, CHANNELS) * HISTOGRAM_BINS
+    counts = np.bincount(bins.ravel(), minlength=t * CHANNELS * HISTOGRAM_BINS)
+    out = counts.reshape(t, CHANNELS * HISTOGRAM_BINS) / (ph * pw)
     # Center across tokens: a color only counts where it deviates from the
     # image-wide average, so uniform backgrounds contribute nothing.
     return out - out.mean(axis=0, keepdims=True)
 
 
-def _raw_edge_shape(patches: np.ndarray, side: int) -> np.ndarray:
-    t = patches.shape[0]
-    dx = np.abs(np.diff(patches, axis=2))
-    dy = np.abs(np.diff(patches, axis=1))
-    fx = dx.mean(axis=(1, 2)) if dx.size else np.zeros((t, CHANNELS))
-    fy = dy.mean(axis=(1, 2)) if dy.size else np.zeros((t, CHANNELS))
+def _raw_edge_shape(pixels: np.ndarray, side: int) -> np.ndarray:
+    t = pixels.shape[2]
+    dx = np.abs(np.diff(pixels, axis=1))
+    dy = np.abs(np.diff(pixels, axis=0))
+    fx = dx.mean(axis=(0, 1)) if dx.size else np.zeros((t, CHANNELS))
+    fy = dy.mean(axis=(0, 1)) if dy.size else np.zeros((t, CHANNELS))
     return np.concatenate([fx, fy], axis=1)
 
 
-def _raw_patch_statistics(patches: np.ndarray, side: int) -> np.ndarray:
-    means = patches.mean(axis=(1, 2))
-    variances = patches.var(axis=(1, 2))
+def _raw_patch_statistics(pixels: np.ndarray, side: int) -> np.ndarray:
+    means = pixels.mean(axis=(0, 1))
+    variances = pixels.var(axis=(0, 1))
     return np.concatenate([means, variances], axis=1)
 
 
-def _raw_text_stripe(patches: np.ndarray, side: int) -> np.ndarray:
-    t, _, pw, _ = patches.shape
+def _raw_text_stripe(pixels: np.ndarray, side: int) -> np.ndarray:
+    _, pw, t, _ = pixels.shape
     if pw < 2:
         return np.zeros((t, 2 * CHANNELS))
-    col_means = patches.mean(axis=1)  # (T, pw, C)
-    d = np.diff(col_means, axis=1)  # (T, pw-1, C)
+    col_means = pixels.mean(axis=0)  # (pw, T, C)
+    d = np.diff(col_means, axis=0)  # (pw-1, T, C)
     signs = (-1.0) ** np.arange(pw - 1)
     # Alternating column differences reinforce for 1-pixel stripes and cancel
     # for smooth gradients; built from differences so flat patches are exactly
     # zero.
-    alternating = np.abs((d * signs[None, :, None]).sum(axis=1)) / pw
-    energy = np.abs(d).mean(axis=1)
+    alternating = np.abs((d * signs[:, None, None]).sum(axis=0)) / pw
+    energy = np.abs(d).mean(axis=0)
     return np.concatenate([alternating, energy], axis=1)
 
 
@@ -353,12 +382,13 @@ def encode_toy_expert(image: ImageGrid, spec: ToyExpertSpec) -> FeatureMap:
     (``random-projection`` projects straight to ``native_dim`` instead).
     """
     side = _grid_side(spec.native_tokens, "native_tokens")
-    patches = _patch_view(image, side)
     if spec.persona == "random-projection":
+        # Token-major flattening fixes which Gaussian row meets which pixel.
+        patches = _patch_view(image, side)
         flat = patches.reshape(patches.shape[0], -1)
         values = flat @ _gaussian_projection(spec.seed, flat.shape[1], spec.native_dim)
     else:
-        raw = _RAW_PERSONAS[spec.persona](patches, side)
+        raw = _RAW_PERSONAS[spec.persona](_pixel_major(image, side), side)
         values = tile_columns(raw, spec.native_dim)
     return FeatureMap(np.ascontiguousarray(values), source=str(spec.id))
 

@@ -515,3 +515,24 @@ class TestDatasetIO:
         doc["hallucinated"] = doc["real"]
         with pytest.raises(DatasetError, match="line 1"):
             loads_dataset(json.dumps(doc) + "\n")
+
+    @staticmethod
+    def _line_with_occluded(value, index=0) -> str:
+        doc = sample_to_json_dict(build_synthetic_dataset(1, seed=1)[index])
+        doc["image"]["scene"]["objects"][0]["occluded"] = value
+        return json.dumps(doc) + "\n"
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_occluded_must_be_a_json_boolean(self, value):
+        # bool("false") is True: a coerced flag would draw an occluder the
+        # caption does not mention.
+        text = self._line_with_occluded(False) + self._line_with_occluded(value, index=1)
+        with pytest.raises(
+            DatasetError, match=rf"^line 2: occluded must be true or false, got {value!r}$"
+        ):
+            loads_dataset(text)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_occluded_json_boolean_loads_as_is(self, value):
+        (sample,) = loads_dataset(self._line_with_occluded(value))
+        assert sample.image.scene.objects[0].occluded is value

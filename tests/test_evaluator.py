@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 from routebench.benchmark import (
+    COLORS,
+    COUNT_WORDS,
+    HORIZONTAL_RELATIONS,
+    INTERACTION_WORDS,
+    LABEL_WORDS,
+    SHAPES,
+    VERTICAL_RELATIONS,
     BenchmarkSample,
     DatasetError,
     HallucinationCategory,
@@ -443,3 +450,109 @@ class TestJudgingConfig:
         )
         key = HallucinationCategory.COLOR
         assert routed.per_category[key].error_rate < uniform.per_category[key].error_rate
+
+
+class _ReferenceAffinityScorer:
+    """The per-token affinity scorer: every token re-derives its statistic
+    from the feature map, with the bin columns gathered by a list.  The
+    scorer builds one NLL per token kind from the same expressions, so its
+    NLL lists must equal these exactly."""
+
+    HISTOGRAM_WIDTH = 24
+    RED_BIN, GREEN_BIN, BLUE_BIN = 7, 15, 23
+
+    def __init__(self, config):
+        self.config = config
+
+    def _bin_column(self, positive, offset):
+        cols = [j for j in range(positive.shape[1]) if j % self.HISTOGRAM_WIDTH == offset]
+        if not cols:
+            return np.zeros(positive.shape[0])
+        return positive[:, cols].mean(axis=1)
+
+    def _color_affinity(self, positive, word):
+        red = self._bin_column(positive, self.RED_BIN)
+        green = self._bin_column(positive, self.GREEN_BIN)
+        if word == "red":
+            per_token = np.maximum(red - green, 0.0)
+        elif word == "green":
+            per_token = np.maximum(green - red, 0.0)
+        elif word == "blue":
+            per_token = self._bin_column(positive, self.BLUE_BIN)
+        else:
+            per_token = np.minimum(red, green)
+        return float(per_token.sum() / positive.shape[0])
+
+    def score(self, features, caption):
+        relations = HORIZONTAL_RELATIONS + VERTICAL_RELATIONS + INTERACTION_WORDS
+        config = self.config
+        values = features.values
+        centered = values - values.mean(axis=0, keepdims=True)
+        positive = np.maximum(centered, 0.0)
+        color_aware = "color-histogram" in config.personas
+        texture_aware = any(p != "color-histogram" for p in config.personas)
+        energy = float(positive.mean()) if texture_aware else 0.0
+        nlls = []
+        for token in caption.split():
+            word = token.rstrip(".,")
+            lowered = word.lower()
+            affinity = 0.0
+            if lowered in COLORS:
+                if color_aware:
+                    affinity = self._color_affinity(positive, lowered)
+            elif (
+                lowered in SHAPES
+                or lowered in COUNT_WORDS
+                or lowered.isdigit()
+                or lowered in relations
+                or word in LABEL_WORDS
+            ):
+                affinity = energy
+            nll = config.base_nll - config.alpha * affinity
+            nlls.append(min(max(nll, config.nll_min), config.nll_max))
+        return nlls
+
+
+class TestAffinityScorerOracle:
+    PERSONA_SETS = (
+        None,  # all six personas
+        ("edge-shape", "patch-statistics"),
+        ("color-histogram",),
+    )
+    EXTRA_CAPTIONS = (
+        "Red RED. red, green Yellow blue yellow. red",
+        "EXIT exit 3 two left above touching circle. sits a",
+    )
+
+    @classmethod
+    def _captions(cls, dataset):
+        return [c for s in dataset for c in (s.real_caption, s.hallucinated_caption)]
+
+    @classmethod
+    def _assert_equal_to_reference(cls, features, captions):
+        for personas in cls.PERSONA_SETS:
+            config = AffinityConfig() if personas is None else AffinityConfig(personas=personas)
+            scorer = affinity_scorer(config)
+            reference = _ReferenceAffinityScorer(config)
+            for caption in captions:
+                assert scorer.score(features, caption) == reference.score(features, caption), (
+                    personas,
+                    caption,
+                )
+
+    @pytest.mark.parametrize("favor", [None, "color-histogram"])
+    def test_synthetic_dataset_nlls_equal_reference(self, favor):
+        dataset = build_synthetic_dataset(50, seed=0)
+        config = toy_judging_config(favor)
+        for sample in dataset:
+            features = run_pipeline(rasterize(sample.image.scene), config).features
+            captions = [sample.real_caption, sample.hallucinated_caption]
+            self._assert_equal_to_reference(features, captions)
+        self._assert_equal_to_reference(features, self.EXTRA_CAPTIONS)
+
+    def test_wide_feature_map_nlls_equal_reference(self):
+        # 1024 columns: 43 per histogram bin, gathered from many blocks.
+        values = np.random.default_rng(7).normal(size=(64, 1024))
+        features = FeatureMap(values, source="fused")
+        captions = self._captions(build_synthetic_dataset(5, seed=0)) + list(self.EXTRA_CAPTIONS)
+        self._assert_equal_to_reference(features, captions)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from routebench.benchmark import synth_scene
 from routebench.experts import (
     CHANNELS,
     HISTOGRAM_BINS,
@@ -112,9 +113,12 @@ class TestEncode:
         assert np.all(fm.values == 0.0)
 
     def test_indivisible_grid_rejected(self):
-        spec = ToyExpertSpec(id=0, persona="edge-shape", seed=0, native_tokens=25, native_dim=8)
-        with pytest.raises(ValueError, match="5x5 token grid"):
-            encode_toy_expert(constant_image(48, 48, 0.5), spec)
+        for persona in PERSONAS:
+            spec = ToyExpertSpec(id=0, persona=persona, seed=0, native_tokens=25, native_dim=8)
+            with pytest.raises(
+                ValueError, match=r"^48x48 image cannot be divided into a 5x5 token grid$"
+            ):
+                encode_toy_expert(constant_image(48, 48, 0.5), spec)
 
     def test_deterministic_given_spec_and_image(self):
         image = random_image(24, 24, 11)
@@ -348,3 +352,105 @@ class TestHistogramLayout:
         assert fm.values[0, red_high] > 0.5  # red patch, centered mass positive
         assert fm.values[1, red_high] < 0.0  # background patches lose mass
         assert fm.values[0, green_low] > 0.5
+
+
+# Token-major reference formulas: each persona reduces a (T, ph, pw, C) patch
+# view over its patch axes.  The encoder reduces a pixel-major copy instead;
+# the arithmetic and its order are the same, so the descriptors must be equal
+# bit for bit.
+
+
+def _reference_patches(image, side):
+    h, w = image.height, image.width
+    ph, pw = h // side, w // side
+    v = image.data.reshape(side, ph, side, pw, CHANNELS)
+    return v.transpose(0, 2, 1, 3, 4).reshape(side * side, ph, pw, CHANNELS)
+
+
+def _reference_global_context(patches, side):
+    local = patches.mean(axis=(1, 2))
+    rows = np.repeat(np.arange(side), side)
+    cols = np.tile(np.arange(side), side)
+    quadrant = ((2 * rows) // side) * 2 + (2 * cols) // side
+    quad_means = np.zeros((4, CHANNELS))
+    for q in range(4):
+        members = local[quadrant == q]
+        if members.size:
+            quad_means[q] = members.mean(axis=0)
+    overall = np.broadcast_to(local.mean(axis=0), local.shape)
+    return np.concatenate([local, quad_means[quadrant], overall], axis=1)
+
+
+def _reference_color_histogram(patches, side):
+    t, ph, pw, _ = patches.shape
+    npix = ph * pw
+    bins = np.minimum((patches * HISTOGRAM_BINS).astype(np.int64), HISTOGRAM_BINS - 1)
+    out = np.empty((t, CHANNELS * HISTOGRAM_BINS))
+    row_offsets = np.arange(t)[:, None] * HISTOGRAM_BINS
+    for ch in range(CHANNELS):
+        flat = bins[..., ch].reshape(t, npix)
+        counts = np.bincount(
+            (flat + row_offsets).ravel(), minlength=t * HISTOGRAM_BINS
+        ).reshape(t, HISTOGRAM_BINS)
+        out[:, ch * HISTOGRAM_BINS : (ch + 1) * HISTOGRAM_BINS] = counts / npix
+    return out - out.mean(axis=0, keepdims=True)
+
+
+def _reference_edge_shape(patches, side):
+    t = patches.shape[0]
+    dx = np.abs(np.diff(patches, axis=2))
+    dy = np.abs(np.diff(patches, axis=1))
+    fx = dx.mean(axis=(1, 2)) if dx.size else np.zeros((t, CHANNELS))
+    fy = dy.mean(axis=(1, 2)) if dy.size else np.zeros((t, CHANNELS))
+    return np.concatenate([fx, fy], axis=1)
+
+
+def _reference_patch_statistics(patches, side):
+    return np.concatenate([patches.mean(axis=(1, 2)), patches.var(axis=(1, 2))], axis=1)
+
+
+def _reference_text_stripe(patches, side):
+    t, _, pw, _ = patches.shape
+    if pw < 2:
+        return np.zeros((t, 2 * CHANNELS))
+    col_means = patches.mean(axis=1)
+    d = np.diff(col_means, axis=1)
+    signs = (-1.0) ** np.arange(pw - 1)
+    alternating = np.abs((d * signs[None, :, None]).sum(axis=1)) / pw
+    energy = np.abs(d).mean(axis=1)
+    return np.concatenate([alternating, energy], axis=1)
+
+
+REFERENCE_PERSONAS = {
+    "global-context": _reference_global_context,
+    "color-histogram": _reference_color_histogram,
+    "edge-shape": _reference_edge_shape,
+    "patch-statistics": _reference_patch_statistics,
+    "text-stripe": _reference_text_stripe,
+}
+
+
+def _oracle_cases():
+    for seed in range(6):
+        yield f"scene{seed}", synth_scene(seed)[1], 8
+    for side in (8, 16):
+        yield f"random384-side{side}", random_image(384, 384, side), side
+    for side in (1, 2, 3, 6, 12):
+        yield f"random36x60-side{side}", random_image(36, 60, 5), side
+    # One pixel per patch: pw < 2 and both pixel differences are empty.
+    yield "random12-side12", random_image(12, 12, 6), 12
+    # A non-contiguous pixel array.
+    wide = np.random.default_rng(8).random((64, 128, CHANNELS))
+    yield "strided64-side8", ImageGrid(wide[:, ::2]), 8
+
+
+class TestPersonaOracle:
+    @pytest.mark.parametrize("persona", sorted(REFERENCE_PERSONAS))
+    def test_raw_descriptor_bit_equal_to_token_major_reference(self, persona):
+        for name, image, side in _oracle_cases():
+            want = REFERENCE_PERSONAS[persona](_reference_patches(image, side), side)
+            spec = ToyExpertSpec(
+                id=0, persona=persona, seed=0, native_tokens=side * side, native_dim=want.shape[1]
+            )
+            got = encode_toy_expert(image, spec).values
+            assert np.array_equal(got, want), f"{persona} on {name}"
