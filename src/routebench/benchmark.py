@@ -13,10 +13,11 @@ by the visual capability they stress:
 Synthetic samples are built over scene descriptors: up to six colored shapes
 on a 4x4 grid, optionally occluded or carrying a striped text label, that
 rasterize deterministically to a 64x64 image.  Captions enumerate the scene
-("A red circle sits at row 0 column 1, ...") and perturbations swap exactly
-one token (two for the occlusion phrase), so every hallucinated caption is
-classifiable back to its category by the token-diff rules in
-:func:`classify_pair`.
+("A red circle sits at row 0 column 1, ...") in a fixed grammar whose
+keywords each play one role (``WORD_ROLES``): a caption is a list of claims
+(:func:`caption_claims`).  A perturbation swaps exactly one claim word (two
+for the occlusion phrase), so :func:`classify_pair` recovers every
+hallucinated caption's category by diffing the two captions' claims.
 
 Sample wire format, one JSON object per line::
 
@@ -81,6 +82,8 @@ DYNAMIC_VERBS = ("spins", "rolls", "slides", "bounces")
 HORIZONTAL_RELATIONS = ("left", "right")
 VERTICAL_RELATIONS = ("above", "below")
 INTERACTION_WORDS = ("touching", "apart")
+HIDDEN_PHRASE = ("partly", "hidden")
+VISIBLE_PHRASE = ("fully", "visible")
 
 SCENE_GRID = 4
 CELL_PIXELS = 16
@@ -276,8 +279,8 @@ def rasterize(desc: SceneDescriptor) -> ImageGrid:
     return ImageGrid(canvas)
 
 
-def synth_scene(seed: int):
-    """Generate a random scene and its rasterization, deterministically."""
+def draw_scene(seed: int) -> SceneDescriptor:
+    """Draw a random scene descriptor, deterministically; nothing is rendered."""
     rng = random.Random(seed)
     n = rng.randint(1, MAX_OBJECTS)
     cells = sorted(rng.sample([(r, c) for r in range(SCENE_GRID) for c in range(SCENE_GRID)], n))
@@ -301,99 +304,118 @@ def synth_scene(seed: int):
                 label_text=rng.choice(LABEL_WORDS) if rng.random() < 0.3 else None,
             )
         )
-    desc = SceneDescriptor(seed=seed, objects=tuple(objects))
+    return SceneDescriptor(seed=seed, objects=tuple(objects))
+
+
+def synth_scene(seed: int):
+    """Generate a random scene and its rasterization, deterministically."""
+    desc = draw_scene(seed)
     return desc, rasterize(desc)
 
 
-@dataclass
-class _Tok:
-    text: str
-    role: Optional[str] = None
-    obj: Optional[int] = None
-
-
-def _sentence(tokens: list) -> list:
-    tokens[-1] = _Tok(tokens[-1].text + ".", tokens[-1].role, tokens[-1].obj)
-    return tokens
-
-
-def _comma(tok: _Tok) -> _Tok:
-    return _Tok(tok.text + ",", tok.role, tok.obj)
-
-
-def _caption_tokens(desc: SceneDescriptor) -> list:
-    objects = desc.objects
-    tokens: list = []
-    if not objects:
-        return _sentence([_Tok("The"), _Tok("scene"), _Tok("is"), _Tok("empty")])
-    count = [
-        _Tok("The"), _Tok("scene"), _Tok("contains"),
-        _Tok(COUNT_WORDS[len(objects) - 1], role="count"),
-        _Tok("object" if len(objects) == 1 else "objects"),
-    ]
-    tokens.extend(_sentence(count))
-    for i, obj in enumerate(objects):
-        sent = [
-            _Tok("A"),
-            _Tok(obj.color, role="color", obj=i),
-            _Tok(obj.shape, role="shape", obj=i),
-            _Tok(STATIVE_VERB, role="verb", obj=i),
-            _Tok("at"), _Tok("row"),
-            _Tok(str(obj.cell[0]), role="row", obj=i),
-            _Tok("column"),
-            _Tok(str(obj.cell[1]), role="col", obj=i),
-        ]
-        if obj.label_text is not None:
-            sent[-1] = _comma(sent[-1])
-            sent.extend([_Tok("labeled"), _Tok(obj.label_text, role="label", obj=i)])
-        if obj.occluded:
-            sent[-1] = _comma(sent[-1])
-            sent.extend([_Tok("partly", role="occl-a", obj=i), _Tok("hidden", role="occl-b", obj=i)])
-        tokens.extend(_sentence(sent))
-    if len(objects) >= 2:
-        a, b = objects[0], objects[1]
-        dr = b.cell[0] - a.cell[0]
-        dc = b.cell[1] - a.cell[1]
-        sent = [_Tok("The"), _Tok(ORDINAL_WORDS[0]), _Tok("object"), _Tok("is")]
-        if dc != 0 and abs(dc) >= abs(dr):
-            sent.append(_Tok("left" if dc > 0 else "right", role="rel"))
-            sent.append(_Tok("of"))
-        else:
-            sent.append(_Tok("above" if dr > 0 else "below", role="rel"))
-        sent.extend([_Tok("the"), _Tok(ORDINAL_WORDS[1]), _Tok("object")])
-        tokens.extend(_sentence(sent))
-
-        i, j = len(objects) - 2, len(objects) - 1
-        a, b = objects[i], objects[j]
-        adjacent = max(abs(a.cell[0] - b.cell[0]), abs(a.cell[1] - b.cell[1])) == 1
-        sent = [
-            _Tok("The"), _Tok(ORDINAL_WORDS[i]), _Tok("object"), _Tok("and"),
-            _Tok("the"), _Tok(ORDINAL_WORDS[j]), _Tok("object"), _Tok("are"),
-            _Tok(INTERACTION_WORDS[0] if adjacent else INTERACTION_WORDS[1], role="inter"),
-        ]
-        tokens.extend(_sentence(sent))
-    return tokens
-
-
-def _render(tokens: list) -> str:
-    return " ".join(t.text for t in tokens)
+# The caption grammar.  Every keyword a caption can claim something with, and
+# the role it plays; a row or column number takes its role from the word
+# before it.  Object sentences start with "A", scene sentences with "The".
+WORD_ROLES = {
+    **dict.fromkeys(COUNT_WORDS, "count"),
+    **dict.fromkeys(COLORS, "color"),
+    **dict.fromkeys(SHAPES, "shape"),
+    **dict.fromkeys((STATIVE_VERB,) + DYNAMIC_VERBS, "verb"),
+    **dict.fromkeys(LABEL_WORDS, "label"),
+    **dict.fromkeys(HIDDEN_PHRASE + VISIBLE_PHRASE, "occlusion"),
+    **dict.fromkeys(HORIZONTAL_RELATIONS + VERTICAL_RELATIONS, "relation"),
+    **dict.fromkeys(INTERACTION_WORDS, "interaction"),
+}
+_NUMBER_ROLES = {"row": "row", "column": "col"}
+_OPPOSITE = {
+    "left": "right", "right": "left", "above": "below", "below": "above",
+    "touching": "apart", "apart": "touching",
+}
+_ROLE_CATEGORIES = {
+    "count": HallucinationCategory.COUNTING,
+    "color": HallucinationCategory.COLOR,
+    "verb": HallucinationCategory.ACTION,
+    "label": HallucinationCategory.TEXT,
+    "occlusion": HallucinationCategory.OCCLUSION,
+    "relation": HallucinationCategory.RELATIVE_POSITION,
+    "interaction": HallucinationCategory.RELATIVE_INTERACTION,
+    "row": HallucinationCategory.ABSOLUTE_POSITION,
+    "col": HallucinationCategory.ABSOLUTE_POSITION,
+}
 
 
 def _strip_word(text: str) -> str:
     return text.rstrip(".,")
 
 
-def _swap(tokens: list, index: int, new_word: str) -> list:
-    old = tokens[index]
-    suffix = old.text[len(_strip_word(old.text)) :]
-    out = list(tokens)
-    out[index] = _Tok(new_word + suffix, old.role, old.obj)
-    return out
+def _relation(a: SceneObject, b: SceneObject) -> str:
+    """Where ``a`` lies relative to ``b``: the dominant axis, rows on a tie."""
+    dr = b.cell[0] - a.cell[0]
+    dc = b.cell[1] - a.cell[1]
+    if dc != 0 and abs(dc) >= abs(dr):
+        return "left" if dc > 0 else "right"
+    return "above" if dr > 0 else "below"
+
+
+def _interaction(a: SceneObject, b: SceneObject) -> str:
+    adjacent = max(abs(a.cell[0] - b.cell[0]), abs(a.cell[1] - b.cell[1])) == 1
+    return INTERACTION_WORDS[0] if adjacent else INTERACTION_WORDS[1]
 
 
 def synth_caption(desc: SceneDescriptor) -> str:
     """The factual caption enumerating the scene."""
-    return _render(_caption_tokens(desc))
+    objects = desc.objects
+    n = len(objects)
+    if not n:
+        return "The scene is empty."
+    sentences = [f"The scene contains {COUNT_WORDS[n - 1]} object{'s' if n > 1 else ''}."]
+    for obj in objects:
+        row, col = obj.cell
+        sentence = f"A {obj.color} {obj.shape} {STATIVE_VERB} at row {row} column {col}"
+        if obj.label_text is not None:
+            sentence += f", labeled {obj.label_text}"
+        if obj.occluded:
+            sentence += ", " + " ".join(HIDDEN_PHRASE)
+        sentences.append(sentence + ".")
+    if n >= 2:
+        relation = _relation(objects[0], objects[1])
+        of = " of" if relation in HORIZONTAL_RELATIONS else ""
+        sentences.append(
+            f"The {ORDINAL_WORDS[0]} object is {relation}{of} the {ORDINAL_WORDS[1]} object."
+        )
+        i, j = n - 2, n - 1
+        sentences.append(
+            f"The {ORDINAL_WORDS[i]} object and the {ORDINAL_WORDS[j]} object are "
+            f"{_interaction(objects[i], objects[j])}."
+        )
+    return " ".join(sentences)
+
+
+def caption_claims(caption: str) -> list:
+    """The ``(role, obj, value, index)`` claims a caption makes.
+
+    ``value`` is the claiming word without trailing punctuation and ``index``
+    its whitespace-token position.  ``obj`` numbers the "A ..." object
+    sentences from 0 and is None for claims in "The ..." scene sentences.
+    Words match ``WORD_ROLES`` case-sensitively.
+    """
+    claims = []
+    obj = None
+    objects = 0
+    prev = None
+    for index, token in enumerate(caption.split()):
+        word = _strip_word(token)
+        if word == "A":
+            obj, objects = objects, objects + 1
+        elif word == "The":
+            obj = None
+        role = WORD_ROLES.get(word)
+        if role is None and word.isdigit():
+            role = _NUMBER_ROLES.get(prev)
+        if role is not None:
+            claims.append((role, obj, word, index))
+        prev = word
+    return claims
 
 
 @dataclass(frozen=True)
@@ -411,12 +433,55 @@ class CaptionPair:
     edit: TokenEdit
 
 
-def _positions(tokens: list, role: str, obj: Optional[int] = None) -> list:
-    return [
-        i
-        for i, t in enumerate(tokens)
-        if t.role == role and (obj is None or t.obj == obj)
+def _pick_edit(desc: SceneDescriptor, category: HallucinationCategory, rng) -> Optional[tuple]:
+    """``(role, obj, new_words)`` of one edit the scene supports, or None."""
+    C = HallucinationCategory
+    objects = desc.objects
+    n = len(objects)
+    if category is C.COLOR or category is C.CATEGORY:
+        attr, vocab = ("color", COLORS) if category is C.COLOR else ("shape", SHAPES)
+        unused = [w for w in vocab if all(getattr(o, attr) != w for o in objects)]
+        if not n or not unused:
+            return None
+        i = rng.randrange(n)
+        return attr, i, [rng.choice(unused)]
+    if category is C.SHAPE:
+        present = sorted({o.shape for o in objects})
+        if len(present) < 2:
+            return None
+        i = rng.randrange(n)
+        return "shape", i, [rng.choice([s for s in present if s != objects[i].shape])]
+    if category is C.OCCLUSION:
+        hidden = [i for i, o in enumerate(objects) if o.occluded]
+        return ("occlusion", rng.choice(hidden), list(VISIBLE_PHRASE)) if hidden else None
+    if category is C.TEXT:
+        labeled = [i for i, o in enumerate(objects) if o.label_text is not None]
+        if not labeled:
+            return None
+        i = rng.choice(labeled)
+        return "label", i, [rng.choice([w for w in LABEL_WORDS if w != objects[i].label_text])]
+    if category is C.RELATIVE_POSITION or category is C.RELATIVE_INTERACTION:
+        if n < 2:
+            return None
+        if category is C.RELATIVE_POSITION:
+            return "relation", None, [_OPPOSITE[_relation(objects[0], objects[1])]]
+        return "interaction", None, [_OPPOSITE[_interaction(objects[-2], objects[-1])]]
+    if not n:
+        return None
+    if category is C.COUNTING:
+        candidates = [m for m in (n - 1, n + 1) if 1 <= m <= MAX_OBJECTS]
+        return "count", None, [COUNT_WORDS[rng.choice(candidates) - 1]]
+    i = rng.randrange(n)
+    if category is C.ACTION:
+        return "verb", i, [rng.choice(DYNAMIC_VERBS)]
+    moves = [
+        (axis, value + delta)
+        for axis, value in zip(("row", "col"), objects[i].cell)
+        for delta in (-1, 1)
+        if 0 <= value + delta < SCENE_GRID
     ]
+    axis, value = moves[rng.randrange(len(moves))]
+    return axis, i, [str(value)]
 
 
 def synth_caption_pair(
@@ -426,154 +491,70 @@ def synth_caption_pair(
 
     Returns None when the scene cannot support the category (no occluded
     object for Occlusion, no unused color for Color, and so on).  The
-    hallucinated caption differs from the real one in exactly one token,
-    except Occlusion which swaps the two-token visibility phrase.
+    hallucinated caption differs from the real one in exactly one claim
+    word, except Occlusion which swaps the two-word visibility phrase.
     """
-    rng = random.Random(seed)
-    tokens = _caption_tokens(desc)
-    objects = desc.objects
-    edit_positions: list = []
-    new_words: list = []
-
-    if category is HallucinationCategory.COLOR:
-        unused = [c for c in COLORS if all(o.color != c for o in objects)]
-        if not objects or not unused:
-            return None
-        i = rng.randrange(len(objects))
-        edit_positions = _positions(tokens, "color", i)
-        new_words = [rng.choice(unused)]
-    elif category is HallucinationCategory.CATEGORY:
-        absent = [s for s in SHAPES if all(o.shape != s for o in objects)]
-        if not objects or not absent:
-            return None
-        i = rng.randrange(len(objects))
-        edit_positions = _positions(tokens, "shape", i)
-        new_words = [rng.choice(absent)]
-    elif category is HallucinationCategory.SHAPE:
-        present = sorted({o.shape for o in objects})
-        if len(present) < 2:
-            return None
-        i = rng.randrange(len(objects))
-        others = [s for s in present if s != objects[i].shape]
-        edit_positions = _positions(tokens, "shape", i)
-        new_words = [rng.choice(others)]
-    elif category is HallucinationCategory.COUNTING:
-        if not objects:
-            return None
-        n = len(objects)
-        candidates = [m for m in (n - 1, n + 1) if 1 <= m <= MAX_OBJECTS]
-        edit_positions = _positions(tokens, "count")
-        new_words = [COUNT_WORDS[rng.choice(candidates) - 1]]
-    elif category is HallucinationCategory.OCCLUSION:
-        hidden = [i for i, o in enumerate(objects) if o.occluded]
-        if not hidden:
-            return None
-        i = rng.choice(hidden)
-        edit_positions = _positions(tokens, "occl-a", i) + _positions(tokens, "occl-b", i)
-        new_words = ["fully", "visible"]
-    elif category is HallucinationCategory.TEXT:
-        labeled = [i for i, o in enumerate(objects) if o.label_text is not None]
-        if not labeled:
-            return None
-        i = rng.choice(labeled)
-        others = [w for w in LABEL_WORDS if w != objects[i].label_text]
-        edit_positions = _positions(tokens, "label", i)
-        new_words = [rng.choice(others)]
-    elif category is HallucinationCategory.ABSOLUTE_POSITION:
-        if not objects:
-            return None
-        i = rng.randrange(len(objects))
-        r, c = objects[i].cell
-        moves = []
-        for axis, value in (("row", r), ("col", c)):
-            for delta in (-1, 1):
-                if 0 <= value + delta < SCENE_GRID:
-                    moves.append((axis, value + delta))
-        axis, value = moves[rng.randrange(len(moves))]
-        edit_positions = _positions(tokens, axis, i)
-        new_words = [str(value)]
-    elif category is HallucinationCategory.RELATIVE_POSITION:
-        edit_positions = _positions(tokens, "rel")
-        if not edit_positions:
-            return None
-        word = _strip_word(tokens[edit_positions[0]].text)
-        opposite = {"left": "right", "right": "left", "above": "below", "below": "above"}
-        new_words = [opposite[word]]
-    elif category is HallucinationCategory.RELATIVE_INTERACTION:
-        edit_positions = _positions(tokens, "inter")
-        if not edit_positions:
-            return None
-        word = _strip_word(tokens[edit_positions[0]].text)
-        new_words = ["apart" if word == "touching" else "touching"]
-    elif category is HallucinationCategory.ACTION:
-        if not objects:
-            return None
-        i = rng.randrange(len(objects))
-        edit_positions = _positions(tokens, "verb", i)
-        new_words = [rng.choice(DYNAMIC_VERBS)]
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ValueError(f"unhandled category {category}")
-
-    perturbed = tokens
-    before = []
-    for pos, word in zip(edit_positions, new_words):
-        before.append(_strip_word(tokens[pos].text))
-        perturbed = _swap(perturbed, pos, word)
+    picked = _pick_edit(desc, category, random.Random(seed))
+    if picked is None:
+        return None
+    role, obj, after = picked
+    real = synth_caption(desc)
+    claims = caption_claims(real)
+    edited = [(index, value) for r, o, value, index in claims if r == role and o == obj]
+    tokens = real.split()
+    for (index, value), word in zip(edited, after):
+        tokens[index] = word + tokens[index][len(value) :]
     return CaptionPair(
-        real=_render(tokens),
-        hallucinated=_render(perturbed),
+        real=real,
+        hallucinated=" ".join(tokens),
         edit=TokenEdit(
             category=category,
-            positions=tuple(edit_positions),
-            before=tuple(before),
-            after=tuple(new_words),
+            positions=tuple(index for index, _ in edited),
+            before=tuple(value for _, value in edited),
+            after=tuple(after),
         ),
     )
 
 
 def classify_pair(real: str, hallucinated: str) -> Optional[HallucinationCategory]:
-    """Classify an (R, H) pair back to its category from the token diff alone.
+    """Classify an (R, H) pair back to its category by diffing their claims.
 
-    Returns None when the diff does not match any category's edit rule; the
-    synthetic generator is expected to always produce classifiable pairs.
+    The differing words must be claims of one role in both captions; the role
+    names the category.  Three roles need more: a shape swapped to a shape
+    claimed elsewhere is Shape (else Category), an occlusion edit must turn
+    the adjacent phrase "partly hidden" into "fully visible", a relation must
+    turn into its opposite and a verb from stative to dynamic.  Returns None
+    otherwise; synthetic pairs always classify.
     """
-    r_tokens = [_strip_word(t) for t in real.split()]
-    h_tokens = [_strip_word(t) for t in hallucinated.split()]
-    if len(r_tokens) != len(h_tokens):
+    r_words = [_strip_word(t) for t in real.split()]
+    h_words = [_strip_word(t) for t in hallucinated.split()]
+    if len(r_words) != len(h_words):
         return None
-    diffs = [i for i, (a, b) in enumerate(zip(r_tokens, h_tokens)) if a != b]
-    if len(diffs) == 2 and diffs[1] == diffs[0] + 1:
-        a = (r_tokens[diffs[0]], r_tokens[diffs[1]])
-        b = (h_tokens[diffs[0]], h_tokens[diffs[1]])
-        if a == ("partly", "hidden") and b == ("fully", "visible"):
-            return HallucinationCategory.OCCLUSION
+    diffs = [i for i, (a, b) in enumerate(zip(r_words, h_words)) if a != b]
+    if not 1 <= len(diffs) <= 2:
         return None
-    if len(diffs) != 1:
+    r_roles = {index: role for role, _, _, index in caption_claims(real)}
+    h_roles = {index: role for role, _, _, index in caption_claims(hallucinated)}
+    roles = {r_roles.get(i) for i in diffs} | {h_roles.get(i) for i in diffs}
+    if len(roles) != 1 or None in roles:
         return None
-    a, b = r_tokens[diffs[0]], h_tokens[diffs[0]]
-    if a in COLORS and b in COLORS:
-        return HallucinationCategory.COLOR
-    if a in SHAPES and b in SHAPES:
-        rest = [t for i, t in enumerate(r_tokens) if i != diffs[0]]
-        present_elsewhere = b in rest
-        return (
-            HallucinationCategory.SHAPE
-            if present_elsewhere
-            else HallucinationCategory.CATEGORY
-        )
-    if a in COUNT_WORDS and b in COUNT_WORDS:
-        return HallucinationCategory.COUNTING
-    if a.isdigit() and b.isdigit():
-        return HallucinationCategory.ABSOLUTE_POSITION
-    if {a, b} <= set(HORIZONTAL_RELATIONS) or {a, b} <= set(VERTICAL_RELATIONS):
-        return HallucinationCategory.RELATIVE_POSITION
-    if {a, b} <= set(INTERACTION_WORDS):
-        return HallucinationCategory.RELATIVE_INTERACTION
-    if a == STATIVE_VERB and b in DYNAMIC_VERBS:
-        return HallucinationCategory.ACTION
-    if a in LABEL_WORDS and b in LABEL_WORDS:
-        return HallucinationCategory.TEXT
-    return None
+    role = roles.pop()
+    before = tuple(r_words[i] for i in diffs)
+    after = tuple(h_words[i] for i in diffs)
+    if role == "occlusion" or len(diffs) == 2:
+        # Only the adjacent visibility phrase changes, and only as a whole.
+        if (before, after) != (HIDDEN_PHRASE, VISIBLE_PHRASE) or diffs[1] != diffs[0] + 1:
+            return None
+    elif role == "shape":
+        claimed = {r_words[i] for i, r in r_roles.items() if r == "shape"}
+        if after[0] in claimed:
+            return HallucinationCategory.SHAPE
+        return HallucinationCategory.CATEGORY
+    elif role == "relation" and _OPPOSITE[before[0]] != after[0]:
+        return None
+    elif role == "verb" and (before[0] != STATIVE_VERB or after[0] not in DYNAMIC_VERBS):
+        return None
+    return _ROLE_CATEGORIES[role]
 
 
 def build_synthetic_dataset(
@@ -601,7 +582,7 @@ def build_synthetic_dataset(
                     f"could not generate {n_per_category} {category.value} samples "
                     f"after {limit} attempts"
                 )
-            desc, _ = synth_scene(rng.getrandbits(32))
+            desc = draw_scene(rng.getrandbits(32))
             pair = synth_caption_pair(desc, category, rng.getrandbits(32))
             if pair is None:
                 continue

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-One executable with eight subcommands covering the full surface:
+One executable with seven subcommands covering the full surface:
 
 * ``route``      — run the routing pipeline on one image, print routing + feature summary
 * ``gen-synth``  — build a synthetic benchmark dataset (JSONL)
@@ -8,7 +8,6 @@ One executable with eight subcommands covering the full surface:
 * ``eval``       — judge a dataset with a scorer, print the error-rate report
 * ``metrics``    — confusion-matrix metrics and the composite average from outcome files
 * ``gradcheck``  — verify analytic gradients against finite differences
-* ``bench``      — per-stage latency of the fusion pipeline
 * ``report``     — convert judgement files into the radar CSV
 
 Exit codes: 0 success, 1 operational failure (bad data, endpoint down,
@@ -19,7 +18,6 @@ always go to stderr, so stdout stays a single machine-readable document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -59,15 +57,8 @@ from .evaluator import (
     radar_csv,
     toy_judging_config,
 )
-from .experts import PERSONAS, identity_adapter, load_raw_image, seeded_adapter
-from .fusion import (
-    FUSION_KINDS,
-    FusionStrategy,
-    PipelineError,
-    ProjectorParams,
-    load_pipeline_config,
-    run_pipeline,
-)
+from .experts import PERSONAS, load_raw_image
+from .fusion import PipelineError, load_pipeline_config, run_pipeline
 from .metrics import (
     autohallusion_aggregate,
     avg_metric,
@@ -75,11 +66,7 @@ from .metrics import (
     load_scenario_results,
     pope_metrics,
 )
-from .numerics import (
-    check_router_fusion_gradients,
-    measure_fusion_latency,
-    small_gradcheck_config,
-)
+from .numerics import check_router_fusion_gradients, small_gradcheck_config
 
 logger = logging.getLogger("routebench")
 
@@ -268,37 +255,6 @@ def cmd_gradcheck(args) -> int:
     return 0 if all_passed else 1
 
 
-def _bench_config(strategy: str, seed: int):
-    base = toy_judging_config(seed=seed)
-    if strategy == "routed":
-        return base
-    if strategy == "add":
-        return dataclasses.replace(base, strategy=FusionStrategy(kind="add"))
-    n = len(base.experts)
-    dim = base.canonical_dim
-    projector = ProjectorParams(
-        stage1=seeded_adapter(n * dim, dim, seed=seed), stage2=identity_adapter(dim)
-    )
-    return dataclasses.replace(
-        base, strategy=FusionStrategy(kind="concat"), projector=projector
-    )
-
-
-def cmd_bench(args) -> int:
-    if args.image is not None:
-        image = load_raw_image(args.image)
-    else:
-        _, image = synth_scene(args.scene_seed)
-    strategies = [args.strategy] if args.strategy else list(FUSION_KINDS)
-    reports = []
-    for strategy in strategies:
-        config = _bench_config(strategy, args.config_seed)
-        report = measure_fusion_latency(config, image, repeats=args.repeats)
-        reports.append(report.to_json_dict())
-    _emit_json({"reports": reports}, args.out)
-    return 0
-
-
 def cmd_report(args) -> int:
     paths = [Path(p) for p in args.judgements]
     if args.names is not None:
@@ -317,16 +273,6 @@ def cmd_report(args) -> int:
         reports[name] = error_rates(judgements)
     _emit(radar_csv(reports), args.out)
     return 0
-
-
-def _add_image_flags(sub, scene_seed_default=None):
-    sub.add_argument("--image", help="raw image file (binary grid format)")
-    sub.add_argument(
-        "--scene-seed",
-        type=int,
-        default=scene_seed_default,
-        help="render a synthetic scene with this seed instead of reading --image",
-    )
 
 
 def _add_pipeline_flags(sub):
@@ -348,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     route = sub.add_parser("route", help="run the routing pipeline on one image")
-    _add_image_flags(route)
+    route.add_argument("--image", help="raw image file (binary grid format)")
+    route.add_argument(
+        "--scene-seed",
+        type=int,
+        help="render a synthetic scene with this seed instead of reading --image",
+    )
     _add_pipeline_flags(route)
     route.add_argument("--out", help="write output here instead of stdout")
     route.set_defaults(func=cmd_route)
@@ -397,16 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck.add_argument("--max-coords", type=int, default=None)
     gradcheck.add_argument("--out")
     gradcheck.set_defaults(func=cmd_gradcheck)
-
-    bench = sub.add_parser("bench", help="per-stage pipeline latency")
-    _add_image_flags(bench, scene_seed_default=0)
-    bench.add_argument("--strategy", choices=FUSION_KINDS, default=None)
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument(
-        "--config-seed", type=int, default=0, help="seed for the benchmarked toy pipeline"
-    )
-    bench.add_argument("--out")
-    bench.set_defaults(func=cmd_bench)
 
     report = sub.add_parser("report", help="radar CSV from judgement files")
     report.add_argument("--judgements", nargs="+", required=True)

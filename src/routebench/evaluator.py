@@ -28,13 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmark import (
-    COLORS,
-    COUNT_WORDS,
-    HORIZONTAL_RELATIONS,
-    INTERACTION_WORDS,
-    LABEL_WORDS,
-    SHAPES,
-    VERTICAL_RELATIONS,
+    WORD_ROLES,
     BenchmarkSample,
     HallucinationCategory,
     ImageRef,
@@ -55,8 +49,8 @@ from .experts import (
 from .fusion import FusionStrategy, PipelineConfig, PipelineError, ProjectorParams, run_pipeline
 from .router import RouterParams
 
-# How a caption would be framed for a real captioning model.  Toy scorers do
-# not interpret the framing; it travels as judgement metadata only.
+# How a caption would be framed for a real captioning model.  Toy scorers
+# score the bare caption and do not use the framing.
 PROMPT_TEMPLATE = "<image>\nDescribe the image: {caption}"
 
 
@@ -83,7 +77,6 @@ class Judgement:
     ppl_hall: float
     is_error: bool
     category: HallucinationCategory
-    prompt_template: str = PROMPT_TEMPLATE
 
     def __post_init__(self):
         if self.is_error != (self.ppl_real > self.ppl_hall):
@@ -340,10 +333,10 @@ class CoinFlipScorer:
 # yellow the coincidence.
 _HISTOGRAM_WIDTH = CHANNELS * HISTOGRAM_BINS
 _RED_BIN, _GREEN_BIN, _BLUE_BIN = (HISTOGRAM_BINS * (ch + 1) - 1 for ch in range(CHANNELS))
-_COLOR_WORDS = frozenset(COLORS)
-_RELATION_WORDS = frozenset(HORIZONTAL_RELATIONS + VERTICAL_RELATIONS + INTERACTION_WORDS)
-# What an attribute keyword other than a color is scored by.
+# What an attribute keyword other than a color is scored by, and the caption
+# roles of those keywords; verbs and the occlusion phrase score at base NLL.
 _ENERGY = "energy"
+_ENERGY_ROLES = frozenset({"shape", "count", "relation", "interaction"})
 
 
 @functools.lru_cache(maxsize=64)
@@ -362,18 +355,18 @@ def _bin_columns(dim: int, offset: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4096)
 def _token_kind(token: str) -> Optional[str]:
     """The statistic a caption token is scored by: its lowercase color word,
-    ``_ENERGY`` for other attribute keywords, or None (base NLL)."""
+    ``_ENERGY`` for other attribute keywords, or None (base NLL).
+
+    Keywords match ``WORD_ROLES`` in any case, except labels, which match
+    only as written; any number counts as a position claim.  Single tokens are
+    classified, not whole captions, so free-form captions score too.
+    """
     word = token.rstrip(".,")
     lowered = word.lower()
-    if lowered in _COLOR_WORDS:
+    role = WORD_ROLES.get(lowered)
+    if role == "color":
         return lowered
-    if (
-        lowered in SHAPES
-        or lowered in COUNT_WORDS
-        or lowered.isdigit()
-        or lowered in _RELATION_WORDS
-        or word in LABEL_WORDS
-    ):
+    if role in _ENERGY_ROLES or lowered.isdigit() or WORD_ROLES.get(word) == "label":
         return _ENERGY
     return None
 

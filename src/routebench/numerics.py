@@ -1,26 +1,24 @@
 """Numerical verification for the routing pipeline.
 
-Two harnesses live here:
-
-* a gradient checker that backpropagates a scalar loss (sum of squared output
-  features) through route -> fuse -> merge -> project analytically, then
-  compares every parameter coordinate against central finite differences;
-* a latency harness that medians per-stage wall-clock timings over repeated
-  pipeline runs.
+One harness lives here: a gradient checker that backpropagates a scalar loss
+(sum of squared output features) through route -> fuse -> merge -> project
+analytically, then compares every parameter coordinate against central finite
+differences.  Timing the pipeline is left to perfbench's traced runs.
 
 The checker runs the pipeline's own align path and the unvalidated
 ``softmax``/``weighted_sum``/``mlp`` kernels behind the public stage
 functions, so its forward is byte-equal to ``run_pipeline``.
 
-The analytic path relies on the softmax Jacobian diag(w) - w w^T and the
-tanh-GELU derivative; both have their own unit checks.  Relative error uses
+The analytic path backpropagates through softmax in the product form
+w * (d_w - w.d_w), which is the Jacobian diag(w) - w w^T applied without
+building it, and uses the tanh-GELU derivative; ``softmax_jacobian`` and
+``gelu_grad`` have their own unit checks.  Relative error uses
 |analytic - fd| / max(1, |analytic|, |fd|), so tiny gradients are compared
 absolutely and large ones relatively.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,7 +42,6 @@ from .fusion import (
     _align_steps,
     gelu_grad,
     mlp,
-    run_pipeline,
     weighted_sum,
 )
 from .router import RouterParams, clip_encode, softmax
@@ -66,17 +63,6 @@ class GradCheckReport:
     threshold: float
     passed: bool
     degenerate: bool = False
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    strategy: str
-    prefill_ms: float
-    per_stage_ms: dict
-    repeats: int
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -304,24 +290,3 @@ def fit_router_demo(
         weights = weights - lr * np.outer(cls, d_logits)
         bias = bias - lr * d_logits
     return losses
-
-
-def measure_fusion_latency(
-    config: PipelineConfig, image: ImageGrid, repeats: int = 5
-) -> LatencyReport:
-    """Median per-stage and total pipeline wall time over ``repeats`` runs."""
-    if repeats < 3:
-        raise ValueError(f"repeats must be at least 3, got {repeats}")
-    stage_times: dict[str, list[float]] = {}
-    totals = []
-    for _ in range(repeats):
-        result = run_pipeline(image, config)
-        totals.append(sum(result.stage_seconds.values()))
-        for stage, seconds in result.stage_seconds.items():
-            stage_times.setdefault(stage, []).append(seconds)
-    return LatencyReport(
-        strategy=config.strategy.kind,
-        prefill_ms=statistics.median(totals) * 1e3,
-        per_stage_ms={s: statistics.median(v) * 1e3 for s, v in stage_times.items()},
-        repeats=repeats,
-    )

@@ -22,8 +22,10 @@ from routebench.benchmark import (
     SceneDescriptor,
     SceneObject,
     build_synthetic_dataset,
+    caption_claims,
     category_counts,
     classify_pair,
+    draw_scene,
     dump_dataset,
     dumps_dataset,
     iter_jsonl,
@@ -263,6 +265,76 @@ class TestCaptions:
         assert "are touching." in cap  # vertically adjacent cells
 
 
+class TestCaptionClaims:
+    def test_full_scene_claims(self):
+        assert caption_claims(synth_caption(SCENE_FULL)) == [
+            ("count", None, "three", 3),
+            ("color", 0, "red", 6),
+            ("shape", 0, "circle", 7),
+            ("verb", 0, "sits", 8),
+            ("row", 0, "0", 11),
+            ("col", 0, "0", 13),
+            ("label", 0, "EXIT", 15),
+            ("occlusion", 0, "partly", 16),
+            ("occlusion", 0, "hidden", 17),
+            ("color", 1, "green", 19),
+            ("shape", 1, "square", 20),
+            ("verb", 1, "sits", 21),
+            ("row", 1, "0", 24),
+            ("col", 1, "1", 26),
+            ("color", 2, "red", 28),
+            ("shape", 2, "circle", 29),
+            ("verb", 2, "sits", 30),
+            ("row", 2, "2", 33),
+            ("col", 2, "2", 35),
+            ("relation", None, "left", 40),
+            ("interaction", None, "apart", 53),
+        ]
+
+    def test_empty_scene_claims_nothing(self):
+        assert caption_claims(synth_caption(SceneDescriptor(seed=0, objects=()))) == []
+
+    def test_claims_reproduce_random_scenes(self):
+        for seed in range(300):
+            desc = draw_scene(seed)
+            caption = synth_caption(desc)
+            tokens = caption.split()
+            per_object: dict = {}
+            scene_roles = []
+            for role, obj, value, index in caption_claims(caption):
+                assert tokens[index].rstrip(".,") == value
+                if obj is None:
+                    scene_roles.append((role, value))
+                else:
+                    per_object.setdefault(obj, {}).setdefault(role, []).append(value)
+            n = len(desc.objects)
+            assert scene_roles[0] == ("count", COUNT_WORDS[n - 1])
+            relations = ["relation", "interaction"] if n >= 2 else []
+            assert [r for r, _ in scene_roles[1:]] == relations
+            assert sorted(per_object) == list(range(n))
+            for i, o in enumerate(desc.objects):
+                claims = per_object[i]
+                assert claims["color"] == [o.color]
+                assert claims["shape"] == [o.shape]
+                assert claims["verb"] == ["sits"]
+                assert claims["row"] == [str(o.cell[0])]
+                assert claims["col"] == [str(o.cell[1])]
+                assert claims.get("label") == ([o.label_text] if o.label_text else None)
+                assert claims.get("occlusion") == (["partly", "hidden"] if o.occluded else None)
+
+    def test_numbers_take_their_role_from_the_word_before(self):
+        claims = caption_claims("A red circle sits at row 3, column 12. There are 4 cats.")
+        assert ("row", 0, "3", 6) in claims
+        assert ("col", 0, "12", 8) in claims
+        assert all(value != "4" for _, _, value, _ in claims)
+
+    def test_keywords_match_case_sensitively(self):
+        assert caption_claims("Red circle exit EXIT.") == [
+            ("shape", None, "circle", 1),
+            ("label", None, "EXIT", 3),
+        ]
+
+
 class TestCaptionPairs:
     @pytest.mark.parametrize("category", list(HallucinationCategory))
     def test_full_scene_supports_every_category(self, category):
@@ -377,6 +449,36 @@ class TestClassifyPair:
         bad = "A blue circle sits at row 1 column 1."
         assert classify_pair(real, bad) is None
 
+    def test_digit_outside_row_or_column_is_not_a_position(self):
+        # Only numbers after "row"/"column" are position claims; any other
+        # number lies outside the caption grammar and does not classify.
+        assert classify_pair("There are 3 cats.", "There are 4 cats.") is None
+        real = "A red circle sits at row 0 column 1."
+        assert classify_pair(real, real.replace("row 0", "row 2")) is (
+            HallucinationCategory.ABSOLUTE_POSITION
+        )
+
+    def test_role_specific_rules(self):
+        real = (
+            "A red circle sits at row 0 column 1, partly hidden. "
+            "The first object is left of the second object."
+        )
+        # a relation must flip to its opposite, a verb from stative to dynamic
+        assert classify_pair(real, real.replace("left", "above")) is None
+        assert classify_pair(real, real.replace("left", "right")) is (
+            HallucinationCategory.RELATIVE_POSITION
+        )
+        dynamic = real.replace("sits", "spins")
+        assert classify_pair(real, dynamic) is HallucinationCategory.ACTION
+        assert classify_pair(dynamic, dynamic.replace("spins", "rolls")) is None
+        # the visibility phrase changes only as a whole
+        assert classify_pair(real, real.replace("partly", "fully")) is None
+        assert classify_pair(real, real.replace("partly hidden", "fully visible")) is (
+            HallucinationCategory.OCCLUSION
+        )
+        # words of different roles never pair up
+        assert classify_pair(real, real.replace("red", "square")) is None
+
     def test_category_vs_shape_disambiguation(self):
         # swapped-in shape present elsewhere -> Shape
         real = "A red circle sits. A blue square sits."
@@ -415,6 +517,15 @@ class TestDatasetBuild:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError, match="positive"):
             build_synthetic_dataset(0, seed=1)
+
+    def test_build_draws_scenes_without_rasterizing(self, monkeypatch):
+        import routebench.benchmark as benchmark
+
+        def fail(desc):
+            raise AssertionError("build_synthetic_dataset rasterized a scene")
+
+        monkeypatch.setattr(benchmark, "rasterize", fail)
+        assert len(build_synthetic_dataset(2, seed=3)) == 20
 
 
 class TestDatasetIO:

@@ -224,7 +224,7 @@ class TestMetrics:
         assert "avg" not in doc and "autohallusion" not in doc
 
 
-class TestGradcheckAndBench:
+class TestGradcheck:
     def test_gradcheck_passes(self, capsys):
         code, stdout, _ = run_cli(capsys, ["gradcheck", "--configs", "2", "--seed", "4"])
         assert code == 0
@@ -233,25 +233,6 @@ class TestGradcheckAndBench:
         assert len(doc["configs"]) == 2
         names = {p["parameter_name"] for c in doc["configs"] for p in c["parameters"]}
         assert "router.weights" in names
-
-    def test_bench_single_strategy(self, capsys):
-        code, stdout, _ = run_cli(capsys, ["bench", "--strategy", "add", "--repeats", "3"])
-        assert code == 0
-        (report,) = json.loads(stdout)["reports"]
-        assert report["strategy"] == "add"
-        assert report["repeats"] == 3
-        assert set(report["per_stage_ms"]) == {"encode", "align", "route", "fuse", "project"}
-
-    def test_bench_all_strategies(self, capsys):
-        code, stdout, _ = run_cli(capsys, ["bench", "--repeats", "3"])
-        assert code == 0
-        kinds = [r["strategy"] for r in json.loads(stdout)["reports"]]
-        assert kinds == ["routed", "add", "concat"]
-
-    def test_bench_rejects_too_few_repeats(self, capsys):
-        code, _, err = run_cli(capsys, ["bench", "--repeats", "2"])
-        assert code == 1
-        assert "repeats" in err
 
 
 class TestReport:

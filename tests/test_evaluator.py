@@ -39,6 +39,7 @@ from routebench.evaluator import (
     perplexity,
     radar_csv,
     toy_judging_config,
+    _token_kind,
 )
 from routebench.experts import FeatureMap
 from routebench.fusion import run_pipeline
@@ -102,7 +103,7 @@ class TestJudgement:
     def test_prompt_template_metadata(self):
         assert PROMPT_TEMPLATE == "<image>\nDescribe the image: {caption}"
         j = Judgement("s", 4.0, 5.0, False, HallucinationCategory.COLOR)
-        assert j.prompt_template == PROMPT_TEMPLATE
+        assert not hasattr(j, "prompt_template")
         assert "prompt_template" not in j.to_json_dict()
 
     def test_inconsistent_flag_rejected(self):
@@ -283,6 +284,36 @@ class TestCoinFlipScorer:
         judgements = [judge_sample(scorer, DUMMY_FEATURES, s) for s in dataset]
         rate = error_rates(judgements).overall.error_rate
         assert 0.40 <= rate <= 0.60
+
+
+class TestTokenKind:
+    @pytest.mark.parametrize(
+        "token, kind",
+        [
+            ("Red,", "red"),
+            ("yellow.", "yellow"),
+            ("BLUE", "blue"),
+            ("EXIT", "energy"),
+            ("SALE.", "energy"),
+            ("exit", None),
+            ("Exit", None),
+            ("12", "energy"),
+            ("0.", "energy"),
+            ("Circle", "energy"),
+            ("three", "energy"),
+            ("LEFT", "energy"),
+            ("apart.", "energy"),
+            ("Sits", None),
+            ("spins", None),
+            ("partly", None),
+            ("visible.", None),
+            ("row", None),
+            ("first", None),
+            ("The", None),
+        ],
+    )
+    def test_literal_kinds(self, token, kind):
+        assert _token_kind(token) == kind
 
 
 class TestAffinityScorer:

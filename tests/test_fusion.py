@@ -416,7 +416,7 @@ class TestPlannedPipeline:
         result = run_pipeline(image, config)
         assert len(adapter_builds) == MIXED_ADAPTED
         assert_matches_reference(result, image, config)
-        # A replaced config (as the bench CLI makes) derives its own state.
+        # A replaced config (dataclasses.replace) derives its own state.
         other = dataclasses.replace(config, experts=mixed_config(config.strategy, 100).experts)
         del adapter_builds[:]
         result = run_pipeline(image, other)

@@ -17,7 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from routebench.benchmark import build_synthetic_dataset, dumps_dataset, synth_scene
+from routebench.benchmark import (
+    HallucinationCategory,
+    build_synthetic_dataset,
+    dumps_dataset,
+    synth_caption_pair,
+    synth_scene,
+)
 from routebench.datagen import ClientShape, DatagenConfig
 from routebench.evaluator import (
     AffinityConfig,
@@ -158,7 +164,28 @@ def gradcheck_rows() -> list:
     return rows
 
 
+def caption_pair_digest() -> str:
+    """sha256 over every category's caption pair for scene seeds 0..1999."""
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        desc, _ = synth_scene(seed)
+        for offset, category in enumerate(HallucinationCategory):
+            pair = synth_caption_pair(desc, category, 10 * seed + offset)
+            doc = None if pair is None else [
+                pair.real,
+                pair.hallucinated,
+                pair.edit.category.value,
+                list(pair.edit.positions),
+                list(pair.edit.before),
+                list(pair.edit.after),
+            ]
+            digest.update((json.dumps(doc) + "\n").encode("utf-8"))
+    return digest.hexdigest()
+
+
 DATASET_SHA256 = "3d68fb744ce2233096ef29256ff704f170f3349b84b11b9b86ce900da4573a0a"
+
+CAPTION_PAIRS_SHA256 = "812f0701b2a7e17fa393e1b45c69fe67af7dff5785c4b4881469b3e51e9837fc"
 
 PIPELINE_JSON = '{"experts": [{"id": 0, "persona": "edge-shape", "seed": 3, "native_tokens": 4, "native_dim": 2}, {"id": 1, "persona": "color-histogram", "seed": 4, "native_tokens": 16, "native_dim": 3}], "router": {"dim_in": 2, "n_experts": 2, "weights": [0.5, -0.25, 1.0, 0.0], "bias": [0.125, -2.0]}, "strategy": {"kind": "routed", "k": 1}, "projector": {"stage1": {"in_dim": 2, "out_dim": 2, "weights": [1.0, 0.0, 0.0, 1.0], "bias": [0.0, 0.0]}, "stage2": {"in_dim": 2, "out_dim": 3, "weights": [1.5, 0.0, -1.0, 0.25, 2.0, 0.5], "bias": [0.0, 1.0, -0.5]}}, "canonical_tokens": 4, "canonical_dim": 2, "clip_seed": 9}'
 
@@ -253,6 +280,10 @@ GRADCHECK_ROWS = [
 def test_synthetic_dataset_digest():
     text = dumps_dataset(build_synthetic_dataset(50, 0))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DATASET_SHA256
+
+
+def test_caption_pair_digest():
+    assert caption_pair_digest() == CAPTION_PAIRS_SHA256
 
 
 def test_pipeline_config_json_and_round_trip():

@@ -10,7 +10,6 @@ from routebench.numerics import (
     check_router_fusion_gradients,
     finite_diff_gradient,
     fit_router_demo,
-    measure_fusion_latency,
     _RoutedChain,
     small_gradcheck_config,
     softmax_jacobian,
@@ -180,20 +179,3 @@ class TestRouterFitDemo:
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
         assert decreases >= 45
         assert losses[-1] < losses[0]
-
-
-class TestLatency:
-    def test_report_shape_and_bounds(self):
-        config, image = small_gradcheck_config(6)
-        report = measure_fusion_latency(config, image, repeats=5)
-        assert report.strategy == "routed"
-        assert report.repeats == 5
-        assert set(report.per_stage_ms) == {"encode", "align", "route", "fuse", "project"}
-        assert all(v >= 0.0 for v in report.per_stage_ms.values())
-        # total stacks every stage, so its median dominates each stage median
-        assert report.prefill_ms >= max(report.per_stage_ms.values())
-
-    def test_too_few_repeats_rejected(self):
-        config, image = small_gradcheck_config(6)
-        with pytest.raises(ValueError, match="repeats"):
-            measure_fusion_latency(config, image, repeats=2)
