@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .experts import ImageGrid
+from .experts import ImageGrid, _unchecked
 
 
 class HallucinationCategory(enum.Enum):
@@ -276,7 +276,8 @@ def rasterize(desc: SceneDescriptor) -> ImageGrid:
             cell[12:16, :, :] = _LABEL_STRIPES[None, :, None]
         if obj.occluded:
             cell[0 : CELL_PIXELS // 2, :, :] = OCCLUDER_VALUE
-    return ImageGrid(canvas)
+    # Palette constants only: the canvas is in [0, 1] by construction.
+    return _unchecked(ImageGrid, data=canvas)
 
 
 def draw_scene(seed: int) -> SceneDescriptor:

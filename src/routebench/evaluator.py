@@ -8,7 +8,9 @@ error rates aggregate judgements into reports, with an optional cross-run
 min-max normalization for radar-style comparisons.
 
 Scorers are pluggable: anything with ``score(features, caption) -> [nll]``
-(one non-negative natural-log NLL per whitespace token) works.  Three toy
+(one non-negative natural-log NLL per whitespace token) works.  A scorer may
+also offer ``score_pair(features, real, hallucinated)`` returning both NLL
+lists at once, which the judge then uses to share per-map work.  Three toy
 scorers ship here: a ground-truth oracle (and its negation) for protocol
 tests, a seeded coin-flip scorer, and an affinity scorer that ties caption
 keywords to statistics of the fused feature map, making routing choices
@@ -43,6 +45,7 @@ from .experts import (
     FeatureMap,
     ImageGrid,
     ToyExpertSpec,
+    _mean,
     identity_adapter,
     load_raw_image,
 )
@@ -96,10 +99,15 @@ class Judgement:
 
 
 def judge_sample(scorer, pipeline_output: FeatureMap, sample: BenchmarkSample) -> Judgement:
-    """Score both captions against the same features and apply the error rule."""
+    """Score both captions against the same features (in one ``score_pair``
+    call when the scorer has one) and apply the error rule."""
     try:
-        ppl_real = perplexity(scorer.score(pipeline_output, sample.real_caption))
-        ppl_hall = perplexity(scorer.score(pipeline_output, sample.hallucinated_caption))
+        captions = (sample.real_caption, sample.hallucinated_caption)
+        if hasattr(scorer, "score_pair"):
+            nlls = scorer.score_pair(pipeline_output, *captions)
+        else:
+            nlls = [scorer.score(pipeline_output, caption) for caption in captions]
+        ppl_real, ppl_hall = map(perplexity, nlls)
     except EvaluationError:
         raise
     except Exception as exc:
@@ -422,7 +430,7 @@ class AffinityScorer:
         cols = _bin_columns(positive.shape[1], offset)
         if not cols.size:
             return np.zeros(positive.shape[0])
-        return positive[:, cols].mean(axis=1)
+        return _mean(positive[:, cols], 1)
 
     def _color_affinity(self, positive: np.ndarray, word: str) -> float:
         red = self._bin_column(positive, _RED_BIN)
@@ -442,24 +450,26 @@ class AffinityScorer:
         affinity = 0.0
         if kind == _ENERGY:
             if any(p != "color-histogram" for p in config.personas):
-                affinity = float(positive.mean())
+                affinity = float(_mean(positive, None))
         elif kind is not None and "color-histogram" in config.personas:
             affinity = self._color_affinity(positive, kind)
         nll = config.base_nll - config.alpha * affinity
         return min(max(nll, config.nll_min), config.nll_max)
 
     def score(self, features: FeatureMap, caption: str) -> list:
-        tokens = caption.split()
-        if not tokens:
+        return self.score_pair(features, caption, caption)[0]
+
+    def score_pair(self, features: FeatureMap, real: str, hallucinated: str) -> tuple:
+        """Both captions' NLLs from one centered map and one NLL table."""
+        kinds = [[_token_kind(token) for token in c.split()] for c in (real, hallucinated)]
+        if not all(kinds):
             raise ValueError("cannot score an empty caption")
         values = features.values
-        centered = values - values.mean(axis=0, keepdims=True)
-        positive = np.maximum(centered, 0.0)
+        positive = np.maximum(values - _mean(values, 0), 0.0)
         # One NLL per token kind, so the energy and each color's affinity are
-        # computed at most once per caption.
-        kinds = [_token_kind(token) for token in tokens]
-        table = {kind: self._nll(positive, kind) for kind in dict.fromkeys(kinds)}
-        return [table[kind] for kind in kinds]
+        # computed at most once per map.
+        table = {kind: self._nll(positive, kind) for kind in dict.fromkeys(kinds[0] + kinds[1])}
+        return [table[kind] for kind in kinds[0]], [table[kind] for kind in kinds[1]]
 
 
 def affinity_scorer(config: AffinityConfig) -> AffinityScorer:

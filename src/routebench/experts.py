@@ -120,6 +120,13 @@ class FeatureMap:
         return self.values.shape[1]
 
 
+def _unchecked(cls, **fields):
+    """A frozen dataclass built without its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class ToyExpertSpec:
     """Identity and geometry of one toy expert encoder."""
@@ -257,7 +264,15 @@ def _pixel_major(image: ImageGrid, side: int) -> np.ndarray:
     # whole pixels instead of one 3-value run per pixel.
     pixels = np.ascontiguousarray(v).view(_PIXEL).reshape(side, ph, side, pw)
     moved = np.ascontiguousarray(pixels.transpose(1, 3, 0, 2))
+    moved.setflags(write=False)  # shared by every persona that reads this image
     return moved.view(np.float64).reshape(ph, pw, side * side, CHANNELS)
+
+
+def _mean(a: np.ndarray, axis) -> np.ndarray:
+    """``a.mean(axis)`` of float64 ``a`` bit for bit (numpy's own reduce and
+    division by the count) without its Python wrapper; kept axes non-empty."""
+    total = np.add.reduce(a, axis)
+    return total / (a.size // total.size)
 
 
 # Pixel persona kernels: each maps a pixel-major (patch_h, patch_w, T, C)
@@ -265,7 +280,7 @@ def _pixel_major(image: ImageGrid, side: int) -> np.ndarray:
 
 
 def _raw_global_context(pixels: np.ndarray, side: int) -> np.ndarray:
-    local = pixels.mean(axis=(0, 1))  # (T, C)
+    local = _mean(pixels, (0, 1))  # (T, C)
     grid = local.reshape(side, side, CHANNELS)
     # Grid row or column i lies in the first half of the quadrant split when
     # 2*i < side.  A quadrant's mean adds its tokens in row-major order.
@@ -275,8 +290,8 @@ def _raw_global_context(pixels: np.ndarray, side: int) -> np.ndarray:
         for cols in (slice(0, half), slice(half, side)):
             block = grid[rows, cols]
             if block.size:
-                quads[rows, cols] = block.mean(axis=(0, 1))
-    overall = np.broadcast_to(local.mean(axis=0), local.shape)
+                quads[rows, cols] = _mean(block, (0, 1))
+    overall = np.broadcast_to(_mean(local, 0), local.shape)
     return np.concatenate([local, quads.reshape(side * side, CHANNELS), overall], axis=1)
 
 
@@ -291,36 +306,36 @@ def _raw_color_histogram(pixels: np.ndarray, side: int) -> np.ndarray:
     out = counts.reshape(t, CHANNELS * HISTOGRAM_BINS) / (ph * pw)
     # Center across tokens: a color only counts where it deviates from the
     # image-wide average, so uniform backgrounds contribute nothing.
-    return out - out.mean(axis=0, keepdims=True)
+    return out - _mean(out, 0)
 
 
 def _raw_edge_shape(pixels: np.ndarray, side: int) -> np.ndarray:
     t = pixels.shape[2]
-    dx = np.abs(np.diff(pixels, axis=1))
-    dy = np.abs(np.diff(pixels, axis=0))
-    fx = dx.mean(axis=(0, 1)) if dx.size else np.zeros((t, CHANNELS))
-    fy = dy.mean(axis=(0, 1)) if dy.size else np.zeros((t, CHANNELS))
+    dx = np.abs(pixels[:, 1:] - pixels[:, :-1])
+    dy = np.abs(pixels[1:] - pixels[:-1])
+    fx = _mean(dx, (0, 1)) if dx.size else np.zeros((t, CHANNELS))
+    fy = _mean(dy, (0, 1)) if dy.size else np.zeros((t, CHANNELS))
     return np.concatenate([fx, fy], axis=1)
 
 
 def _raw_patch_statistics(pixels: np.ndarray, side: int) -> np.ndarray:
-    means = pixels.mean(axis=(0, 1))
-    variances = pixels.var(axis=(0, 1))
-    return np.concatenate([means, variances], axis=1)
+    means = _mean(pixels, (0, 1))
+    dev = pixels - means  # np.var's own steps, from this same mean
+    return np.concatenate([means, _mean(dev * dev, (0, 1))], axis=1)
 
 
 def _raw_text_stripe(pixels: np.ndarray, side: int) -> np.ndarray:
     _, pw, t, _ = pixels.shape
     if pw < 2:
         return np.zeros((t, 2 * CHANNELS))
-    col_means = pixels.mean(axis=0)  # (pw, T, C)
-    d = np.diff(col_means, axis=0)  # (pw-1, T, C)
+    col_means = _mean(pixels, 0)  # (pw, T, C)
+    d = col_means[1:] - col_means[:-1]  # (pw-1, T, C)
     signs = (-1.0) ** np.arange(pw - 1)
     # Alternating column differences reinforce for 1-pixel stripes and cancel
     # for smooth gradients; built from differences so flat patches are exactly
     # zero.
     alternating = np.abs((d * signs[:, None, None]).sum(axis=0)) / pw
-    energy = np.abs(d).mean(axis=0)
+    energy = _mean(np.abs(d), 0)
     return np.concatenate([alternating, energy], axis=1)
 
 
@@ -374,12 +389,14 @@ def _gaussian_projection(seed: int, rows: int, cols: int) -> np.ndarray:
     return proj
 
 
-def encode_toy_expert(image: ImageGrid, spec: ToyExpertSpec) -> FeatureMap:
+def encode_toy_expert(image: ImageGrid, spec: ToyExpertSpec, pixels=None) -> FeatureMap:
     """Encode an image with one toy expert.
 
     The image must divide evenly into the expert's native token grid.  The
     persona's raw descriptor is tiled cyclically to ``native_dim`` columns
     (``random-projection`` projects straight to ``native_dim`` instead).
+    ``pixels``, a dict keyed by patch side, shares the pixel-major copy of
+    this one image between calls; the personas only read it.
     """
     side = _grid_side(spec.native_tokens, "native_tokens")
     if spec.persona == "random-projection":
@@ -388,9 +405,13 @@ def encode_toy_expert(image: ImageGrid, spec: ToyExpertSpec) -> FeatureMap:
         flat = patches.reshape(patches.shape[0], -1)
         values = flat @ _gaussian_projection(spec.seed, flat.shape[1], spec.native_dim)
     else:
-        raw = _RAW_PERSONAS[spec.persona](_pixel_major(image, side), side)
+        pixels = {} if pixels is None else pixels
+        if side not in pixels:
+            pixels[side] = _pixel_major(image, side)
+        raw = _RAW_PERSONAS[spec.persona](pixels[side], side)
         values = tile_columns(raw, spec.native_dim)
-    return FeatureMap(np.ascontiguousarray(values), source=str(spec.id))
+    # A validated image gives finite, non-empty output.
+    return _unchecked(FeatureMap, values=np.ascontiguousarray(values), source=str(spec.id))
 
 
 def _pool_axis0(arr: np.ndarray, n_out: int) -> np.ndarray:

@@ -366,13 +366,16 @@ class _AlignStep:
     encoder output repeats them.  ``adapter`` is the expert's width adapter
     folded onto those columns; it is None when ``native_dim`` already equals
     ``canonical_dim``, and the resampled columns are tiled back out instead.
+    An expert already at the canonical geometry has no step (None).
     """
 
     width: int
     adapter: Optional[LinearAdapter]
 
 
-def _align_step(config: PipelineConfig, spec: ToyExpertSpec) -> _AlignStep:
+def _align_step(config: PipelineConfig, spec: ToyExpertSpec) -> Optional[_AlignStep]:
+    if (spec.native_tokens, spec.native_dim) == (config.canonical_tokens, config.canonical_dim):
+        return None
     width = descriptor_width(spec)
     if spec.native_dim == config.canonical_dim:
         return _AlignStep(width, None)
@@ -400,10 +403,13 @@ def _align_steps(config: PipelineConfig) -> tuple:
     return steps
 
 
-def _align(fm: FeatureMap, step: _AlignStep, config: PipelineConfig) -> FeatureMap:
+def _align(fm: FeatureMap, step: Optional[_AlignStep], config: PipelineConfig) -> FeatureMap:
+    if step is None:
+        return fm
     if step.width < fm.dim:
         fm = FeatureMap(fm.values[:, : step.width], fm.source)
-    fm = resample_tokens(fm, config.canonical_tokens)
+    if fm.tokens != config.canonical_tokens:
+        fm = resample_tokens(fm, config.canonical_tokens)
     if step.adapter is not None:
         return adapt_dim(fm, step.adapter)
     if fm.dim < config.canonical_dim:
@@ -424,7 +430,8 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     Config-only state is derived once: the folded width adapters are built
     on the first run with a config and kept on it for its lifetime, and the
     seeded Gaussian projections of the ``random-projection`` persona and the
-    clip encoder sit in a small memo in ``experts``.
+    clip encoder sit in a small memo in ``experts``.  Experts at the canonical
+    geometry skip align; those sharing a patch side share one pixel copy.
 
     A stage's ``ValueError`` re-raises as :class:`PipelineError` with the
     stage name prefixed; any other exception is a bug and propagates as is.
@@ -453,7 +460,10 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     clip, weights = staged("route", route_stage)
     routed = config.strategy.kind == "routed"
     used = [i for i, w in enumerate(weights.weights) if not routed or w != 0.0]
-    native = staged("encode", lambda: [encode_toy_expert(image, config.experts[i]) for i in used])
+    pixels: dict = {}  # one pixel-major copy per patch side, for this image only
+    native = staged(
+        "encode", lambda: [encode_toy_expert(image, config.experts[i], pixels) for i in used]
+    )
 
     def align_stage():
         steps = _align_steps(config)

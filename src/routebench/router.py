@@ -9,6 +9,7 @@ the top-k experts are kept, with the surviving weights renormalized.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    _mean,
     encode_toy_expert,
     resample_tokens,
 )
@@ -129,13 +131,14 @@ class RoutingWeights:
         return self.weights.size
 
 
-def _native_clip_grid(image: ImageGrid, target_side: int) -> int:
-    g = math.gcd(image.height, image.width)
-    best = 1
-    for d in range(1, g + 1):
-        if g % d == 0 and d <= target_side:
-            best = d
-    return best
+@functools.lru_cache(maxsize=16)
+def _clip_spec(height: int, width: int, params: ToyClipParams) -> ToyExpertSpec:
+    """The random-projection expert :func:`clip_encode` runs on this image size:
+    its grid side is the largest divisor of gcd(height, width) within the
+    canonical side."""
+    g = math.gcd(height, width)
+    side = max(d for d in range(1, min(g, math.isqrt(params.tokens)) + 1) if g % d == 0)
+    return ToyExpertSpec(0, "random-projection", params.seed, side * side, params.dim)
 
 
 def clip_encode(image: ImageGrid, params: ToyClipParams) -> ClipOutput:
@@ -144,19 +147,11 @@ def clip_encode(image: ImageGrid, params: ToyClipParams) -> ClipOutput:
     The context vector is the column-wise mean of the patch rows, so it lives
     in the same feature space the router head was trained against.
     """
-    side = math.isqrt(params.tokens)
-    native_side = _native_clip_grid(image, side)
-    spec = ToyExpertSpec(
-        id=0,
-        persona="random-projection",
-        seed=params.seed,
-        native_tokens=native_side * native_side,
-        native_dim=params.dim,
-    )
-    fm = encode_toy_expert(image, spec)
-    fm = resample_tokens(fm, params.tokens)
+    fm = encode_toy_expert(image, _clip_spec(image.height, image.width, params))
+    if fm.tokens != params.tokens:
+        fm = resample_tokens(fm, params.tokens)
     patches = FeatureMap(fm.values, source="clip-patch")
-    return ClipOutput(cls=patches.values.mean(axis=0), patches=patches)
+    return ClipOutput(cls=_mean(patches.values, 0), patches=patches)
 
 
 def route_logits(cls: np.ndarray, params: RouterParams) -> np.ndarray:

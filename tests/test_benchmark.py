@@ -1,6 +1,7 @@
 """Tests for scene synthesis, caption pairs, and dataset IO."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -13,6 +14,7 @@ from routebench.benchmark import (
     COUNT_WORDS,
     DYNAMIC_VERBS,
     LABEL_WORDS,
+    SCENE_GRID,
     SHAPES,
     BenchmarkSample,
     CaptionPair,
@@ -40,6 +42,7 @@ from routebench.benchmark import (
     synth_scene,
 )
 from routebench.datagen import loads_caption_items
+from routebench.experts import ImageGrid
 from routebench.evaluator import loads_judgements
 from routebench.metrics import loads_binary_outcomes, loads_scenario_results
 
@@ -216,6 +219,19 @@ class TestRasterize:
             assert len(desc.objects) == n_objects, f"seed {seed}"
             got = hashlib.sha256(img.data.tobytes()).hexdigest()
             assert got == digest, f"seed {seed}"
+
+    def test_canvas_passes_the_image_checks_it_skips(self):
+        # rasterize builds its ImageGrid unchecked; every drawing combination,
+        # in every cell, must still be what a checked ImageGrid would store.
+        combos = itertools.product(SHAPES, COLORS, (None,) + LABEL_WORDS, (False, True))
+        for i, (shape, color, label, occluded) in enumerate(combos):
+            cell = (i % SCENE_GRID, (i // SCENE_GRID) % SCENE_GRID)
+            obj = SceneObject(shape, color, cell, 0, occluded=occluded, label_text=label)
+            img = rasterize(SceneDescriptor(seed=0, objects=(obj,)))
+            assert ImageGrid(img.data).data is img.data, (shape, color, label, occluded)
+        for seed in range(50):
+            img = synth_scene(seed)[1]
+            assert ImageGrid(img.data).data is img.data, seed
 
     def test_synth_scene_deterministic(self):
         a_desc, a_img = synth_scene(123)

@@ -132,6 +132,28 @@ class TestJudgement:
         with pytest.raises(EvaluationError, match="sample s-1.*scorer exploded"):
             judge_sample(Boom(), DUMMY_FEATURES, make_sample())
 
+    def test_score_pair_is_used_when_the_scorer_has_it(self):
+        class PairOnly(FixedScorer):
+            def score(self, features, caption):
+                raise AssertionError("score called although score_pair exists")
+
+            def score_pair(self, features, real, hallucinated):
+                return FixedScorer.score(self, features, real), FixedScorer.score(self, features, hallucinated)
+
+        sample = make_sample()
+        nlls = {sample.real_caption: 2.0, sample.hallucinated_caption: 0.5}
+        got = judge_sample(PairOnly(nlls), DUMMY_FEATURES, sample)
+        want = judge_sample(FixedScorer(nlls), DUMMY_FEATURES, sample)
+        assert got == want and got.is_error
+
+    def test_score_pair_failure_names_sample(self):
+        class Boom:
+            def score_pair(self, features, real, hallucinated):
+                raise RuntimeError("pair scorer exploded")
+
+        with pytest.raises(EvaluationError, match="sample s-1.*pair scorer exploded"):
+            judge_sample(Boom(), DUMMY_FEATURES, make_sample())
+
     def test_antisymmetry(self):
         rng = random.Random(3)
         flips = 0
@@ -362,8 +384,12 @@ class TestAffinityScorer:
         assert ppl_red == ppl_blue
 
     def test_empty_caption_rejected(self):
+        scorer = affinity_scorer(AffinityConfig())
         with pytest.raises(ValueError, match="empty caption"):
-            affinity_scorer(AffinityConfig()).score(DUMMY_FEATURES, "   ")
+            scorer.score(DUMMY_FEATURES, "   ")
+        for pair in (("   ", "red circle"), ("red circle", "")):
+            with pytest.raises(ValueError, match="empty caption"):
+                scorer.score_pair(DUMMY_FEATURES, *pair)
 
 
 class TestEvaluateDataset:
@@ -570,6 +596,10 @@ class TestAffinityScorerOracle:
                     personas,
                     caption,
                 )
+            # Consecutive captions as (real, hallucinated) pairs.
+            for real, hall in zip(captions[::2], captions[1::2]):
+                want = (reference.score(features, real), reference.score(features, hall))
+                assert scorer.score_pair(features, real, hall) == want, (personas, real, hall)
 
     @pytest.mark.parametrize("favor", [None, "color-histogram"])
     def test_synthetic_dataset_nlls_equal_reference(self, favor):

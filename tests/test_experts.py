@@ -12,6 +12,7 @@ from routebench.experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    _mean,
     adapt_dim,
     descriptor_width,
     encode_toy_expert,
@@ -454,3 +455,49 @@ class TestPersonaOracle:
             )
             got = encode_toy_expert(image, spec).values
             assert np.array_equal(got, want), f"{persona} on {name}"
+
+
+class TestMean:
+    # (shape, axis) of every reduction the persona kernels, the clip CLS and
+    # the affinity scorer make, at the judging and the paper geometry.
+    CASES = (
+        ((8, 8, 64, 3), (0, 1)),  # pixel-major patches, 64x64 image at side 8
+        ((48, 48, 64, 3), (0, 1)),  # 384x384 at side 8
+        ((24, 24, 256, 3), (0, 1)),  # 384x384 at side 16
+        ((8, 7, 64, 3), (0, 1)),  # horizontal pixel differences
+        ((7, 8, 64, 3), (0, 1)),  # vertical pixel differences
+        ((8, 64, 3), 0),  # text-stripe column means / energy
+        ((8, 8, 64, 3), 0),
+        ((4, 4, 3), (0, 1)),  # a global-context quadrant
+        ((3, 5, 3), (0, 1)),
+        ((64, 3), 0),  # global-context overall mean
+        ((64, 24), 0),  # histogram centering, scorer centering
+        ((576, 1024), 0),  # clip CLS at paper geometry
+        ((64, 24), None),  # scorer energy
+        ((64, 1024), None),
+        ((64, 1), 1),  # a bin column of a 24-wide map
+        ((64, 43), 1),  # a bin column of a 1024-wide map
+    )
+
+    @pytest.mark.parametrize("shape, axis", CASES, ids=str)
+    def test_equals_numpy_mean_bit_for_bit(self, shape, axis):
+        for seed in range(3):
+            a = np.random.default_rng(seed).random(shape) * 10.0 ** (seed - 1)
+            got, want = _mean(a, axis), a.mean(axis=axis)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("shape", [c[0] for c in CASES if c[1] == (0, 1)], ids=str)
+    def test_variance_from_own_mean_equals_numpy_var_bit_for_bit(self, shape):
+        for seed in range(3):
+            a = np.random.default_rng(seed).random(shape)
+            dev = a - _mean(a, (0, 1))
+            assert _mean(dev * dev, (0, 1)).tobytes() == a.var(axis=(0, 1)).tobytes()
+
+    def test_gathered_and_strided_inputs(self):
+        values = np.random.default_rng(5).random((64, 1024))
+        gathered = values[:, np.arange(7, 1024, 24)]
+        assert _mean(gathered, 1).tobytes() == gathered.mean(axis=1).tobytes()
+        strided = values[::2, ::3]
+        assert _mean(strided, 0).tobytes() == strided.mean(axis=0).tobytes()
+        assert _mean(strided, None) == strided.mean()

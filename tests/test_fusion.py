@@ -4,10 +4,14 @@ import dataclasses
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import routebench.experts as experts_module
+import routebench.fusion as fusion_module
+from routebench.evaluator import toy_judging_config
 from routebench.experts import (
     FeatureMap,
     ImageGrid,
@@ -24,6 +28,8 @@ from routebench.fusion import (
     PipelineConfig,
     PipelineError,
     ProjectorParams,
+    _align,
+    _align_step,
     fuse_add,
     fuse_concat,
     gelu,
@@ -447,6 +453,84 @@ class TestPlannedPipeline:
         assert not any(thread.is_alive() for thread in threads)
         assert len(adapter_builds) == MIXED_ADAPTED
         assert None not in results and len(set(results)) == 1
+
+
+class TestEncodePlan:
+    @pytest.mark.parametrize(
+        "persona, tokens, dim, want",
+        [
+            ("edge-shape", 16, 16, None),  # canonical geometry: no step
+            ("color-histogram", 16, 16, None),  # raw width 24 cut to 16
+            ("random-projection", 16, 16, None),
+            ("edge-shape", 16, 8, "adapter"),  # only the tokens match
+            ("random-projection", 16, 12, "adapter"),
+            ("edge-shape", 4, 16, "tile"),  # only the dims match
+            ("edge-shape", 64, 16, "tile"),
+            ("color-histogram", 4, 8, "adapter"),  # neither matches
+        ],
+    )
+    def test_align_step_elided_only_when_tokens_and_dims_match(self, persona, tokens, dim, want):
+        config = small_config(FusionStrategy(kind="routed"), canonical_tokens=16, canonical_dim=16)
+        spec = ToyExpertSpec(id=0, persona=persona, seed=1, native_tokens=tokens, native_dim=dim)
+        step = _align_step(config, spec)
+        if want is None:
+            assert step is None
+            fm = encode_toy_expert(image_of(1, 16), spec)
+            assert _align(fm, step, config) is fm
+        else:
+            assert (step.adapter is not None) == (want == "adapter")
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Patch sides of every _pixel_major call and sources of every
+        resample_tokens call that align makes."""
+        calls = {"pixel_major": [], "resample": []}
+        pixel_major, resample = experts_module._pixel_major, fusion_module.resample_tokens
+
+        def counted_pixel_major(image, side):
+            calls["pixel_major"].append(side)
+            return pixel_major(image, side)
+
+        def counted_resample(fm, tokens):
+            calls["resample"].append(fm.source)
+            return resample(fm, tokens)
+
+        monkeypatch.setattr(experts_module, "_pixel_major", counted_pixel_major)
+        monkeypatch.setattr(fusion_module, "resample_tokens", counted_resample)
+        return calls
+
+    def test_judging_config_shares_one_copy_and_never_resamples(self, counted):
+        config = toy_judging_config("color-histogram")
+        for seed in range(2):
+            run_pipeline(image_of(seed, 64), config)
+        # Five pixel personas at side 8, one copy per call; every expert is
+        # at the canonical geometry, so align does nothing.
+        assert counted["pixel_major"] == [8, 8]
+        assert counted["resample"] == []
+
+    def test_one_copy_per_patch_side_per_call(self, counted):
+        specs = (
+            ("edge-shape", 16, 8),
+            ("patch-statistics", 16, 8),
+            ("global-context", 64, 8),
+            ("text-stripe", 64, 12),
+            ("color-histogram", 4, 8),
+            ("random-projection", 16, 8),
+        )
+        experts = tuple(
+            ToyExpertSpec(id=i, persona=p, seed=i, native_tokens=t, native_dim=d)
+            for i, (p, t, d) in enumerate(specs)
+        )
+        config = dataclasses.replace(
+            small_config(FusionStrategy(kind="add"), personas=[p for p, _, _ in specs]),
+            experts=experts,
+        )
+        for seed in range(3):
+            run_pipeline(image_of(seed, 16), config)
+        assert Counter(counted["pixel_major"]) == {2: 3, 4: 3, 8: 3}
+        # Experts 0, 1 and 5 are at the canonical 16 x 8: no align step.
+        # Expert 3 keeps 6 of its 12 columns and resamples them.
+        assert counted["resample"] == ["2", "3", "4"] * 3
 
 
 class TestConfigValidation:

@@ -6,6 +6,11 @@ compare exactly.  Floats that pass through a matrix product (the clip
 encoder's projection, routing logits, width adapters, the projector) compare
 within a relative 1e-9: another BLAS build or thread count may sum a dot
 product in another order, which moves the last bits but not the behaviour.
+
+The byte goldens at the end pin those floats exactly, so a change that
+claims the same output bytes can prove it.  They hold for the BLAS kernels
+they were taken with, which a fixed product's digest identifies; under other
+kernels they skip and the relative goldens above still apply.
 """
 
 from __future__ import annotations
@@ -28,10 +33,18 @@ from routebench.datagen import ClientShape, DatagenConfig
 from routebench.evaluator import (
     AffinityConfig,
     affinity_scorer,
+    dumps_judgements,
     evaluate_dataset,
     toy_judging_config,
 )
-from routebench.experts import PERSONAS, LinearAdapter, ToyExpertSpec, identity_adapter, seeded_adapter
+from routebench.experts import (
+    PERSONAS,
+    ImageGrid,
+    LinearAdapter,
+    ToyExpertSpec,
+    identity_adapter,
+    seeded_adapter,
+)
 from routebench.fusion import (
     FusionStrategy,
     PipelineConfig,
@@ -334,3 +347,80 @@ def test_routing_weights_and_features(favored, want):
 
 def test_gradcheck_reports():
     assert gradcheck_rows() == [[tuple(r) for r in row] for row in GRADCHECK_ROWS]
+
+
+def sha256_of(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def blas_digest() -> str:
+    """sha256 of seeded products at the shapes the byte goldens multiply:
+    the judging clip projection, paper-geometry adapters and projector."""
+    rng = np.random.default_rng(2025)
+    shapes = ((64, 192, 24), (64, 512, 1024), (576, 1024, 1024), (576, 6144, 1024), (1, 1024, 6))
+    return sha256_of(*(rng.random((m, k)) @ rng.random((k, n)) for m, k, n in shapes))
+
+
+BLAS_SHA256 = "eda3298fc3cdf35eb1930e19ee0079a8150e3bfdbc84f763f1d7acefaa4ad2f4"
+
+
+@pytest.fixture(scope="module")
+def golden_blas():
+    if blas_digest() != BLAS_SHA256:
+        pytest.skip("BLAS kernels sum products in another order than where the byte goldens were taken")
+
+
+def paper_config(kind, k=None) -> PipelineConfig:
+    """perfbench's pipeline-paper576 geometry: six mismatched experts into
+    576 tokens x 1024 dims."""
+    experts = tuple(
+        ToyExpertSpec(
+            id=i,
+            persona=persona,
+            seed=i,
+            native_tokens=256 if i % 2 else 64,
+            native_dim=768 if i % 2 else 512,
+        )
+        for i, persona in enumerate(PERSONAS)
+    )
+    head = seeded_adapter(1024, len(experts), 0)
+    proj_in = 1024 * len(experts) if kind == "concat" else 1024
+    return PipelineConfig(
+        experts=experts,
+        router=RouterParams(head.weights, head.bias),
+        strategy=FusionStrategy(kind=kind, k=k),
+        projector=ProjectorParams(
+            stage1=seeded_adapter(proj_in, 1024, 1), stage2=seeded_adapter(1024, 1024, 2)
+        ),
+    )
+
+
+JUDGEMENTS_SHA256 = {
+    None: "44520acbc4f16ac8578c3c32919c9bb1ed0ea7bfb861ca3c974eebddd28c010d",
+    "color-histogram": "8d692cdbe1699038469fb6be9773a218bf2e4e0b1b0365c010acbab23762d7f8",
+}
+
+PAPER_SHA256 = {
+    ("routed", 2): "96d0435e509e39ecd375974ec49cb71524052dc05a56b8a9c9d640a43bf6dea2",
+    ("add", None): "59577ec3a1b46f56d9998ec7cfff29f7f1f3f330e2948341f8929d0551536a5b",
+    ("concat", None): "dcd15f5b122407920200f0e59956585e601b9880c8f2f80ec4e8459173ed2356",
+}
+
+
+@pytest.mark.parametrize("favored", sorted(JUDGEMENTS_SHA256, key=str))
+def test_judgement_bytes(golden_blas, favored):
+    dataset = build_synthetic_dataset(50, 0)
+    config = toy_judging_config(favored_persona=favored)
+    judgements, _ = evaluate_dataset(affinity_scorer(AffinityConfig()), config, dataset)
+    text = dumps_judgements(judgements)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == JUDGEMENTS_SHA256[favored]
+
+
+@pytest.mark.parametrize("kind, k", sorted(PAPER_SHA256, key=str))
+def test_paper_geometry_pipeline_bytes(golden_blas, kind, k):
+    image = ImageGrid(np.random.default_rng([0, 0]).random((384, 384, 3)))
+    result = run_pipeline(image, paper_config(kind, k))
+    assert sha256_of(result.features.values, result.routing.weights) == PAPER_SHA256[(kind, k)]

@@ -11,6 +11,7 @@ from routebench.router import (
     RouterParams,
     RoutingWeights,
     ToyClipParams,
+    _clip_spec,
     clip_encode,
     load_router,
     route_logits,
@@ -186,6 +187,27 @@ class TestClipEncode:
         out = clip_encode(image, ToyClipParams(seed=1, tokens=576, dim=16))
         assert out.patches.tokens == 576
         assert out.patches.dim == 16
+
+    def test_native_grid_is_largest_gcd_divisor_within_canonical_side(self):
+        # The parent's loop over every integer up to the gcd, as reference.
+        for height, width in ((36, 60), (64, 64), (7, 7), (384, 384), (12, 18), (1, 5)):
+            for tokens in (1, 4, 16, 64, 576):
+                g = math.gcd(height, width)
+                best = 1
+                for d in range(1, g + 1):
+                    if g % d == 0 and d <= math.isqrt(tokens):
+                        best = d
+                spec = _clip_spec(height, width, ToyClipParams(seed=2, tokens=tokens, dim=8))
+                assert spec.native_tokens == best * best, (height, width, tokens)
+                assert (spec.persona, spec.seed, spec.native_dim) == ("random-projection", 2, 8)
+
+    def test_geometry_derived_once_per_image_size(self):
+        params = ToyClipParams(seed=11, tokens=16, dim=4)
+        image = ImageGrid(np.random.default_rng(9).random((20, 20, 3)))
+        clip_encode(image, params)
+        hits = _clip_spec.cache_info().hits
+        clip_encode(image, params)
+        assert _clip_spec.cache_info().hits == hits + 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
