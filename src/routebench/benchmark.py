@@ -52,24 +52,6 @@ class HallucinationCategory(enum.Enum):
     ACTION = "Action"
     RELATIVE_INTERACTION = "RelativeInteraction"
 
-    @property
-    def group(self) -> str:
-        return _CATEGORY_GROUPS[self]
-
-
-_CATEGORY_GROUPS = {
-    HallucinationCategory.CATEGORY: "Detection",
-    HallucinationCategory.COUNTING: "Detection",
-    HallucinationCategory.OCCLUSION: "Detection",
-    HallucinationCategory.TEXT: "Segmentation",
-    HallucinationCategory.SHAPE: "Segmentation",
-    HallucinationCategory.ABSOLUTE_POSITION: "Localization",
-    HallucinationCategory.RELATIVE_POSITION: "Localization",
-    HallucinationCategory.COLOR: "Classification",
-    HallucinationCategory.ACTION: "Classification",
-    HallucinationCategory.RELATIVE_INTERACTION: "Classification",
-}
-
 CATEGORY_NAMES = tuple(c.value for c in HallucinationCategory)
 
 SHAPES = ("circle", "square", "triangle")
@@ -600,14 +582,6 @@ def build_synthetic_dataset(
     return samples
 
 
-def category_counts(samples) -> dict:
-    """Sample count per category, with zeros for absent categories."""
-    counts = {category: 0 for category in HallucinationCategory}
-    for sample in samples:
-        counts[sample.category] += 1
-    return counts
-
-
 def image_ref_to_json_dict(ref: ImageRef) -> dict:
     if ref.kind == "file":
         return {"kind": "file", "path": ref.path}
@@ -709,7 +683,3 @@ def load_dataset(path) -> list:
 
 def dumps_dataset(samples) -> str:
     return dumps_jsonl(sample_to_json_dict(s) for s in samples)
-
-
-def dump_dataset(samples, path) -> None:
-    Path(path).write_text(dumps_dataset(samples), encoding="utf-8")

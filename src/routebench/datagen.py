@@ -336,8 +336,6 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    finish_reason: Optional[str] = None
-    usage: Optional[dict] = None
 
 
 class HttpChatClient:
@@ -379,8 +377,7 @@ class HttpChatClient:
             timeout=self.config.timeout_seconds,
         )
         response.raise_for_status()
-        doc = response.json()
-        node = doc
+        node = response.json()
         for step in shape.response_path:
             try:
                 node = node[step]
@@ -392,21 +389,7 @@ class HttpChatClient:
             raise DatagenError(
                 f"response text at path {list(shape.response_path)} is not a string"
             )
-        return CompletionResponse(
-            text=node,
-            finish_reason=_dig(doc, ("choices", 0, "finish_reason")),
-            usage=doc.get("usage") if isinstance(doc, dict) else None,
-        )
-
-
-def _dig(doc, path):
-    node = doc
-    for step in path:
-        try:
-            node = node[step]
-        except (KeyError, IndexError, TypeError):
-            return None
-    return node
+        return CompletionResponse(text=node)
 
 
 @dataclass

@@ -52,10 +52,6 @@ from .experts import (
 from .fusion import FusionStrategy, PipelineConfig, PipelineError, ProjectorParams, run_pipeline
 from .router import RouterParams
 
-# How a caption would be framed for a real captioning model.  Toy scorers
-# score the bare caption and do not use the framing.
-PROMPT_TEMPLATE = "<image>\nDescribe the image: {caption}"
-
 
 class EvaluationError(RuntimeError):
     """A sample could not be judged; messages carry the sample id."""
@@ -70,7 +66,7 @@ def perplexity(nlls) -> float:
         raise ValueError("NLLs must be finite")
     if (arr < 0).any():
         raise ValueError("NLLs must be non-negative")
-    return float(np.exp(arr.mean()))
+    return float(np.exp(_mean(arr, None)))
 
 
 @dataclass(frozen=True)
@@ -345,6 +341,10 @@ _RED_BIN, _GREEN_BIN, _BLUE_BIN = (HISTOGRAM_BINS * (ch + 1) - 1 for ch in range
 # roles of those keywords; verbs and the occlusion phrase score at base NLL.
 _ENERGY = "energy"
 _ENERGY_ROLES = frozenset({"shape", "count", "relation", "interaction"})
+# The affinity scorer's NLL with no affinity, and the clamp on every NLL.
+_BASE_NLL = 3.0
+_NLL_MIN = 0.05
+_NLL_MAX = 6.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -381,33 +381,14 @@ def _token_kind(token: str) -> Optional[str]:
 
 @dataclass(frozen=True)
 class AffinityConfig:
-    """Knobs for the affinity scorer.
+    """Strength of the affinity scorer: each unit of affinity lowers a
+    keyword's NLL by ``alpha``."""
 
-    ``personas`` names the expert personas assumed to feed the fused features;
-    color keywords are only scored when the color-histogram persona is listed,
-    other attribute keywords fall back to a global texture-energy statistic.
-    """
-
-    personas: tuple = PERSONAS
-    base_nll: float = 3.0
     alpha: float = 8.0
-    nll_min: float = 0.05
-    nll_max: float = 6.0
 
     def __post_init__(self):
-        personas = tuple(self.personas)
-        if not personas:
-            raise ValueError("at least one persona required")
-        for persona in personas:
-            if persona not in PERSONAS:
-                raise ValueError(
-                    f"unknown persona {persona!r}; valid personas: {', '.join(PERSONAS)}"
-                )
-        if not (math.isfinite(self.base_nll) and math.isfinite(self.alpha)):
-            raise ValueError("base_nll and alpha must be finite")
-        if not 0.0 <= self.nll_min <= self.nll_max:
-            raise ValueError("need 0 <= nll_min <= nll_max")
-        object.__setattr__(self, "personas", personas)
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
 
 
 class AffinityScorer:
@@ -419,7 +400,7 @@ class AffinityScorer:
     naming colors actually present in the fused features score lower NLL.
     Other attribute keywords (shapes, counts, digits, relations, labels) share
     a global positive-energy statistic, and non-attribute tokens stay at the
-    base NLL.  All NLLs are clamped to [nll_min, nll_max].
+    base NLL.  All NLLs are clamped to [_NLL_MIN, _NLL_MAX].
     """
 
     def __init__(self, config: AffinityConfig):
@@ -446,15 +427,13 @@ class AffinityScorer:
         return float(per_token.sum() / positive.shape[0])
 
     def _nll(self, positive: np.ndarray, kind: Optional[str]) -> float:
-        config = self.config
         affinity = 0.0
         if kind == _ENERGY:
-            if any(p != "color-histogram" for p in config.personas):
-                affinity = float(_mean(positive, None))
-        elif kind is not None and "color-histogram" in config.personas:
+            affinity = float(_mean(positive, None))
+        elif kind is not None:
             affinity = self._color_affinity(positive, kind)
-        nll = config.base_nll - config.alpha * affinity
-        return min(max(nll, config.nll_min), config.nll_max)
+        nll = _BASE_NLL - self.config.alpha * affinity
+        return min(max(nll, _NLL_MIN), _NLL_MAX)
 
     def score(self, features: FeatureMap, caption: str) -> list:
         return self.score_pair(features, caption, caption)[0]
@@ -482,18 +461,18 @@ def affinity_scorer(config: AffinityConfig) -> AffinityScorer:
 # projector is GELU applied per feature, not an identity map.
 JUDGING_TOKENS = 64
 JUDGING_DIM = 24
+_FAVOR_BIAS = 25.0
 
 
 def toy_judging_config(
     favored_persona: Optional[str] = None,
-    favor_bias: float = 25.0,
     seed: int = 0,
 ) -> PipelineConfig:
     """A six-expert routed pipeline for judging experiments.
 
     With ``favored_persona=None`` the router is all-zero, i.e. exactly uniform
-    routing; naming a persona puts ``favor_bias`` on that expert's router bias,
-    which at the default value makes routing effectively one-hot.
+    routing; naming a persona puts ``_FAVOR_BIAS`` on that expert's router
+    bias, which makes routing effectively one-hot.
     """
     if favored_persona is not None and favored_persona not in PERSONAS:
         raise ValueError(
@@ -511,7 +490,7 @@ def toy_judging_config(
     )
     bias = np.zeros(len(PERSONAS))
     if favored_persona is not None:
-        bias[PERSONAS.index(favored_persona)] = favor_bias
+        bias[PERSONAS.index(favored_persona)] = _FAVOR_BIAS
     router = RouterParams(weights=np.zeros((JUDGING_DIM, len(PERSONAS))), bias=bias)
     projector = ProjectorParams(
         stage1=identity_adapter(JUDGING_DIM), stage2=identity_adapter(JUDGING_DIM)

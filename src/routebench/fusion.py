@@ -41,7 +41,6 @@ from .experts import (
     tile_columns,
 )
 from .router import (
-    ClipOutput,
     RouterParams,
     RoutingWeights,
     ToyClipParams,
@@ -272,35 +271,11 @@ class PipelineResult:
     stage_seconds: dict
 
 
-def _projector_from_json(doc: dict, in_dim: int, out_default: int) -> ProjectorParams:
-    if doc.get("init") == "seeded":
-        seed = int(doc.get("seed", 0))
-        hidden = int(doc.get("hidden_dim", out_default))
-        out = int(doc.get("out_dim", out_default))
-        return ProjectorParams(
-            stage1=seeded_adapter(in_dim, hidden, seed=seed),
-            stage2=seeded_adapter(hidden, out, seed=seed + 1),
-        )
-    return ProjectorParams(
-        stage1=LinearAdapter._from_json_dict(doc["stage1"], "projector stage1"),
-        stage2=LinearAdapter._from_json_dict(doc["stage2"], "projector stage2"),
-    )
-
-
-def _router_from_json(doc: dict, dim_in: int, n_experts: int) -> RouterParams:
-    if doc.get("init") == "seeded":
-        seed = int(doc.get("seed", 0))
-        adapter = seeded_adapter(dim_in, n_experts, seed=seed)
-        return RouterParams(adapter.weights, adapter.bias)
-    return RouterParams.from_json_dict(doc)
-
-
 def pipeline_config_from_json(doc: dict) -> PipelineConfig:
-    """Build a PipelineConfig from its JSON document form.
+    """Build a PipelineConfig from the document ``pipeline_config_to_json``
+    writes, with explicit router and projector weights.
 
-    ``router`` and ``projector`` accept either explicit weight documents or
-    ``{"init": "seeded", "seed": ..., ...}`` for derived parameters.  Any
-    missing, mistyped or rejected field raises ``ValueError("malformed
+    Any missing, mistyped or rejected field raises ``ValueError("malformed
     pipeline config: ...")``.
     """
     try:
@@ -319,16 +294,17 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
             kind=str(strategy_doc["kind"]),
             k=None if strategy_doc.get("k") is None else int(strategy_doc["k"]),
         )
-        canonical_dim = int(doc.get("canonical_dim", 1024))
-        router = _router_from_json(doc["router"], canonical_dim, len(experts))
-        proj_in = canonical_dim * len(experts) if strategy.kind == "concat" else canonical_dim
+        projector_doc = doc["projector"]
         return PipelineConfig(
             experts=experts,
-            router=router,
+            router=RouterParams.from_json_dict(doc["router"]),
             strategy=strategy,
-            projector=_projector_from_json(doc["projector"], proj_in, canonical_dim),
+            projector=ProjectorParams(
+                stage1=LinearAdapter._from_json_dict(projector_doc["stage1"], "projector stage1"),
+                stage2=LinearAdapter._from_json_dict(projector_doc["stage2"], "projector stage2"),
+            ),
             canonical_tokens=int(doc.get("canonical_tokens", 576)),
-            canonical_dim=canonical_dim,
+            canonical_dim=int(doc.get("canonical_dim", 1024)),
             clip_seed=int(doc.get("clip_seed", 0)),
         )
     except KeyError as exc:

@@ -11,8 +11,8 @@ functions, so its forward is byte-equal to ``run_pipeline``.
 
 The analytic path backpropagates through softmax in the product form
 w * (d_w - w.d_w), which is the Jacobian diag(w) - w w^T applied without
-building it, and uses the tanh-GELU derivative; ``softmax_jacobian`` and
-``gelu_grad`` have their own unit checks.  Relative error uses
+building it, and uses the tanh-GELU derivative, which has its own unit
+check (``gelu_grad``).  Relative error uses
 |analytic - fd| / max(1, |analytic|, |fd|), so tiny gradients are compared
 absolutely and large ones relatively.
 """
@@ -66,12 +66,6 @@ class GradCheckReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def softmax_jacobian(weights: np.ndarray) -> np.ndarray:
-    """Jacobian of softmax at the point with output ``weights``."""
-    w = np.asarray(weights, dtype=np.float64)
-    return np.diag(w) - np.outer(w, w)
 
 
 def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5, coords=None) -> np.ndarray:
@@ -265,28 +259,3 @@ def small_gradcheck_config(seed: int):
     size = side * int(rng.choice([2, 4]))
     image = ImageGrid(rng.random((size, size, 3)))
     return config, image
-
-
-def fit_router_demo(
-    cls: np.ndarray, target: np.ndarray, steps: int = 50, lr: float = 0.5, seed: int = 0
-) -> list[float]:
-    """Gradient-descend a fresh router toward target mixture weights.
-
-    Returns the squared-error loss trajectory (length ``steps + 1``).  This is
-    a usability check on the analytic gradients, not an optimizer benchmark.
-    """
-    cls = np.asarray(cls, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(scale=0.1, size=(cls.size, target.size))
-    bias = np.zeros(target.size)
-    losses = []
-    for _ in range(steps + 1):
-        logits = cls @ weights + bias
-        w = softmax(logits)
-        diff = w - target
-        losses.append(float(diff @ diff))
-        d_logits = softmax_jacobian(w).T @ (2.0 * diff)
-        weights = weights - lr * np.outer(cls, d_logits)
-        bias = bias - lr * d_logits
-    return losses

@@ -10,10 +10,8 @@ the top-k experts are kept, with the surviving weights renormalized.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -88,16 +86,6 @@ class RouterParams(LinearAdapter):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RouterParams":
         return cls._from_json_dict(doc, "router document", "dim_in", "n_experts")
-
-
-def load_router(path) -> RouterParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return RouterParams.from_json_dict(doc)
-
-
-def save_router(params: RouterParams, path) -> None:
-    Path(path).write_text(json.dumps(params.to_json_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Tests for scene synthesis, caption pairs, and dataset IO."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -25,10 +26,8 @@ from routebench.benchmark import (
     SceneObject,
     build_synthetic_dataset,
     caption_claims,
-    category_counts,
     classify_pair,
     draw_scene,
-    dump_dataset,
     dumps_dataset,
     iter_jsonl,
     load_dataset,
@@ -119,21 +118,6 @@ class TestCategoryTaxonomy:
             "AbsolutePosition", "RelativePosition", "Color", "Action",
             "RelativeInteraction",
         )
-
-    def test_group_assignments(self):
-        groups = {c.value: c.group for c in HallucinationCategory}
-        assert groups == {
-            "Category": "Detection",
-            "Counting": "Detection",
-            "Occlusion": "Detection",
-            "Text": "Segmentation",
-            "Shape": "Segmentation",
-            "AbsolutePosition": "Localization",
-            "RelativePosition": "Localization",
-            "Color": "Classification",
-            "Action": "Classification",
-            "RelativeInteraction": "Classification",
-        }
 
 
 class TestSceneDescriptor:
@@ -509,8 +493,8 @@ class TestDatasetBuild:
     def test_exact_counts_and_unique_ids(self):
         samples = build_synthetic_dataset(5, seed=11)
         assert len(samples) == 50
-        counts = category_counts(samples)
-        assert all(counts[c] == 5 for c in HallucinationCategory)
+        counts = collections.Counter(s.category for s in samples)
+        assert counts == {c: 5 for c in HallucinationCategory}
         ids = [s.id for s in samples]
         assert len(set(ids)) == len(ids)
 
@@ -548,7 +532,7 @@ class TestDatasetIO:
     def test_round_trip_byte_identical(self, tmp_path):
         samples = build_synthetic_dataset(2, seed=3)
         path = tmp_path / "ds.jsonl"
-        dump_dataset(samples, path)
+        path.write_text(dumps_dataset(samples), encoding="utf-8")
         reloaded = load_dataset(path)
         assert dumps_dataset(reloaded) == path.read_text(encoding="utf-8")
         assert [s.id for s in reloaded] == [s.id for s in samples]

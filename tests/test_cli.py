@@ -7,6 +7,8 @@ import pytest
 from routebench.benchmark import CATEGORY_NAMES, load_dataset
 from routebench.cli import build_parser, main
 from routebench.datagen import CompletionResponse
+from routebench.evaluator import toy_judging_config
+from routebench.fusion import pipeline_config_to_json
 
 
 def run_cli(capsys, argv):
@@ -155,6 +157,14 @@ class TestEval:
         assert code == 2
         assert "mutually exclusive" in err
 
+    def test_nonfinite_alpha_exits_one(self, capsys, dataset_path):
+        code, stdout, err = run_cli(
+            capsys, ["eval", "--dataset", str(dataset_path), "--alpha", "nan"]
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "alpha must be finite" in err
+
 
 class TestRoute:
     def test_scene_route_deterministic(self, capsys):
@@ -176,6 +186,27 @@ class TestRoute:
         )
         assert json.loads(favored)["routing"]["weights"][1] > 0.99
         assert json.loads(uniform)["routing"]["weights"][1] == pytest.approx(1 / 6, abs=1e-9)
+
+    def test_pipeline_file_matches_favor(self, capsys, tmp_path):
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(pipeline_config_to_json(toy_judging_config("edge-shape"))))
+        argv = ["route", "--scene-seed", "3"]
+        code, from_file, _ = run_cli(capsys, argv + ["--pipeline", str(path)])
+        assert code == 0
+        _, built_in, _ = run_cli(capsys, argv + ["--favor", "edge-shape"])
+        assert from_file == built_in
+
+    def test_seeded_pipeline_file_exits_one(self, capsys, tmp_path):
+        doc = pipeline_config_to_json(toy_judging_config())
+        doc["router"] = {"init": "seeded", "seed": 11}
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            capsys, ["route", "--scene-seed", "3", "--pipeline", str(path)]
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "malformed pipeline config" in err
 
     def test_requires_an_image_source(self, capsys):
         code, _, err = run_cli(capsys, ["route"])

@@ -350,7 +350,6 @@ class TestHttpChatClient:
         client = HttpChatClient(config, session=session)
         response = client.complete(self.make_request())
         assert response.text == "hi there"
-        assert response.finish_reason == "stop"
         call = session.calls[0]
         assert call["url"] == "https://api.example.com/v1/chat"
         assert call["json"] == {

@@ -24,7 +24,9 @@ from routebench.benchmark import (
     rasterize,
 )
 from routebench.evaluator import (
-    PROMPT_TEMPLATE,
+    _BASE_NLL,
+    _NLL_MAX,
+    _NLL_MIN,
     AffinityConfig,
     CoinFlipScorer,
     EvaluationError,
@@ -101,7 +103,6 @@ class TestPerplexity:
 
 class TestJudgement:
     def test_prompt_template_metadata(self):
-        assert PROMPT_TEMPLATE == "<image>\nDescribe the image: {caption}"
         j = Judgement("s", 4.0, 5.0, False, HallucinationCategory.COLOR)
         assert not hasattr(j, "prompt_template")
         assert "prompt_template" not in j.to_json_dict()
@@ -339,15 +340,10 @@ class TestTokenKind:
 
 
 class TestAffinityScorer:
-    def test_unknown_persona_rejected(self):
-        with pytest.raises(ValueError, match="unknown persona.*color-histogram"):
-            AffinityConfig(personas=("color-histogram", "mystery"))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="at least one persona"):
-            AffinityConfig(personas=())
-        with pytest.raises(ValueError, match="nll_min"):
-            AffinityConfig(nll_min=2.0, nll_max=1.0)
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_config_validation(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            AffinityConfig(alpha=alpha)
 
     def test_zero_alpha_is_caption_independent(self):
         scorer = affinity_scorer(AffinityConfig(alpha=0.0))
@@ -367,21 +363,12 @@ class TestAffinityScorer:
         assert ppl_red < ppl_blue
 
     def test_clamps_respected(self):
-        scorer = affinity_scorer(AffinityConfig(alpha=500.0, nll_min=0.2, nll_max=2.5))
+        scorer = affinity_scorer(AffinityConfig(alpha=500.0))
         scene = SceneDescriptor(seed=0, objects=(SceneObject("square", "blue", (0, 0), 0),))
         result = run_pipeline(rasterize(scene), toy_judging_config())
         caption = "A blue square sits at row 0 column 0. two left EXIT touching"
         nlls = scorer.score(result.features, caption)
-        assert all(0.2 <= v <= 2.5 for v in nlls)
-
-    def test_color_blind_without_color_persona(self):
-        config = AffinityConfig(personas=("edge-shape", "text-stripe"))
-        scorer = affinity_scorer(config)
-        scene = SceneDescriptor(seed=0, objects=(SceneObject("circle", "red", (1, 1), 0),))
-        result = run_pipeline(rasterize(scene), toy_judging_config())
-        ppl_red = perplexity(scorer.score(result.features, "red circle"))
-        ppl_blue = perplexity(scorer.score(result.features, "blue circle"))
-        assert ppl_red == ppl_blue
+        assert all(_NLL_MIN <= v <= _NLL_MAX for v in nlls)
 
     def test_empty_caption_rejected(self):
         scorer = affinity_scorer(AffinityConfig())
@@ -518,8 +505,8 @@ class _ReferenceAffinityScorer:
     HISTOGRAM_WIDTH = 24
     RED_BIN, GREEN_BIN, BLUE_BIN = 7, 15, 23
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, alpha):
+        self.alpha = alpha
 
     def _bin_column(self, positive, offset):
         cols = [j for j in range(positive.shape[1]) if j % self.HISTOGRAM_WIDTH == offset]
@@ -542,21 +529,17 @@ class _ReferenceAffinityScorer:
 
     def score(self, features, caption):
         relations = HORIZONTAL_RELATIONS + VERTICAL_RELATIONS + INTERACTION_WORDS
-        config = self.config
         values = features.values
         centered = values - values.mean(axis=0, keepdims=True)
         positive = np.maximum(centered, 0.0)
-        color_aware = "color-histogram" in config.personas
-        texture_aware = any(p != "color-histogram" for p in config.personas)
-        energy = float(positive.mean()) if texture_aware else 0.0
+        energy = float(positive.mean())
         nlls = []
         for token in caption.split():
             word = token.rstrip(".,")
             lowered = word.lower()
             affinity = 0.0
             if lowered in COLORS:
-                if color_aware:
-                    affinity = self._color_affinity(positive, lowered)
+                affinity = self._color_affinity(positive, lowered)
             elif (
                 lowered in SHAPES
                 or lowered in COUNT_WORDS
@@ -565,17 +548,15 @@ class _ReferenceAffinityScorer:
                 or word in LABEL_WORDS
             ):
                 affinity = energy
-            nll = config.base_nll - config.alpha * affinity
-            nlls.append(min(max(nll, config.nll_min), config.nll_max))
+            nll = _BASE_NLL - self.alpha * affinity
+            nlls.append(min(max(nll, _NLL_MIN), _NLL_MAX))
         return nlls
 
 
 class TestAffinityScorerOracle:
-    PERSONA_SETS = (
-        None,  # all six personas
-        ("edge-shape", "patch-statistics"),
-        ("color-histogram",),
-    )
+    # The default strength, and strengths that drive keyword NLLs into the
+    # lower and the upper clamp.
+    ALPHAS = (8.0, 500.0, -500.0)
     EXTRA_CAPTIONS = (
         "Red RED. red, green Yellow blue yellow. red",
         "EXIT exit 3 two left above touching circle. sits a",
@@ -587,19 +568,18 @@ class TestAffinityScorerOracle:
 
     @classmethod
     def _assert_equal_to_reference(cls, features, captions):
-        for personas in cls.PERSONA_SETS:
-            config = AffinityConfig() if personas is None else AffinityConfig(personas=personas)
-            scorer = affinity_scorer(config)
-            reference = _ReferenceAffinityScorer(config)
+        for alpha in cls.ALPHAS:
+            scorer = affinity_scorer(AffinityConfig(alpha=alpha))
+            reference = _ReferenceAffinityScorer(alpha)
             for caption in captions:
                 assert scorer.score(features, caption) == reference.score(features, caption), (
-                    personas,
+                    alpha,
                     caption,
                 )
             # Consecutive captions as (real, hallucinated) pairs.
             for real, hall in zip(captions[::2], captions[1::2]):
                 want = (reference.score(features, real), reference.score(features, hall))
-                assert scorer.score_pair(features, real, hall) == want, (personas, real, hall)
+                assert scorer.score_pair(features, real, hall) == want, (alpha, real, hall)
 
     @pytest.mark.parametrize("favor", [None, "color-histogram"])
     def test_synthetic_dataset_nlls_equal_reference(self, favor):

@@ -604,23 +604,13 @@ class TestConfigJson:
         loaded = load_pipeline_config(path)
         assert loaded.experts == config.experts
 
-    def test_seeded_router_and_projector(self):
-        doc = {
-            "experts": [
-                {"id": 0, "persona": "edge-shape", "seed": 1, "native_tokens": 16, "native_dim": 8},
-                {"id": 1, "persona": "text-stripe", "seed": 2, "native_tokens": 16, "native_dim": 8},
-            ],
-            "router": {"init": "seeded", "seed": 11},
-            "strategy": {"kind": "routed", "k": None},
-            "projector": {"init": "seeded", "seed": 12, "hidden_dim": 6, "out_dim": 8},
-            "canonical_tokens": 16,
-            "canonical_dim": 8,
-        }
-        config = pipeline_config_from_json(doc)
-        assert config.router.n_experts == 2
-        assert config.projector.stage1.out_dim == 6
-        again = pipeline_config_from_json(doc)
-        np.testing.assert_array_equal(config.router.weights, again.router.weights)
+    @pytest.mark.parametrize("part", ["router", "projector"])
+    def test_seeded_document_rejected(self, part):
+        # Only explicit weights are read; a seed-derived part is not a format.
+        doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
+        doc[part] = {"init": "seeded", "seed": 11}
+        with pytest.raises(ValueError, match="^malformed pipeline config: "):
+            pipeline_config_from_json(doc)
 
     def test_malformed_config_rejected(self):
         with pytest.raises(ValueError, match="malformed pipeline config"):

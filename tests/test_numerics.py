@@ -9,12 +9,10 @@ from routebench.numerics import (
     CHECKED_PARAMS,
     check_router_fusion_gradients,
     finite_diff_gradient,
-    fit_router_demo,
     _RoutedChain,
     small_gradcheck_config,
-    softmax_jacobian,
 )
-from routebench.router import RouterParams, routing_weights
+from routebench.router import RouterParams
 
 
 class TestFiniteDiff:
@@ -47,30 +45,6 @@ class TestFiniteDiff:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             finite_diff_gradient(lambda x: 0.0, np.zeros(2), eps=0.0)
-
-
-class TestSoftmaxJacobian:
-    def test_rows_sum_to_zero_and_symmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = routing_weights(rng.uniform(-5, 5, size=5)).weights
-            jac = softmax_jacobian(w)
-            np.testing.assert_allclose(jac.sum(axis=1), 0.0, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(jac, jac.T, rtol=0, atol=1e-15)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        logits = rng.uniform(-3, 3, size=4)
-        w = routing_weights(logits).weights
-        jac = softmax_jacobian(w)
-        eps = 1e-6
-        for j in range(4):
-            bumped = logits.copy()
-            bumped[j] += eps
-            minus = logits.copy()
-            minus[j] -= eps
-            fd = (routing_weights(bumped).weights - routing_weights(minus).weights) / (2 * eps)
-            np.testing.assert_allclose(jac[:, j], fd, rtol=0, atol=1e-8)
 
 
 class TestGradCheck:
@@ -166,16 +140,3 @@ class TestGradCheck:
         for report in reports:
             assert report.n_coordinates <= 3
             assert report.passed
-
-
-class TestRouterFitDemo:
-    def test_loss_decreases_nearly_monotonically(self):
-        rng = np.random.default_rng(5)
-        cls = rng.normal(size=6)
-        target = np.zeros(4)
-        target[2] = 1.0
-        losses = fit_router_demo(cls, target, steps=50, lr=0.5, seed=1)
-        assert len(losses) == 51
-        decreases = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
-        assert decreases >= 45
-        assert losses[-1] < losses[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -13,10 +14,8 @@ from routebench.router import (
     ToyClipParams,
     _clip_spec,
     clip_encode,
-    load_router,
     route_logits,
     routing_weights,
-    save_router,
     select_top_k,
 )
 
@@ -138,20 +137,17 @@ class TestRouteLogits:
         with pytest.raises(ValueError, match="router expects"):
             route_logits(np.zeros(3), params)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         rng = np.random.default_rng(3)
         params = RouterParams(rng.normal(size=(5, 3)), rng.normal(size=3))
-        path = tmp_path / "router.json"
-        save_router(params, path)
-        loaded = load_router(path)
+        loaded = RouterParams.from_json_dict(json.loads(json.dumps(params.to_json_dict())))
         np.testing.assert_array_equal(loaded.weights, params.weights)
         np.testing.assert_array_equal(loaded.bias, params.bias)
 
-    def test_malformed_document_rejected(self, tmp_path):
-        path = tmp_path / "router.json"
-        path.write_text('{"dim_in": 2, "n_experts": 2, "weights": [1, 2, 3], "bias": [0, 0]}')
+    def test_malformed_document_rejected(self):
+        doc = {"dim_in": 2, "n_experts": 2, "weights": [1, 2, 3], "bias": [0, 0]}
         with pytest.raises(ValueError, match="length"):
-            load_router(path)
+            RouterParams.from_json_dict(doc)
 
     def test_router_is_a_validated_adapter(self):
         params = RouterParams(np.zeros((4, 3)), np.zeros(3))
