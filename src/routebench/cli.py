@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .benchmark import (
     CATEGORY_NAMES,
-    DatasetError,
     HallucinationCategory,
     build_synthetic_dataset,
     dumps_dataset,
@@ -36,7 +35,6 @@ from .benchmark import (
 from .datagen import (
     CATEGORY_SPECS,
     DEFAULT_TEMPLATE,
-    DatagenError,
     HttpChatClient,
     PromptTemplate,
     category_spec,
@@ -47,7 +45,6 @@ from .datagen import (
 from .evaluator import (
     AffinityConfig,
     CoinFlipScorer,
-    EvaluationError,
     affinity_scorer,
     dumps_judgements,
     error_rates,
@@ -58,7 +55,7 @@ from .evaluator import (
     toy_judging_config,
 )
 from .experts import PERSONAS, load_raw_image
-from .fusion import PipelineError, load_pipeline_config, run_pipeline
+from .fusion import load_pipeline_config, run_pipeline
 from .metrics import (
     autohallusion_aggregate,
     avg_metric,
@@ -194,9 +191,8 @@ def cmd_eval(args) -> int:
         config,
         dataset,
         parallelism=args.parallelism,
-        strict=not args.lenient,
         base_dir=args.base_dir,
-        failures=failures,
+        failures=failures if args.lenient else None,
     )
     if args.judgements:
         Path(args.judgements).write_text(dumps_judgements(judgements), encoding="utf-8")
@@ -372,9 +368,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         logger.error("%s", exc)
         return 2
-    except (DatasetError, DatagenError, EvaluationError, PipelineError) as exc:
-        logger.error("%s", exc)
-        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         logger.error("%s", exc)
         return 1

@@ -428,7 +428,8 @@ def generate_dataset(
     client,
     items,
     specs=CATEGORY_SPECS,
-    config: Optional[DatagenConfig] = None,
+    *,
+    config: DatagenConfig,
     template: PromptTemplate = DEFAULT_TEMPLATE,
     sleep=time.sleep,
 ) -> GenerationResult:
@@ -451,8 +452,6 @@ def generate_dataset(
     spec_categories = [s.category for s in spec_list]
     if len(set(spec_categories)) != len(spec_categories):
         raise ValueError("specs must cover distinct categories")
-    if config is None:
-        config = DatagenConfig(endpoint="https://unused.invalid", model="mock")
     stats = GenerationStats()
     units = [
         (item_index, image, caption, spec)

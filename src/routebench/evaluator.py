@@ -7,10 +7,10 @@ hallucinated caption more plausible (ties count as correct).  Per-category
 error rates aggregate judgements into reports, with an optional cross-run
 min-max normalization for radar-style comparisons.
 
-Scorers are pluggable: anything with ``score(features, caption) -> [nll]``
-(one non-negative natural-log NLL per whitespace token) works.  A scorer may
-also offer ``score_pair(features, real, hallucinated)`` returning both NLL
-lists at once, which the judge then uses to share per-map work.  Three toy
+Scorers are pluggable: anything with ``score(features, real, hallucinated)
+-> (nlls_real, nlls_hall)`` works, where each list holds one non-negative
+natural-log NLL per whitespace token of its caption.  Scoring the pair in one
+call lets a scorer share per-map work between the two captions.  Three toy
 scorers ship here: a ground-truth oracle (and its negation) for protocol
 tests, a seeded coin-flip scorer, and an affinity scorer that ties caption
 keywords to statistics of the fused feature map, making routing choices
@@ -95,14 +95,10 @@ class Judgement:
 
 
 def judge_sample(scorer, pipeline_output: FeatureMap, sample: BenchmarkSample) -> Judgement:
-    """Score both captions against the same features (in one ``score_pair``
-    call when the scorer has one) and apply the error rule."""
+    """Score both captions against the same features in one ``score`` call
+    and apply the error rule."""
     try:
-        captions = (sample.real_caption, sample.hallucinated_caption)
-        if hasattr(scorer, "score_pair"):
-            nlls = scorer.score_pair(pipeline_output, *captions)
-        else:
-            nlls = [scorer.score(pipeline_output, caption) for caption in captions]
+        nlls = scorer.score(pipeline_output, sample.real_caption, sample.hallucinated_caption)
         ppl_real, ppl_hall = map(perplexity, nlls)
     except EvaluationError:
         raise
@@ -217,22 +213,21 @@ def evaluate_dataset(
     pipeline_config: PipelineConfig,
     dataset,
     parallelism: int = 1,
-    strict: bool = True,
     base_dir=None,
     failures: Optional[list] = None,
 ):
     """Judge every sample: resolve image -> run pipeline -> score both captions.
 
-    Judgements come back in dataset order regardless of parallelism.  In
-    strict mode any per-sample failure aborts the run; in lenient mode failed
-    samples are skipped and their messages appended to ``failures`` when the
-    caller provides a list.
+    Judgements come back in dataset order regardless of parallelism.  With
+    ``failures=None`` the first per-sample failure (in dataset order) raises
+    ``EvaluationError``; with a list, failed samples are skipped and their
+    messages appended to it.
 
     A per-sample failure is a domain error: ``ValueError`` or ``OSError``
     from resolving the image, ``PipelineError`` from a pipeline stage's bad
     input, or ``EvaluationError`` from the scorer (``judge_sample`` wraps
     whatever a pluggable scorer raises).  Any other exception is a bug and
-    propagates unwrapped in both modes.
+    propagates unwrapped either way.
     """
     samples = list(dataset)
     if not samples:
@@ -258,9 +253,9 @@ def evaluate_dataset(
     for judgement, failure in outcomes:
         if failure is None:
             judgements.append(judgement)
-        elif strict:
+        elif failures is None:
             raise EvaluationError(failure)
-        elif failures is not None:
+        else:
             failures.append(failure)
     if not judgements:
         raise EvaluationError("no samples were judged successfully")
@@ -270,6 +265,13 @@ def evaluate_dataset(
 _LOW_NLL = math.log(2.0)
 _HIGH_NLL = math.log(8.0)
 _NEUTRAL_NLL = math.log(4.0)
+
+
+def _tokens(caption: str) -> list:
+    tokens = caption.split()
+    if not tokens:
+        raise ValueError("cannot score an empty caption")
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -285,10 +287,11 @@ class OracleScorer:
     hall_captions: frozenset
     negate: bool = False
 
-    def score(self, features: FeatureMap, caption: str) -> list:
-        tokens = caption.split()
-        if not tokens:
-            raise ValueError("cannot score an empty caption")
+    def score(self, features: FeatureMap, real: str, hallucinated: str) -> tuple:
+        return self._nlls(real), self._nlls(hallucinated)
+
+    def _nlls(self, caption: str) -> list:
+        tokens = _tokens(caption)
         low, high = (_HIGH_NLL, _LOW_NLL) if self.negate else (_LOW_NLL, _HIGH_NLL)
         if caption in self.real_captions:
             nll = low
@@ -318,12 +321,12 @@ class CoinFlipScorer:
 
     seed: int = 0
 
-    def score(self, features: FeatureMap, caption: str) -> list:
-        tokens = caption.split()
-        if not tokens:
-            raise ValueError("cannot score an empty caption")
+    def score(self, features: FeatureMap, real: str, hallucinated: str) -> tuple:
+        return self._nlls(real), self._nlls(hallucinated)
+
+    def _nlls(self, caption: str) -> list:
         nlls = []
-        for index in range(len(tokens)):
+        for index in range(len(_tokens(caption))):
             digest = hashlib.sha256(f"{self.seed}|{caption}|{index}".encode()).hexdigest()
             unit = int(digest[:12], 16) / float(16**12)
             nlls.append(0.5 + unit)
@@ -401,6 +404,9 @@ class AffinityScorer:
     Other attribute keywords (shapes, counts, digits, relations, labels) share
     a global positive-energy statistic, and non-attribute tokens stay at the
     base NLL.  All NLLs are clamped to [_NLL_MIN, _NLL_MAX].
+
+    A plain class rather than a frozen dataclass, so that a tracer can
+    replace ``score`` on an instance.
     """
 
     def __init__(self, config: AffinityConfig):
@@ -435,14 +441,9 @@ class AffinityScorer:
         nll = _BASE_NLL - self.config.alpha * affinity
         return min(max(nll, _NLL_MIN), _NLL_MAX)
 
-    def score(self, features: FeatureMap, caption: str) -> list:
-        return self.score_pair(features, caption, caption)[0]
-
-    def score_pair(self, features: FeatureMap, real: str, hallucinated: str) -> tuple:
+    def score(self, features: FeatureMap, real: str, hallucinated: str) -> tuple:
         """Both captions' NLLs from one centered map and one NLL table."""
-        kinds = [[_token_kind(token) for token in c.split()] for c in (real, hallucinated)]
-        if not all(kinds):
-            raise ValueError("cannot score an empty caption")
+        kinds = [[_token_kind(token) for token in _tokens(c)] for c in (real, hallucinated)]
         values = features.values
         positive = np.maximum(values - _mean(values, 0), 0.0)
         # One NLL per token kind, so the energy and each color's affinity are

@@ -31,6 +31,7 @@ from .experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    _grid_side,
     adapt_dim,
     descriptor_width,
     encode_toy_expert,
@@ -228,6 +229,7 @@ class PipelineConfig:
                 raise ValueError(
                     f"expert ids must be 0..{len(experts) - 1} in order; position {i} has id {spec.id}"
                 )
+        _grid_side(self.canonical_tokens, "canonical_tokens")
         if self.router.dim_in != self.canonical_dim:
             raise ValueError(
                 f"router dim_in {self.router.dim_in} does not match canonical_dim {self.canonical_dim}"
@@ -303,9 +305,9 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
                 stage1=LinearAdapter._from_json_dict(projector_doc["stage1"], "projector stage1"),
                 stage2=LinearAdapter._from_json_dict(projector_doc["stage2"], "projector stage2"),
             ),
-            canonical_tokens=int(doc.get("canonical_tokens", 576)),
-            canonical_dim=int(doc.get("canonical_dim", 1024)),
-            clip_seed=int(doc.get("clip_seed", 0)),
+            canonical_tokens=int(doc["canonical_tokens"]),
+            canonical_dim=int(doc["canonical_dim"]),
+            clip_seed=int(doc["clip_seed"]),
         )
     except KeyError as exc:
         raise ValueError(f"malformed pipeline config: missing field {exc}") from exc

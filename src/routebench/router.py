@@ -20,6 +20,7 @@ from .experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    _grid_side,
     _mean,
     encode_toy_expert,
     resample_tokens,
@@ -37,13 +38,11 @@ class ToyClipParams:
     """
 
     seed: int
-    tokens: int = 576
-    dim: int = 1024
+    tokens: int
+    dim: int
 
     def __post_init__(self):
-        side = math.isqrt(self.tokens)
-        if self.tokens < 1 or side * side != self.tokens:
-            raise ValueError(f"tokens must be a positive perfect square, got {self.tokens}")
+        _grid_side(self.tokens, "tokens")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
 

@@ -157,6 +157,22 @@ class TestEval:
         assert code == 2
         assert "mutually exclusive" in err
 
+    def test_lenient_mode_reports_failures(self, capsys, dataset_path):
+        lines = dataset_path.read_text().splitlines()
+        bad = json.loads(lines[0])
+        bad["id"] = "missing-image"
+        bad["image"] = {"kind": "file", "path": "nowhere/missing.raw"}
+        dataset_path.write_text("\n".join(lines + [json.dumps(bad)]) + "\n")
+        argv = ["eval", "--dataset", str(dataset_path), "--scorer", "oracle"]
+        code, stdout, err = run_cli(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert "sample missing-image" in err
+        code, stdout, _ = run_cli(capsys, argv + ["--lenient"])
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["report"]["overall"]["n"] == len(lines)
+        assert len(doc["failures"]) == 1 and "sample missing-image" in doc["failures"][0]
+
     def test_nonfinite_alpha_exits_one(self, capsys, dataset_path):
         code, stdout, err = run_cli(
             capsys, ["eval", "--dataset", str(dataset_path), "--alpha", "nan"]
@@ -207,6 +223,18 @@ class TestRoute:
         assert code == 1
         assert stdout == ""
         assert "malformed pipeline config" in err
+
+    @pytest.mark.parametrize("key", ["canonical_tokens", "canonical_dim", "clip_seed"])
+    def test_pipeline_file_without_geometry_exits_one(self, capsys, tmp_path, key):
+        doc = pipeline_config_to_json(toy_judging_config())
+        del doc[key]
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            capsys, ["route", "--scene-seed", "3", "--pipeline", str(path)]
+        )
+        assert (code, stdout) == (1, "")
+        assert f"malformed pipeline config: missing field '{key}'" in err
 
     def test_requires_an_image_source(self, capsys):
         code, _, err = run_cli(capsys, ["route"])

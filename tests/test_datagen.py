@@ -29,6 +29,8 @@ from routebench.datagen import (
 
 ITEM = (ImageRef(kind="file", path="imgs/0001.raw"), "A red circle sits at row 0 column 1.")
 COLOR_SPEC = category_spec(HallucinationCategory.COLOR)
+# Every other field at its default.
+DEFAULT_CONFIG = DatagenConfig(endpoint="https://unused.invalid", model="mock")
 CAPTION_MARKER = "Caption: "
 
 
@@ -170,7 +172,7 @@ class TestParseGeneration:
 class TestGenerateDataset:
     def test_all_no_yields_empty_with_skips(self):
         client = ScriptedClient("NO")
-        result = generate_dataset(client, [ITEM, ITEM], sleep=no_sleep)
+        result = generate_dataset(client, [ITEM, ITEM], config=DEFAULT_CONFIG, sleep=no_sleep)
         assert result.samples == []
         assert result.stats.skipped_no == 20
         assert result.stats.requested == 20
@@ -178,7 +180,7 @@ class TestGenerateDataset:
 
     def test_echo_responses_are_dropped(self):
         client = ScriptedClient(lambda request: caption_from_prompt(request.prompt))
-        result = generate_dataset(client, [ITEM], sleep=no_sleep)
+        result = generate_dataset(client, [ITEM], config=DEFAULT_CONFIG, sleep=no_sleep)
         assert result.samples == []
         assert result.stats.skipped_echo == 10
 
@@ -187,7 +189,7 @@ class TestGenerateDataset:
             lambda request: caption_from_prompt(request.prompt) + " Altered."
         )
         items = [ITEM, (ImageRef(kind="file", path="imgs/0002.raw"), "A blue square sits.")]
-        result = generate_dataset(client, items, sleep=no_sleep)
+        result = generate_dataset(client, items, config=DEFAULT_CONFIG, sleep=no_sleep)
         assert len(result.samples) == 20
         assert result.stats.produced == 20
         ids = [s.id for s in result.samples]
@@ -257,12 +259,18 @@ class TestGenerateDataset:
         assert result.stats.produced == 30
         assert client.peak <= 3
 
+    def test_config_is_required(self):
+        with pytest.raises(TypeError, match="config"):
+            generate_dataset(ScriptedClient("NO"), [ITEM], sleep=no_sleep)
+
     def test_rejects_empty_items_and_duplicate_specs(self):
         client = ScriptedClient("NO")
         with pytest.raises(ValueError, match="items"):
-            generate_dataset(client, [], sleep=no_sleep)
+            generate_dataset(client, [], config=DEFAULT_CONFIG, sleep=no_sleep)
         with pytest.raises(ValueError, match="distinct categories"):
-            generate_dataset(client, [ITEM], specs=[COLOR_SPEC, COLOR_SPEC], sleep=no_sleep)
+            generate_dataset(
+                client, [ITEM], specs=[COLOR_SPEC, COLOR_SPEC], config=DEFAULT_CONFIG, sleep=no_sleep
+            )
 
 
 class TestDatagenConfig:

@@ -55,9 +55,15 @@ class FixedScorer:
     def __init__(self, nll_by_caption):
         self.nll_by_caption = nll_by_caption
 
-    def score(self, features, caption):
-        nll = self.nll_by_caption.get(caption, 1.0)
-        return [nll] * len(caption.split())
+    def score(self, features, real, hallucinated):
+        return tuple(
+            [self.nll_by_caption.get(c, 1.0)] * len(c.split()) for c in (real, hallucinated)
+        )
+
+
+class Boom:
+    def score(self, features, real, hallucinated):
+        raise RuntimeError("scorer exploded")
 
 
 def make_sample(sample_id="s-1", real="A red circle sits.", hall="A blue circle sits.",
@@ -126,34 +132,25 @@ class TestJudgement:
         assert judgement.is_error is False
 
     def test_scorer_failure_names_sample(self):
-        class Boom:
-            def score(self, features, caption):
-                raise RuntimeError("scorer exploded")
-
         with pytest.raises(EvaluationError, match="sample s-1.*scorer exploded"):
             judge_sample(Boom(), DUMMY_FEATURES, make_sample())
 
-    def test_score_pair_is_used_when_the_scorer_has_it(self):
-        class PairOnly(FixedScorer):
-            def score(self, features, caption):
-                raise AssertionError("score called although score_pair exists")
+    @pytest.mark.parametrize(
+        "nlls, message",
+        [
+            (([0.5], [-0.1]), "non-negative"),
+            (([math.nan], [0.5]), "finite"),
+            (([], [0.5]), "at least one"),
+            (([0.5],), "not enough values"),
+        ],
+    )
+    def test_malformed_scorer_output_names_sample(self, nlls, message):
+        class Malformed:
+            def score(self, features, real, hallucinated):
+                return nlls
 
-            def score_pair(self, features, real, hallucinated):
-                return FixedScorer.score(self, features, real), FixedScorer.score(self, features, hallucinated)
-
-        sample = make_sample()
-        nlls = {sample.real_caption: 2.0, sample.hallucinated_caption: 0.5}
-        got = judge_sample(PairOnly(nlls), DUMMY_FEATURES, sample)
-        want = judge_sample(FixedScorer(nlls), DUMMY_FEATURES, sample)
-        assert got == want and got.is_error
-
-    def test_score_pair_failure_names_sample(self):
-        class Boom:
-            def score_pair(self, features, real, hallucinated):
-                raise RuntimeError("pair scorer exploded")
-
-        with pytest.raises(EvaluationError, match="sample s-1.*pair scorer exploded"):
-            judge_sample(Boom(), DUMMY_FEATURES, make_sample())
+        with pytest.raises(EvaluationError, match=f"sample s-1: .*{message}"):
+            judge_sample(Malformed(), DUMMY_FEATURES, make_sample())
 
     def test_antisymmetry(self):
         rng = random.Random(3)
@@ -284,8 +281,9 @@ class TestOracleScorer:
     def test_unknown_caption_scores_neutral(self):
         dataset = build_synthetic_dataset(1, seed=55)
         scorer = oracle_scorer(dataset)
-        nlls = scorer.score(DUMMY_FEATURES, "never seen before")
-        assert nlls == [math.log(4.0)] * 3
+        hall = dataset[0].hallucinated_caption
+        nlls = scorer.score(DUMMY_FEATURES, "never seen before", hall)
+        assert nlls == ([math.log(4.0)] * 3, [math.log(8.0)] * len(hall.split()))
 
     def test_overlapping_captions_rejected(self):
         a = make_sample("a", real="one two.", hall="one three.")
@@ -297,9 +295,13 @@ class TestOracleScorer:
 class TestCoinFlipScorer:
     def test_deterministic(self):
         scorer = CoinFlipScorer(seed=9)
-        caption = "A red circle sits."
-        assert scorer.score(DUMMY_FEATURES, caption) == scorer.score(DUMMY_FEATURES, caption)
-        assert all(0.5 <= v <= 1.5 for v in scorer.score(DUMMY_FEATURES, caption))
+        real, hall = "A red circle sits.", "A blue circle sits."
+        nlls_real, nlls_hall = scorer.score(DUMMY_FEATURES, real, hall)
+        assert scorer.score(DUMMY_FEATURES, real, hall) == (nlls_real, nlls_hall)
+        # Each caption's NLLs are keyed by the caption alone, not its partner.
+        assert scorer.score(DUMMY_FEATURES, hall, real) == (nlls_hall, nlls_real)
+        assert nlls_real != nlls_hall
+        assert all(0.5 <= v <= 1.5 for v in nlls_real + nlls_hall)
 
     def test_error_rate_concentrates_near_half(self):
         dataset = build_synthetic_dataset(100, seed=77)
@@ -358,25 +360,31 @@ class TestAffinityScorer:
         scene = SceneDescriptor(seed=0, objects=(SceneObject("circle", "red", (1, 1), 0),))
         result = run_pipeline(rasterize(scene), toy_judging_config("color-histogram"))
         scorer = affinity_scorer(AffinityConfig())
-        ppl_red = perplexity(scorer.score(result.features, "red circle"))
-        ppl_blue = perplexity(scorer.score(result.features, "blue circle"))
-        assert ppl_red < ppl_blue
+        nlls_red, nlls_blue = scorer.score(result.features, "red circle", "blue circle")
+        assert perplexity(nlls_red) < perplexity(nlls_blue)
 
     def test_clamps_respected(self):
         scorer = affinity_scorer(AffinityConfig(alpha=500.0))
         scene = SceneDescriptor(seed=0, objects=(SceneObject("square", "blue", (0, 0), 0),))
         result = run_pipeline(rasterize(scene), toy_judging_config())
         caption = "A blue square sits at row 0 column 0. two left EXIT touching"
-        nlls = scorer.score(result.features, caption)
-        assert all(_NLL_MIN <= v <= _NLL_MAX for v in nlls)
+        nlls_real, nlls_hall = scorer.score(result.features, caption, "two EXIT")
+        assert all(_NLL_MIN <= v <= _NLL_MAX for v in nlls_real + nlls_hall)
 
-    def test_empty_caption_rejected(self):
-        scorer = affinity_scorer(AffinityConfig())
-        with pytest.raises(ValueError, match="empty caption"):
-            scorer.score(DUMMY_FEATURES, "   ")
-        for pair in (("   ", "red circle"), ("red circle", "")):
-            with pytest.raises(ValueError, match="empty caption"):
-                scorer.score_pair(DUMMY_FEATURES, *pair)
+
+@pytest.mark.parametrize(
+    "scorer",
+    [
+        affinity_scorer(AffinityConfig()),
+        oracle_scorer([make_sample()]),
+        CoinFlipScorer(seed=0),
+    ],
+    ids=["affinity", "oracle", "coinflip"],
+)
+@pytest.mark.parametrize("pair", [("   ", "red circle"), ("red circle", ""), ("", "")])
+def test_empty_caption_rejected(scorer, pair):
+    with pytest.raises(ValueError, match="cannot score an empty caption"):
+        scorer.score(DUMMY_FEATURES, *pair)
 
 
 class TestEvaluateDataset:
@@ -417,43 +425,55 @@ class TestEvaluateDataset:
             affinity_scorer(AffinityConfig()),
             toy_judging_config(),
             dataset + [bad],
-            strict=False,
             failures=failures,
         )
         assert len(judgements) == len(dataset)
         assert len(failures) == 1 and "missing-image" in failures[0]
         assert report.overall.n == len(dataset)
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_stage_bugs_are_not_sample_failures(self, monkeypatch, strict):
+    @pytest.mark.parametrize("failures", [None, []], ids=["raise", "collect"])
+    def test_stage_bugs_are_not_sample_failures(self, monkeypatch, failures):
         from routebench import fusion
 
         def broken(fm, params):
             raise TypeError("not a domain error")
 
         monkeypatch.setattr(fusion, "project", broken)
-        failures = []
         with pytest.raises(TypeError, match="not a domain error"):
             evaluate_dataset(
                 affinity_scorer(AffinityConfig()),
                 toy_judging_config(),
                 build_synthetic_dataset(1, seed=31),
-                strict=strict,
                 failures=failures,
             )
-        assert failures == []
+        assert not failures
 
     def test_lenient_mode_collects_scorer_failures(self):
-        class Boom:
-            def score(self, features, caption):
-                raise RuntimeError("scorer exploded")
-
         dataset = build_synthetic_dataset(1, seed=31)
         failures = []
         with pytest.raises(EvaluationError, match="no samples were judged"):
-            evaluate_dataset(Boom(), toy_judging_config(), dataset, strict=False, failures=failures)
+            evaluate_dataset(Boom(), toy_judging_config(), dataset, failures=failures)
         assert len(failures) == len(dataset)
         assert all("scorer exploded" in f for f in failures)
+
+    def test_scorer_called_once_per_sample_with_the_pair(self):
+        # As a tracer does: wrap ``score`` on the instance and count calls.
+        scorer = affinity_scorer(AffinityConfig())
+        calls = []
+        score = scorer.score
+
+        def counted(*args):
+            calls.append(args)
+            return score(*args)
+
+        scorer.score = counted
+        dataset = build_synthetic_dataset(2, seed=31)
+        evaluate_dataset(scorer, toy_judging_config(), dataset)
+        assert not hasattr(scorer, "score_pair")
+        assert len(calls) == len(dataset)
+        for (features, real, hall), sample in zip(calls, dataset):
+            assert isinstance(features, FeatureMap)
+            assert (real, hall) == (sample.real_caption, sample.hallucinated_caption)
 
     def test_rejects_bad_inputs(self):
         scorer = affinity_scorer(AffinityConfig())
@@ -527,7 +547,7 @@ class _ReferenceAffinityScorer:
             per_token = np.minimum(red, green)
         return float(per_token.sum() / positive.shape[0])
 
-    def score(self, features, caption):
+    def nlls(self, features, caption):
         relations = HORIZONTAL_RELATIONS + VERTICAL_RELATIONS + INTERACTION_WORDS
         values = features.values
         centered = values - values.mean(axis=0, keepdims=True)
@@ -571,15 +591,12 @@ class TestAffinityScorerOracle:
         for alpha in cls.ALPHAS:
             scorer = affinity_scorer(AffinityConfig(alpha=alpha))
             reference = _ReferenceAffinityScorer(alpha)
-            for caption in captions:
-                assert scorer.score(features, caption) == reference.score(features, caption), (
-                    alpha,
-                    caption,
-                )
-            # Consecutive captions as (real, hallucinated) pairs.
-            for real, hall in zip(captions[::2], captions[1::2]):
-                want = (reference.score(features, real), reference.score(features, hall))
-                assert scorer.score_pair(features, real, hall) == want, (alpha, real, hall)
+            # Each caption paired with itself, then consecutive captions as
+            # (real, hallucinated) pairs.
+            pairs = [(c, c) for c in captions] + list(zip(captions[::2], captions[1::2]))
+            for real, hall in pairs:
+                want = (reference.nlls(features, real), reference.nlls(features, hall))
+                assert scorer.score(features, real, hall) == want, (alpha, real, hall)
 
     @pytest.mark.parametrize("favor", [None, "color-histogram"])
     def test_synthetic_dataset_nlls_equal_reference(self, favor):

@@ -577,6 +577,13 @@ class TestConfigValidation:
                 canonical_dim=8,
             )
 
+    @pytest.mark.parametrize(
+        "tokens, message", [(10, "a perfect square, got 10"), (0, "positive, got 0")]
+    )
+    def test_canonical_grid_checked_when_built(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^canonical_tokens must be {message}$"):
+            dataclasses.replace(toy_judging_config(), canonical_tokens=tokens)
+
     def test_strategy_k_only_for_routed(self):
         with pytest.raises(ValueError, match="only meaningful"):
             FusionStrategy(kind="add", k=2)
@@ -615,6 +622,13 @@ class TestConfigJson:
     def test_malformed_config_rejected(self):
         with pytest.raises(ValueError, match="malformed pipeline config"):
             pipeline_config_from_json({"experts": []})
+
+    @pytest.mark.parametrize("key", ["canonical_tokens", "canonical_dim", "clip_seed"])
+    def test_geometry_fields_required(self, key):
+        doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"^malformed pipeline config: missing field '{key}'$"):
+            pipeline_config_from_json(doc)
 
     @pytest.mark.parametrize(
         "breakage",

@@ -214,6 +214,17 @@ class TestClipEncode:
         assert a.patches.values.tobytes() == b.patches.values.tobytes()
         assert a.cls.tobytes() == b.cls.tobytes()
 
+    @pytest.mark.parametrize(
+        "tokens, message", [(10, "a perfect square, got 10"), (0, "positive, got 0")]
+    )
+    def test_params_reject_non_square_grid(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^tokens must be {message}$"):
+            ToyClipParams(seed=0, tokens=tokens, dim=4)
+
+    def test_params_have_no_default_geometry(self):
+        with pytest.raises(TypeError):
+            ToyClipParams(seed=0)
+
     def test_cls_shape_validation(self):
         from routebench.experts import FeatureMap
 
