@@ -220,8 +220,9 @@ def evaluate_dataset(
 
     Judgements come back in dataset order regardless of parallelism.  With
     ``failures=None`` the first per-sample failure (in dataset order) raises
-    ``EvaluationError``; with a list, failed samples are skipped and their
-    messages appended to it.
+    ``EvaluationError`` as soon as it is known: later samples are not judged,
+    and a thread pool's queued samples are cancelled.  With a list, failed
+    samples are skipped and their messages appended to it.
 
     A per-sample failure is a domain error: ``ValueError`` or ``OSError``
     from resolving the image, ``PipelineError`` from a pipeline stage's bad
@@ -243,20 +244,26 @@ def evaluate_dataset(
         except (ValueError, OSError, PipelineError, EvaluationError) as exc:
             return None, f"sample {sample.id}: {exc}"
 
-    if parallelism == 1:
-        outcomes = [run_one(s) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(run_one, samples))
-
     judgements = []
-    for judgement, failure in outcomes:
-        if failure is None:
-            judgements.append(judgement)
-        elif failures is None:
-            raise EvaluationError(failure)
-        else:
-            failures.append(failure)
+
+    def collect(outcomes):
+        for judgement, failure in outcomes:
+            if failure is None:
+                judgements.append(judgement)
+            elif failures is None:
+                raise EvaluationError(failure)
+            else:
+                failures.append(failure)
+
+    if parallelism == 1:
+        collect(map(run_one, samples))
+    else:
+        pool = ThreadPoolExecutor(max_workers=parallelism)
+        try:
+            collect(pool.map(run_one, samples))
+        finally:
+            # After a raise, samples not yet started are dropped, not judged.
+            pool.shutdown(cancel_futures=True)
     if not judgements:
         raise EvaluationError("no samples were judged successfully")
     return judgements, error_rates(judgements)

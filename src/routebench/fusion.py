@@ -114,11 +114,21 @@ class PipelineError(RuntimeError):
 
 
 def weighted_sum(weights, arrays) -> np.ndarray:
-    """Unvalidated ``sum(w * a)`` in list order, skipping (not reading)
-    arrays whose weight is exactly 0; the order keeps it byte-reproducible."""
-    acc = np.zeros(arrays[0].shape)
-    for w, values in zip(weights, arrays):
-        if w != 0.0:
+    """Unvalidated ``sum(w * a)`` in list order; the order keeps it
+    byte-reproducible.
+
+    1-D ``weights`` skip (do not read) arrays whose weight is exactly 0.
+    Weights with leading batch axes ``(..., N)`` give one sum per row,
+    shaped ``(..., *a.shape)``; for finite arrays each row equals the 1-D
+    sum of its weights bit for bit.
+    """
+    weights = np.asarray(weights)
+    batch = weights.shape[:-1]
+    acc = np.zeros(batch + arrays[0].shape)
+    for w, values in zip(np.moveaxis(weights, -1, 0), arrays):
+        if batch:
+            acc += w.reshape(batch + (1,) * values.ndim) * values
+        elif w != 0.0:
             acc += w * values
     return acc
 

@@ -7,7 +7,13 @@ differences.  Timing the pipeline is left to perfbench's traced runs.
 
 The checker runs the pipeline's own align path and the unvalidated
 ``softmax``/``weighted_sum``/``mlp`` kernels behind the public stage
-functions, so its forward is byte-equal to ``run_pipeline``.
+functions, so its forward is byte-equal to ``run_pipeline``.  Those kernels
+broadcast over leading axes, so the finite differences of one parameter run
+as stacked calls of that same forward: every +eps and -eps copy of the
+parameter is one row of a batch, and each row's loss equals the unbatched
+loss bit for bit.  Coordinates go in chunks that keep a stacked call's
+largest intermediate under ``_STACK_FLOATS`` floats; every parameter of
+``small_gradcheck_config`` fits in one chunk.
 
 The analytic path backpropagates through softmax in the product form
 w * (d_w - w.d_w), which is the Jacobian diag(w) - w w^T applied without
@@ -68,29 +74,42 @@ class GradCheckReport:
         return asdict(self)
 
 
+# Floats in the largest intermediate of one stacked loss call: 2 * chunk rows
+# of a (T, max(D, H)) activation, or of the parameter itself if larger.
+_STACK_FLOATS = 2**21
+
+
 def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5, coords=None) -> np.ndarray:
-    """Central-difference gradient of a scalar function at ``point``.
+    """Central-difference gradient at ``point`` from one stacked call of ``fn``.
+
+    ``fn`` maps a stack of points shaped ``(B, *point.shape)`` to ``B``
+    losses.  For ``n`` differentiated coordinates the stack has ``2n`` rows:
+    row ``j`` is ``point`` with the ``j``-th of them raised by ``eps``, row
+    ``n + j`` the same coordinate lowered by ``eps``.  The stack holds
+    ``2n * point.size`` floats, so callers with large points pass ``coords``
+    in chunks.
 
     With ``coords`` (flat indices into ``point``) only those coordinates are
     differentiated and the result is a vector in ``coords`` order; otherwise
-    it is the full gradient, shaped like ``point``.
+    it is the full gradient, shaped like ``point``.  A non-finite loss names
+    the first coordinate, in that order, whose +eps or -eps loss it is.
     """
     point = np.asarray(point, dtype=np.float64)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    flat = point.ravel().copy()
-    indices = range(flat.size) if coords is None else coords
-    grad = np.empty(len(indices))
-    for pos, i in enumerate(indices):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = float(fn(flat.reshape(point.shape)))
-        flat[i] = orig - eps
-        f_minus = float(fn(flat.reshape(point.shape)))
-        flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"non-finite loss while perturbing coordinate {i}")
-        grad[pos] = (f_plus - f_minus) / (2.0 * eps)
+    flat = point.ravel()
+    indices = np.arange(flat.size) if coords is None else np.asarray(coords, dtype=np.intp)
+    n = indices.size
+    rows = np.arange(n)
+    stack = np.tile(flat, (2 * n, 1))
+    stack[rows, indices] += eps
+    stack[n + rows, indices] -= eps
+    losses = np.asarray(fn(stack.reshape((2 * n,) + point.shape)), dtype=np.float64)
+    f_plus, f_minus = losses[:n], losses[n:]
+    bad = ~(np.isfinite(f_plus) & np.isfinite(f_minus))
+    if bad.any():
+        raise ValueError(f"non-finite loss while perturbing coordinate {indices[np.argmax(bad)]}")
+    grad = (f_plus - f_minus) / (2.0 * eps)
     return grad.reshape(point.shape) if coords is None else grad
 
 
@@ -146,12 +165,14 @@ class _RoutedChain:
             c.projector.stage2.bias,
         )
 
-    def loss(self, overrides: dict | None = None) -> float:
+    def loss(self, overrides: dict | None = None):
+        """Sum of squared outputs; an override stacked as ``(B, *shape)``
+        gives ``B`` losses, one per row."""
         p = self.params()
         if overrides:
             p = {**p, **overrides}
         out = self.forward(p)[-1]
-        return float((out**2).sum())
+        return (out**2).sum(axis=(-2, -1))
 
     def analytic_gradients(self) -> dict:
         p = self.params()
@@ -191,6 +212,8 @@ def check_router_fusion_gradients(
     chain = _RoutedChain(image, config)
     analytic = chain.analytic_gradients()
     degenerate_router = bool(np.all(chain.z == 0.0))
+    tokens, dim = chain.patches.shape
+    activation = tokens * max(dim, config.projector.stage1.out_dim)
     rng = np.random.default_rng(seed)
     reports = []
     for name in CHECKED_PARAMS:
@@ -198,8 +221,13 @@ def check_router_fusion_gradients(
         coords = np.arange(base.size)
         if max_coords_per_param is not None and base.size > max_coords_per_param:
             coords = np.sort(rng.choice(base.size, size=max_coords_per_param, replace=False))
+        chunk = max(1, _STACK_FLOATS // (2 * max(activation, base.size)))
+        fd = np.empty(coords.size)
         try:
-            fd = finite_diff_gradient(lambda p: chain.loss({name: p}), base, eps, coords)
+            for i in range(0, coords.size, chunk):
+                fd[i : i + chunk] = finite_diff_gradient(
+                    lambda p: chain.loss({name: p}), base, eps, coords[i : i + chunk]
+                )
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc
         errors = _rel_error(analytic[name].ravel()[coords], fd)

@@ -154,14 +154,15 @@ def route_logits(cls: np.ndarray, params: RouterParams) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Unvalidated, numerically stable softmax of a logit vector.
+    """Unvalidated, numerically stable softmax over the last axis, so a
+    stack of logit vectors ``(..., N)`` gives one distribution per row.
 
     The maximum logit is subtracted before exponentiation, which leaves the
     result unchanged mathematically but keeps it finite for logits of any
     magnitude.
     """
-    exp = np.exp(logits - logits.max())
-    return exp / exp.sum()
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def routing_weights(logits: np.ndarray) -> RoutingWeights:

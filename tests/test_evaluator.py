@@ -411,6 +411,35 @@ class TestEvaluateDataset:
                 affinity_scorer(AffinityConfig()), toy_judging_config(), [bad]
             )
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_strict_mode_stops_at_first_failure(self, parallelism):
+        bad = BenchmarkSample(
+            id="missing-image",
+            image=ImageRef(kind="file", path="nowhere/missing.raw"),
+            real_caption="A red circle sits.",
+            hallucinated_caption="A blue circle sits.",
+            category=HallucinationCategory.COLOR,
+        )
+        dataset = [bad] + build_synthetic_dataset(50, seed=0)[1:]
+        assert len(dataset) == 500
+        scorer = affinity_scorer(AffinityConfig())
+        calls = []
+        score = scorer.score
+
+        def counted(*args):
+            calls.append(args)
+            return score(*args)
+
+        scorer.score = counted
+        with pytest.raises(EvaluationError, match="^sample missing-image: "):
+            evaluate_dataset(scorer, toy_judging_config(), dataset, parallelism=parallelism)
+        if parallelism == 1:
+            assert calls == []
+        else:
+            # Judging every other sample would score 499; the queued ones are
+            # cancelled, so only samples already running are scored.
+            assert len(calls) < 50
+
     def test_lenient_mode_collects_failures(self):
         dataset = build_synthetic_dataset(1, seed=31)
         bad = BenchmarkSample(

@@ -41,6 +41,7 @@ from routebench.fusion import (
     residual_merge,
     run_pipeline,
     weighted_fuse,
+    weighted_sum,
 )
 from routebench.router import (
     RouterParams,
@@ -49,6 +50,7 @@ from routebench.router import (
     route_logits,
     routing_weights,
     select_top_k,
+    softmax,
 )
 
 
@@ -124,6 +126,39 @@ class TestWeightedFuse:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="routing weights"):
             weighted_fuse(uniform_routing(3), [const_map(2, 2, 1.0)] * 2)
+
+
+class TestStackedKernels:
+    def test_2d_softmax_equals_rows(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(scale=[[0.1], [1.0], [30.0], [800.0]], size=(4, 5))
+        stacked = softmax(logits)
+        assert stacked.shape == logits.shape
+        for row, want in zip(stacked, logits):
+            assert row.tobytes() == softmax(want).tobytes()
+
+    def test_batched_weighted_sum_equals_rows(self):
+        rng = np.random.default_rng(4)
+        arrays = list(rng.normal(size=(3, 6, 4)))
+        weights = softmax(rng.normal(size=(2, 5, 3)))
+        weights[1, 2] = [0.5, 0.0, 0.5]
+        stacked = weighted_sum(weights, arrays)
+        assert stacked.shape == (2, 5, 6, 4)
+        for b in range(2):
+            for r in range(5):
+                assert stacked[b, r].tobytes() == weighted_sum(weights[b, r], arrays).tobytes()
+
+    def test_1d_zero_weight_never_reads_its_array(self):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"masked slot read: {name}")
+
+            def __rmul__(self, other):
+                raise AssertionError("masked slot multiplied")
+
+        arrays = [np.ones((2, 2)), Unreadable(), np.full((2, 2), 3.0)]
+        out = weighted_sum(np.array([0.5, 0.0, 0.5]), arrays)
+        np.testing.assert_array_equal(out, np.full((2, 2), 2.0))
 
 
 class TestAddAndConcat:

@@ -419,6 +419,31 @@ def test_judgement_bytes(golden_blas, favored):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == JUDGEMENTS_SHA256[favored]
 
 
+def gradcheck_report_digest(max_coords_per_param) -> str:
+    """sha256 over every report row, errors included, for configs 0..19."""
+    digest = hashlib.sha256()
+    for seed in range(20):
+        config, image = small_gradcheck_config(seed)
+        reports = check_router_fusion_gradients(
+            config, image, seed=seed, max_coords_per_param=max_coords_per_param
+        )
+        for report in reports:
+            digest.update((json.dumps(report.to_json_dict(), sort_keys=True) + "\n").encode("utf-8"))
+    return digest.hexdigest()
+
+
+GRADCHECK_REPORT_SHA256 = {
+    None: "8dbf5860e6688800e9f0c0e7c88a6228539adbb001307f3ce6b12ab6f57003db",
+    3: "aa6db55a6d9ac813186ae517dd698f9941f2f73bc1d7efacce87a410c7e7543b",
+}
+
+
+@pytest.mark.parametrize("max_coords_per_param", sorted(GRADCHECK_REPORT_SHA256, key=str))
+def test_gradcheck_report_bytes(golden_blas, max_coords_per_param):
+    digest = gradcheck_report_digest(max_coords_per_param)
+    assert digest == GRADCHECK_REPORT_SHA256[max_coords_per_param]
+
+
 @pytest.mark.parametrize("kind, k", sorted(PAPER_SHA256, key=str))
 def test_paper_geometry_pipeline_bytes(golden_blas, kind, k):
     image = ImageGrid(np.random.default_rng([0, 0]).random((384, 384, 3)))

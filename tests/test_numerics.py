@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from routebench import numerics
 from routebench.experts import ImageGrid, ToyExpertSpec, identity_adapter, seeded_adapter
 from routebench.fusion import FusionStrategy, PipelineConfig, ProjectorParams, run_pipeline
 from routebench.numerics import (
@@ -15,36 +16,72 @@ from routebench.numerics import (
 from routebench.router import RouterParams
 
 
+def cubic_losses(stack):
+    """Stacked protocol: one sum of cubes per row of ``stack``."""
+    return (stack**3).reshape(len(stack), -1).sum(axis=1)
+
+
 class TestFiniteDiff:
     def test_quadratic_gradient(self):
         point = np.array([1.0, -2.0, 3.0])
-        grad = finite_diff_gradient(lambda x: float((x**2).sum()), point)
+        grad = finite_diff_gradient(lambda x: (x**2).sum(axis=-1), point)
         np.testing.assert_allclose(grad, 2 * point, rtol=0, atol=1e-8)
 
     def test_matrix_shaped_point(self):
         point = np.arange(6.0).reshape(2, 3)
-        grad = finite_diff_gradient(lambda x: float((x**3).sum()), point)
+        grad = finite_diff_gradient(lambda x: (x**3).sum(axis=(-2, -1)), point)
         np.testing.assert_allclose(grad, 3 * point**2, rtol=0, atol=1e-6)
 
     def test_non_finite_loss_names_coordinate(self):
         def fn(x):
-            return float("inf") if x[1] > 0.5 else float(x.sum())
+            return np.where(x[:, 1] > 0.5, np.inf, x.sum(axis=-1))
 
         with pytest.raises(ValueError, match="coordinate 1"):
             finite_diff_gradient(fn, np.array([0.0, 0.5, 0.0]))
 
     def test_coordinate_subset_matches_full_gradient(self):
-        def fn(x):
-            return float((x**3).sum())
-
         point = np.arange(6.0).reshape(2, 3)
-        full = finite_diff_gradient(fn, point).ravel()
+        full = finite_diff_gradient(cubic_losses, point).ravel()
         coords = np.array([4, 0, 5])
-        np.testing.assert_array_equal(finite_diff_gradient(fn, point, coords=coords), full[coords])
+        np.testing.assert_array_equal(
+            finite_diff_gradient(cubic_losses, point, coords=coords), full[coords]
+        )
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
-            finite_diff_gradient(lambda x: 0.0, np.zeros(2), eps=0.0)
+            finite_diff_gradient(lambda x: np.zeros(len(x)), np.zeros(2), eps=0.0)
+
+    def test_one_call_with_plus_rows_then_minus_rows(self):
+        point = np.arange(6.0).reshape(2, 3)
+        coords = np.array([4, 0, 5])
+        calls = []
+
+        def fn(stack):
+            calls.append(stack.copy())
+            return cubic_losses(stack)
+
+        finite_diff_gradient(fn, point, eps=0.25, coords=coords)
+        assert len(calls) == 1
+        stack = calls[0]
+        assert stack.shape == (6, 2, 3)
+        for j, i in enumerate(coords):
+            for row, sign in ((j, 1.0), (3 + j, -1.0)):
+                want = point.ravel().copy()
+                want[i] += sign * 0.25
+                np.testing.assert_array_equal(stack[row].ravel(), want)
+
+    def test_non_finite_minus_half_names_first_coordinate_in_order(self):
+        # Only lowering coordinate 2 and raising coordinate 0 blow up; in
+        # ``coords`` order coordinate 2 comes first.
+        def fn(x):
+            bad = (x[:, 2] < -0.5) | (x[:, 0] > 0.5)
+            return np.where(bad, np.nan, x.sum(axis=-1))
+
+        point = np.array([0.5, 0.0, -0.5])
+        with pytest.raises(ValueError, match="coordinate 2$"):
+            finite_diff_gradient(fn, point, coords=[1, 2, 0])
+        with pytest.raises(ValueError, match="coordinate 0$"):
+            finite_diff_gradient(fn, point)
 
 
 class TestGradCheck:
@@ -133,6 +170,49 @@ class TestGradCheck:
             pytest.skip("needs at least 2 experts to mask")
         with pytest.raises(ValueError, match="soft routing"):
             check_router_fusion_gradients(masked, image)
+
+    def test_stacked_losses_equal_unbatched_forward(self):
+        for seed in range(40):
+            config, image = small_gradcheck_config(seed)
+            chain = _RoutedChain(image, config)
+            for name in CHECKED_PARAMS:
+                base = chain.params()[name]
+                rng = np.random.default_rng(seed)
+                stack = base + rng.normal(scale=1e-3, size=(5,) + base.shape)
+                losses = chain.loss({name: stack})
+                assert losses.shape == (5,)
+                for row, loss in zip(stack, losses):
+                    out = chain.forward({**chain.params(), name: row})[-1]
+                    assert loss == float((out**2).sum()), (seed, name)
+
+    @pytest.mark.parametrize("max_coords", [None, 3])
+    def test_chunked_reports_equal_unchunked(self, monkeypatch, max_coords):
+        configs = [small_gradcheck_config(seed) for seed in range(6)]
+        whole = [
+            check_router_fusion_gradients(c, i, seed=1, max_coords_per_param=max_coords)
+            for c, i in configs
+        ]
+        for limit in (1, 3 * 2 * 16 * 8):
+            monkeypatch.setattr(numerics, "_STACK_FLOATS", limit)
+            chunked = [
+                check_router_fusion_gradients(c, i, seed=1, max_coords_per_param=max_coords)
+                for c, i in configs
+            ]
+            assert chunked == whole
+
+    def test_small_configs_take_one_stacked_call_per_parameter(self, monkeypatch):
+        calls = []
+
+        def counted(fn, point, eps, coords):
+            calls.append(len(coords))
+            return finite_diff_gradient(fn, point, eps, coords)
+
+        monkeypatch.setattr(numerics, "finite_diff_gradient", counted)
+        for seed in range(40):
+            config, image = small_gradcheck_config(seed)
+            calls.clear()
+            reports = check_router_fusion_gradients(config, image)
+            assert calls == [r.n_coordinates for r in reports]
 
     def test_coordinate_subsampling(self):
         config, image = small_gradcheck_config(4)
