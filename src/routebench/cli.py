@@ -219,6 +219,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # A check over no configs or no coordinates would pass vacuously.
+    for flag, value in (("--configs", args.configs), ("--max-coords", args.max_coords)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     runs = []
     all_passed = True
     for offset in range(args.configs):

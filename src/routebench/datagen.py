@@ -13,10 +13,15 @@ configurable, so any chat-completion provider works without provider-specific
 code.  Auth tokens are read from an environment variable named in the config
 and never stored or serialized.
 
+A template is checked once, when it is built; rendering substitutes text
+verbatim, so braces in a caption pass through.
+
 Generation fans out over (item, category) units with a bounded number of
-in-flight requests, retries failures with exponential backoff, skips "NO" and
-echo responses, and aborts when the failed fraction exceeds the configured
-budget.  Results merge deterministically in (item, category) order.
+in-flight requests; each unit ends as one ``GenerationStats`` counter.  Client
+exceptions are retried with exponential backoff, except a ``DatagenError`` (no
+token, no text at the response path), which comes from the config and fails
+the unit at once.  The run aborts when the failed fraction exceeds the
+configured budget.  Results merge deterministically in (item, category) order.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import json
 import logging
 import math
 import os
+import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -77,11 +84,12 @@ Caption: {input}
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Unified generation prompt; placeholder multiplicities are fixed."""
+    """Unified generation prompt: fixed placeholder counts, no other ``{{``."""
 
     body: str
 
     def __post_init__(self):
+        rest = self.body
         for placeholder, expected in PLACEHOLDER_COUNTS.items():
             got = self.body.count(placeholder)
             if got != expected:
@@ -89,6 +97,11 @@ class PromptTemplate:
                     f"template must contain {placeholder} exactly "
                     f"{expected} time(s), found {got}"
                 )
+            # A space, so removing a placeholder cannot join braces into "{{".
+            rest = rest.replace(placeholder, " ")
+        stray = re.search(r"\{\{[^{}\n]*(\}\})?", rest)
+        if stray:
+            raise ValueError(f"unknown placeholder {stray.group()!r} in template")
 
 
 DEFAULT_TEMPLATE = PromptTemplate(DEFAULT_TEMPLATE_BODY)
@@ -105,13 +118,8 @@ class CategorySpec:
     unchanged_constraint: str
 
     def __post_init__(self):
-        for name in (
-            "modification_task",
-            "existence_condition",
-            "modified_elements",
-            "unchanged_constraint",
-        ):
-            if not getattr(self, name).strip():
+        for name, text in vars(self).items():
+            if name != "category" and not text.strip():
                 raise ValueError(f"{name} must be non-empty")
 
 
@@ -191,11 +199,11 @@ CATEGORY_SPECS = (
 )
 
 
+_SPEC_BY_CATEGORY = {spec.category: spec for spec in CATEGORY_SPECS}
+
+
 def category_spec(category: HallucinationCategory) -> CategorySpec:
-    for spec in CATEGORY_SPECS:
-        if spec.category is category:
-            return spec
-    raise ValueError(f"no spec for category {category}")  # pragma: no cover
+    return _SPEC_BY_CATEGORY[category]
 
 
 def render_prompt(template: PromptTemplate, spec: CategorySpec, caption: str) -> str:
@@ -207,13 +215,7 @@ def render_prompt(template: PromptTemplate, spec: CategorySpec, caption: str) ->
     rendered = rendered.replace("{{EXISTENCE_CONDITION_DESCRIPTION}}", spec.existence_condition)
     rendered = rendered.replace("{{MODIFIED_ELEMENTS_NAME}}", spec.modified_elements)
     rendered = rendered.replace("{{UNCHANGED_CONSTRAINT_TEXT}}", spec.unchanged_constraint)
-    rendered = rendered.replace("{input}", caption)
-    if "{{" in rendered:
-        start = rendered.index("{{")
-        end = rendered.find("}}", start)
-        marker = rendered[start : end + 2] if end != -1 else rendered[start : start + 40]
-        raise ValueError(f"unsubstituted placeholder {marker!r} in rendered prompt")
-    return rendered
+    return rendered.replace("{input}", caption)
 
 
 def parse_generation(raw: str):
@@ -405,17 +407,8 @@ class GenerationStats:
     failures: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "produced": self.produced,
-            "skipped_no": self.skipped_no,
-            "skipped_echo": self.skipped_echo,
-            "skipped_invalid": self.skipped_invalid,
-            "failed": self.failed,
-            "retries": self.retries,
-            "retries_by_key": {f"{i}:{c}": n for (i, c), n in self.retries_by_key.items()},
-            "failures": list(self.failures),
-        }
+        keyed = {f"{i}:{c}": n for (i, c), n in self.retries_by_key.items()}
+        return {**asdict(self), "retries_by_key": keyed}
 
 
 @dataclass(frozen=True)
@@ -435,13 +428,16 @@ def generate_dataset(
 ) -> GenerationResult:
     """Fan (item x category) units out to the client and assemble samples.
 
-    ``items`` holds (ImageRef, real caption) pairs.  Each unit renders the
-    category's prompt, calls the client with retries and exponential backoff,
-    and parses the answer: "NO" and echoes of the input are skipped, other
-    answers become samples.  Units that exhaust their retries are recorded as
-    failed; the run aborts if more than ``config.max_failure_fraction`` of all
-    units fail.  Output order is (item index, category order), independent of
-    scheduling.  ``sleep`` is injectable so tests can skip real backoff waits.
+    ``items`` holds (ImageRef, real caption) pairs; ``template`` was checked
+    when it was built.  Each unit ends as one ``GenerationStats`` counter:
+    ``produced``, ``skipped_no`` ("NO"), ``skipped_echo`` (the input back),
+    ``skipped_invalid`` (no valid sample) or ``failed``.  Client exceptions are
+    retried with exponential backoff up to ``config.max_retries`` times; a
+    ``DatagenError`` fails the unit at once.  ``failures`` holds the invalid
+    and failed units' messages.  The run aborts if more than
+    ``config.max_failure_fraction`` of all units fail.  Everything is in
+    (item index, category order) at any ``config.max_in_flight``.  ``sleep``
+    is injectable so tests can skip real backoff waits.
     """
     item_list = list(items)
     if not item_list:
@@ -449,45 +445,35 @@ def generate_dataset(
     spec_list = list(specs)
     if not spec_list:
         raise ValueError("specs must be non-empty")
-    spec_categories = [s.category for s in spec_list]
-    if len(set(spec_categories)) != len(spec_categories):
+    if len({s.category for s in spec_list}) != len(spec_list):
         raise ValueError("specs must cover distinct categories")
-    stats = GenerationStats()
+    # Rendered up front, so a blank caption raises before any request is sent.
     units = [
-        (item_index, image, caption, spec)
+        (item_index, image, caption, spec, render_prompt(template, spec, caption))
         for item_index, (image, caption) in enumerate(item_list)
         for spec in spec_list
     ]
-    stats.requested = len(units)
 
     def run_unit(unit):
-        item_index, image, caption, spec = unit
-        prompt = render_prompt(template, spec, caption)
-        request = CompletionRequest(
-            prompt=prompt,
-            model=config.model,
-            temperature=config.temperature,
-            max_tokens=config.max_tokens,
-        )
-        retries = 0
-        while True:
+        """(stats counter, retries, sample or failure message or None)."""
+        item_index, image, caption, spec, prompt = unit
+        where = f"item {item_index} {spec.category.value}"
+        request = CompletionRequest(prompt, config.model, config.temperature, config.max_tokens)
+        for retries in range(config.max_retries + 1):
             try:
                 response = client.complete(request)
                 break
             except Exception as exc:
-                if retries >= config.max_retries:
-                    return ("failed", retries, f"item {item_index} {spec.category.value}: {exc}")
+                # A DatagenError comes from the config; waiting cannot fix it.
+                if isinstance(exc, DatagenError) or retries == config.max_retries:
+                    return "failed", retries, f"{where}: {exc}"
                 sleep(config.backoff_base_ms / 1000.0 * 2**retries)
-                retries += 1
         try:
             text = parse_generation(response.text)
-        except ValueError as exc:
-            return ("invalid", retries, f"item {item_index} {spec.category.value}: {exc}")
-        if text is None:
-            return ("no", retries, None)
-        if text == caption.strip():
-            return ("echo", retries, None)
-        try:
+            if text is None:
+                return "skipped_no", retries, None
+            if text == caption.strip():
+                return "skipped_echo", retries, None
             sample = BenchmarkSample(
                 id=f"gen-{item_index:04d}-{spec.category.value.lower()}",
                 image=image,
@@ -496,35 +482,24 @@ def generate_dataset(
                 category=spec.category,
             )
         except ValueError as exc:
-            return ("invalid", retries, f"item {item_index} {spec.category.value}: {exc}")
-        return ("ok", retries, sample)
+            return "skipped_invalid", retries, f"{where}: {exc}"
+        return "produced", retries, sample
 
-    if config.max_in_flight == 1:
-        outcomes = [run_unit(u) for u in units]
-    else:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            outcomes = list(pool.map(run_unit, units))
+    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        outcomes = list(pool.map(run_unit, units))
 
-    samples = []
-    for unit, (status, retries, payload) in zip(units, outcomes):
-        item_index, _, _, spec = unit
-        if retries:
-            stats.retries += retries
-            stats.retries_by_key[(item_index, spec.category.value)] = retries
-        if status == "ok":
-            samples.append(payload)
-            stats.produced += 1
-        elif status == "no":
-            stats.skipped_no += 1
-        elif status == "echo":
-            stats.skipped_echo += 1
-        elif status == "invalid":
-            stats.skipped_invalid += 1
-            stats.failures.append(payload)
-        else:
-            stats.failed += 1
-            stats.failures.append(payload)
-
+    retries_by_key = {
+        (item_index, spec.category.value): retries
+        for (item_index, _, _, spec, _), (_, retries, _) in zip(units, outcomes)
+        if retries
+    }
+    stats = GenerationStats(
+        requested=len(units),
+        **Counter(counter for counter, _, _ in outcomes),
+        retries=sum(retries_by_key.values()),
+        retries_by_key=retries_by_key,
+        failures=[p for c, _, p in outcomes if c in ("skipped_invalid", "failed")],
+    )
     logger.info(
         "generated %d samples from %d units (%d NO, %d echo, %d invalid, %d failed, %d retries)",
         stats.produced, stats.requested, stats.skipped_no, stats.skipped_echo,
@@ -536,6 +511,7 @@ def generate_dataset(
             f"{stats.failed}/{stats.requested} units failed "
             f"(budget {config.max_failure_fraction:.0%}): {first}"
         )
+    samples = [p for c, _, p in outcomes if c == "produced"]
     return GenerationResult(samples=samples, stats=stats)
 
 

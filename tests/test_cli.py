@@ -293,6 +293,16 @@ class TestGradcheck:
         names = {p["parameter_name"] for c in doc["configs"] for p in c["parameters"]}
         assert "router.weights" in names
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--configs", "0"), ("--configs", "-3"), ("--max-coords", "0"), ("--max-coords", "-2")],
+    )
+    def test_count_below_one_exits_two(self, capsys, flag, value):
+        code, stdout, err = run_cli(capsys, ["gradcheck", flag, value])
+        assert code == 2
+        assert stdout == ""
+        assert flag in err
+
 
 class TestReport:
     def make_judgements(self, capsys, tmp_path, name, favor=None):

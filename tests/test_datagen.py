@@ -1,12 +1,14 @@
 """Tests for prompt rendering, generation parsing, and the generation pipeline."""
 
+import hashlib
 import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from routebench.benchmark import DatasetError, HallucinationCategory, ImageRef
+from routebench.benchmark import DatasetError, HallucinationCategory, ImageRef, dumps_dataset
 from routebench.datagen import (
     CATEGORY_SPECS,
     DEFAULT_TEMPLATE,
@@ -90,6 +92,54 @@ def no_sleep(_seconds):
     return None
 
 
+# Six items x ten categories; unit (i, k) takes outcome (i + k) % 6, so each
+# of the six outcomes below covers ten units.
+ALL_OUTCOME_ITEMS = [
+    (
+        ImageRef(kind="file", path=f"imgs/{i:04d}.raw"),
+        f"Scene {i}: a red circle sits at row {i % 4}.",
+    )
+    for i in range(6)
+]
+TASK_INDEX = {spec.modification_task: k for k, spec in enumerate(CATEGORY_SPECS)}
+# sha256 of dumps_dataset(samples) + the sorted stats JSON of the run above.
+ALL_OUTCOMES_SHA256 = "6af89e4fc562743772bf62862a9df76ecd3aa470fdf5431eb99951a1288d71fc"
+
+
+class AllOutcomeClient:
+    """Answers by the unit's outcome: a new caption, a new caption after one
+    failed attempt, NO, an echo, a blank (invalid) answer, or a failure on
+    every attempt.  Thread-safe, and independent of call order."""
+
+    def __init__(self):
+        self.attempts = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        caption = caption_from_prompt(request.prompt)
+        item = int(caption.split(":")[0].split()[1])
+        category = next(k for task, k in TASK_INDEX.items() if task in request.prompt)
+        with self._lock:
+            self.attempts[request.prompt] += 1
+            attempt = self.attempts[request.prompt]
+        outcome = (item + category) % 6
+        if outcome == 5 or (outcome == 1 and attempt == 1):
+            raise ConnectionError(f"unit {item}:{category} unreachable on attempt {attempt}")
+        altered = f"{caption} Altered in category {category}."
+        text = {2: "NO", 3: caption, 4: "  "}.get(outcome, altered)
+        return CompletionResponse(text=text)
+
+
+def run_all_outcomes(max_in_flight):
+    config = DatagenConfig(
+        endpoint="https://x.invalid", model="m", max_retries=2, max_in_flight=max_in_flight
+    )
+    result = generate_dataset(AllOutcomeClient(), ALL_OUTCOME_ITEMS, config=config, sleep=no_sleep)
+    return result, dumps_dataset(result.samples) + json.dumps(
+        result.stats.to_json_dict(), sort_keys=True
+    )
+
+
 class TestPromptTemplate:
     def test_default_template_valid(self):
         assert DEFAULT_TEMPLATE.body.count("{{MODIFICATION_TASK_SPECIFICS}}") == 2
@@ -110,6 +160,14 @@ class TestPromptTemplate:
         body = DEFAULT_TEMPLATE_BODY + "\n{{UNCHANGED_CONSTRAINT_TEXT}}"
         with pytest.raises(ValueError, match=r"\{\{UNCHANGED_CONSTRAINT_TEXT\}\}"):
             PromptTemplate(body)
+
+    def test_single_braces_beside_a_placeholder_accepted(self):
+        marker = "{{MODIFIED_ELEMENTS_NAME}}"
+        PromptTemplate(DEFAULT_TEMPLATE_BODY.replace(marker, "{" + marker + "{"))
+
+    def test_unterminated_marker_rejected(self):
+        with pytest.raises(ValueError, match=r"'\{\{ oops"):
+            PromptTemplate(DEFAULT_TEMPLATE_BODY + "\nTrailing {{ oops")
 
 
 class TestCategorySpecs:
@@ -144,13 +202,16 @@ class TestRenderPrompt:
 
     def test_unknown_marker_left_over_is_an_error(self):
         body = DEFAULT_TEMPLATE_BODY + "\nExtra: {{SOMETHING_ELSE}}"
-        template = PromptTemplate(body)
         with pytest.raises(ValueError, match=r"\{\{SOMETHING_ELSE\}\}"):
-            render_prompt(template, COLOR_SPEC, "a red car.")
+            PromptTemplate(body)
 
     def test_empty_caption_rejected(self):
         with pytest.raises(ValueError, match="caption"):
             render_prompt(DEFAULT_TEMPLATE, COLOR_SPEC, "   ")
+
+    def test_caption_braces_pass_through(self):
+        caption = "A sign reading {{SALE}} hangs on the wall."
+        assert caption_from_prompt(render_prompt(DEFAULT_TEMPLATE, COLOR_SPEC, caption)) == caption
 
 
 class TestParseGeneration:
@@ -262,6 +323,85 @@ class TestGenerateDataset:
     def test_config_is_required(self):
         with pytest.raises(TypeError, match="config"):
             generate_dataset(ScriptedClient("NO"), [ITEM], sleep=no_sleep)
+
+    def test_caption_with_braces_yields_sample(self):
+        caption = "A sign reading {{SALE}} hangs on the wall."
+        client = ScriptedClient(
+            lambda request: caption_from_prompt(request.prompt).replace("SALE", "SOLD")
+        )
+        result = generate_dataset(
+            client,
+            [(ITEM[0], caption)],
+            specs=[category_spec(HallucinationCategory.TEXT)],
+            config=DEFAULT_CONFIG,
+            sleep=no_sleep,
+        )
+        assert [(s.real_caption, s.hallucinated_caption) for s in result.samples] == [
+            (caption, "A sign reading {{SOLD}} hangs on the wall.")
+        ]
+
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_every_outcome_counted_once(self, max_in_flight):
+        result, _ = run_all_outcomes(max_in_flight)
+        stats = result.stats
+        assert (stats.produced, stats.skipped_no, stats.skipped_echo) == (20, 10, 10)
+        assert (stats.skipped_invalid, stats.failed, stats.retries) == (10, 10, 30)
+        assert stats.requested == 60 == (
+            stats.produced + stats.skipped_no + stats.skipped_echo
+            + stats.skipped_invalid + stats.failed
+        )
+        reasons = {4: "empty generation cannot be parsed", 5: "unreachable on attempt 3"}
+        assert stats.failures == [
+            f"item {i} {spec.category.value}: " + (
+                reasons[4] if (i + k) % 6 == 4 else f"unit {i}:{k} {reasons[5]}"
+            )
+            for i in range(6)
+            for k, spec in enumerate(CATEGORY_SPECS)
+            if (i + k) % 6 in reasons
+        ]
+        assert len(result.samples) == 20
+
+    def test_every_outcome_same_bytes_at_any_concurrency(self):
+        _, serial = run_all_outcomes(1)
+        _, parallel = run_all_outcomes(3)
+        assert serial == parallel
+        assert hashlib.sha256(serial.encode("utf-8")).hexdigest() == ALL_OUTCOMES_SHA256
+
+    def test_client_datagen_error_fails_without_retry(self, monkeypatch):
+        monkeypatch.delenv("ABSENT_TOKEN", raising=False)
+        config = DatagenConfig(
+            endpoint="https://x.invalid",
+            model="m",
+            auth_env="ABSENT_TOKEN",
+            max_failure_fraction=1.0,
+        )
+        session = StubSession({})
+        sleeps = []
+        result = generate_dataset(
+            HttpChatClient(config, session=session), [ITEM], config=config, sleep=sleeps.append
+        )
+        assert sleeps == [] and session.calls == []
+        stats = result.stats
+        assert (stats.failed, stats.retries, stats.retries_by_key) == (10, 0, {})
+        assert all("ABSENT_TOKEN" in f for f in stats.failures)
+
+    def test_client_datagen_error_still_aborts_on_budget(self, monkeypatch):
+        monkeypatch.delenv("ABSENT_TOKEN", raising=False)
+        config = DatagenConfig(endpoint="https://x.invalid", model="m", auth_env="ABSENT_TOKEN")
+        sleeps = []
+        client = HttpChatClient(config, session=StubSession({}))
+        message = r"10/10 units failed \(budget 20%\): item 0 Category: .*ABSENT_TOKEN"
+        with pytest.raises(DatagenError, match=message):
+            generate_dataset(client, [ITEM], config=config, sleep=sleeps.append)
+        assert sleeps == []
+
+    @pytest.mark.parametrize("max_in_flight", [1, 4])
+    def test_blank_caption_raises_before_any_request(self, max_in_flight):
+        client = ScriptedClient("NO")
+        config = DatagenConfig(endpoint="https://x.invalid", model="m", max_in_flight=max_in_flight)
+        with pytest.raises(ValueError, match="caption"):
+            generate_dataset(client, [ITEM, (ITEM[0], "  ")], config=config, sleep=no_sleep)
+        assert client.calls == 0
 
     def test_rejects_empty_items_and_duplicate_specs(self):
         client = ScriptedClient("NO")
