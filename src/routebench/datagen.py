@@ -11,17 +11,20 @@ The HTTP client is a generic JSON-over-HTTPS adapter: request body keys, the
 prompt shape, the auth header, and the response text path are all
 configurable, so any chat-completion provider works without provider-specific
 code.  Auth tokens are read from an environment variable named in the config
-and never stored or serialized.
+on every request and never stored or serialized.  The session's environment
+settings (proxies, CA bundle) are read once, when the client is built.
 
 A template is checked once, when it is built; rendering substitutes text
 verbatim, so braces in a caption pass through.
 
 Generation fans out over (item, category) units with a bounded number of
-in-flight requests; each unit ends as one ``GenerationStats`` counter.  Client
-exceptions are retried with exponential backoff, except a ``DatagenError`` (no
-token, no text at the response path), which comes from the config and fails
-the unit at once.  The run aborts when the failed fraction exceeds the
-configured budget.  Results merge deterministically in (item, category) order.
+in-flight requests; each unit ends as one ``GenerationStats`` counter.  Network
+failures and HTTP error statuses (``OSError``, which every ``requests`` error
+is) are retried with exponential backoff.  A ``DatagenError`` (no token, no
+text at the response path) comes from the config and fails the unit at once;
+any other client exception is a bug and propagates.  The run aborts when the
+failed fraction exceeds the configured budget.  Results merge
+deterministically in (item, category) order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import logging
 import math
 import os
 import re
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -341,11 +345,22 @@ class CompletionResponse:
 
 
 class HttpChatClient:
-    """Thread-safe JSON-over-HTTPS chat-completion adapter."""
+    """Thread-safe JSON-over-HTTPS chat-completion adapter.
+
+    The session's proxies, ``verify``, ``cert`` and ``stream``, with the
+    environment's proxy and CA-bundle variables merged in, are resolved once
+    here rather than on every request; a caller who changes them must build a
+    new client.  Each request is still prepared by the session, so its
+    cookies, headers and netrc auth apply, and the auth token is still read
+    from the environment per request.
+    """
 
     def __init__(self, config: DatagenConfig, session=None):
         self.config = config
         self._session = session if session is not None else requests.Session()
+        self._send_settings = self._session.merge_environment_settings(
+            config.endpoint, {}, None, None, None
+        )
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -372,11 +387,13 @@ class HttpChatClient:
             body[shape.prompt_key] = [{"role": "user", "content": request.prompt}]
         else:
             body[shape.prompt_key] = request.prompt
-        response = self._session.post(
-            self.config.endpoint,
-            json=body,
-            headers=self._headers(),
-            timeout=self.config.timeout_seconds,
+        session = self._session
+        prepared = session.prepare_request(
+            requests.Request("POST", self.config.endpoint, json=body, headers=self._headers())
+        )
+        # Explicit proxies also keep ``send`` from scanning the environment.
+        response = session.send(
+            prepared, timeout=self.config.timeout_seconds, **self._send_settings
         )
         response.raise_for_status()
         node = response.json()
@@ -431,10 +448,12 @@ def generate_dataset(
     ``items`` holds (ImageRef, real caption) pairs; ``template`` was checked
     when it was built.  Each unit ends as one ``GenerationStats`` counter:
     ``produced``, ``skipped_no`` ("NO"), ``skipped_echo`` (the input back),
-    ``skipped_invalid`` (no valid sample) or ``failed``.  Client exceptions are
-    retried with exponential backoff up to ``config.max_retries`` times; a
-    ``DatagenError`` fails the unit at once.  ``failures`` holds the invalid
-    and failed units' messages.  The run aborts if more than
+    ``skipped_invalid`` (no valid sample) or ``failed``.  An ``OSError`` from
+    the client (a network error, an HTTP error status) is retried with
+    exponential backoff up to ``config.max_retries`` times; a ``DatagenError``
+    fails the unit at once; any other exception propagates, and units not yet
+    started send nothing.  ``failures`` holds the invalid and failed units'
+    messages.  The run aborts if more than
     ``config.max_failure_fraction`` of all units fail.  Everything is in
     (item index, category order) at any ``config.max_in_flight``.  ``sleep``
     is injectable so tests can skip real backoff waits.
@@ -454,8 +473,12 @@ def generate_dataset(
         for spec in spec_list
     ]
 
+    client_bug = threading.Event()
+
     def run_unit(unit):
         """(stats counter, retries, sample or failure message or None)."""
+        if client_bug.is_set():
+            return None  # never read: the client bug is raised from pool.map
         item_index, image, caption, spec, prompt = unit
         where = f"item {item_index} {spec.category.value}"
         request = CompletionRequest(prompt, config.model, config.temperature, config.max_tokens)
@@ -463,11 +486,15 @@ def generate_dataset(
             try:
                 response = client.complete(request)
                 break
-            except Exception as exc:
+            except (OSError, DatagenError) as exc:
                 # A DatagenError comes from the config; waiting cannot fix it.
                 if isinstance(exc, DatagenError) or retries == config.max_retries:
                     return "failed", retries, f"{where}: {exc}"
                 sleep(config.backoff_base_ms / 1000.0 * 2**retries)
+            except Exception:
+                # A client bug propagates, and queued units send nothing.
+                client_bug.set()
+                raise
         try:
             text = parse_generation(response.text)
             if text is None:

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import sys
 import threading
 import time
 from collections import Counter
 
 import pytest
+import requests
+from requests.adapters import BaseAdapter
 
 from routebench.benchmark import DatasetError, HallucinationCategory, ImageRef, dumps_dataset
 from routebench.datagen import (
@@ -375,12 +378,12 @@ class TestGenerateDataset:
             auth_env="ABSENT_TOKEN",
             max_failure_fraction=1.0,
         )
-        session = StubSession({})
+        session, adapter = stub_session({})
         sleeps = []
         result = generate_dataset(
             HttpChatClient(config, session=session), [ITEM], config=config, sleep=sleeps.append
         )
-        assert sleeps == [] and session.calls == []
+        assert sleeps == [] and adapter.calls == []
         stats = result.stats
         assert (stats.failed, stats.retries, stats.retries_by_key) == (10, 0, {})
         assert all("ABSENT_TOKEN" in f for f in stats.failures)
@@ -389,11 +392,47 @@ class TestGenerateDataset:
         monkeypatch.delenv("ABSENT_TOKEN", raising=False)
         config = DatagenConfig(endpoint="https://x.invalid", model="m", auth_env="ABSENT_TOKEN")
         sleeps = []
-        client = HttpChatClient(config, session=StubSession({}))
+        client = HttpChatClient(config, session=stub_session({})[0])
         message = r"10/10 units failed \(budget 20%\): item 0 Category: .*ABSENT_TOKEN"
         with pytest.raises(DatagenError, match=message):
             generate_dataset(client, [ITEM], config=config, sleep=sleeps.append)
         assert sleeps == []
+
+    @pytest.mark.parametrize("max_in_flight", [1, 8])
+    def test_client_bug_propagates_without_retry(self, max_in_flight):
+        class BuggyClient(ScriptedClient):
+            def complete(self, request):
+                super().complete(request)
+                return request.prompt_text  # no such attribute
+
+        client = BuggyClient("unused")
+        config = DatagenConfig(endpoint="https://x.invalid", model="m", max_in_flight=max_in_flight)
+        sleeps = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a queued unit's send
+        try:
+            with pytest.raises(AttributeError, match="prompt_text"):
+                generate_dataset(client, [ITEM] * 10, config=config, sleep=sleeps.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sleeps == []
+        # Each worker thread calls once at most: no unit starts after the bug.
+        assert client.calls == 1 if max_in_flight == 1 else 1 <= client.calls <= max_in_flight
+
+    def test_http_error_status_is_retried(self):
+        reply = {"choices": [{"message": {"content": "An entirely different caption."}}]}
+        session, adapter = stub_session(reply, statuses=[503])
+        config = DatagenConfig(endpoint="https://x.invalid", model="m")
+        sleeps = []
+        result = generate_dataset(
+            HttpChatClient(config, session=session),
+            [ITEM],
+            specs=[COLOR_SPEC],
+            config=config,
+            sleep=sleeps.append,
+        )
+        assert (result.stats.produced, result.stats.retries) == (1, 1)
+        assert sleeps == [0.5] and len(adapter.calls) == 2
 
     @pytest.mark.parametrize("max_in_flight", [1, 4])
     def test_blank_caption_raises_before_any_request(self, max_in_flight):
@@ -462,50 +501,96 @@ class TestDatagenConfig:
         assert "DEMO_TOKEN" in blob  # the variable name is config, the value is not
 
 
-class StubResponse:
-    def __init__(self, doc):
+class RecordingAdapter(BaseAdapter):
+    """Transport that records what ``send`` is handed and answers one JSON
+    document, with the queued ``statuses`` first (then 200)."""
+
+    def __init__(self, doc, statuses=()):
+        super().__init__()
         self.doc = doc
-
-    def raise_for_status(self):
-        return None
-
-    def json(self):
-        return self.doc
-
-
-class StubSession:
-    def __init__(self, doc):
-        self.doc = doc
+        self.statuses = list(statuses)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return StubResponse(self.doc)
+    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+        self.calls.append(
+            {
+                "method": request.method,
+                "url": request.url,
+                "body": request.body,
+                "headers": dict(request.headers),
+                "proxies": dict(proxies),
+                "verify": verify,
+                "cert": cert,
+                "stream": stream,
+                "timeout": timeout,
+            }
+        )
+        response = requests.Response()
+        response.status_code = self.statuses.pop(0) if self.statuses else 200
+        response._content = json.dumps(self.doc).encode("utf-8")
+        response.encoding = "utf-8"
+        response.url = request.url
+        response.request = request
+        return response
+
+    def close(self):
+        pass
+
+
+def stub_session(doc, statuses=()):
+    """A real ``requests.Session`` whose https:// requests reach a RecordingAdapter."""
+    adapter = RecordingAdapter(doc, statuses)
+    session = requests.Session()
+    session.mount("https://", adapter)
+    return session, adapter
+
+
+CHAT_ENDPOINT = "https://api.example.com/v1/chat"
+CHAT_REPLY = {"choices": [{"message": {"content": "hi there"}, "finish_reason": "stop"}]}
+CHAT_BODY = {
+    "model": "demo",
+    "temperature": 0.5,
+    "max_tokens": 32,
+    "messages": [{"role": "user", "content": "hello"}],
+}
+PROXY = "http://proxy.example:3128"
+
+
+@pytest.fixture
+def proxy_env(monkeypatch, tmp_path):
+    """Token, proxy and CA-bundle variables set; lower-case proxy names,
+    which would take precedence, removed."""
+    for name in ("https_proxy", "no_proxy", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("DEMO_TOKEN", "tok-123")
+    monkeypatch.setenv("HTTPS_PROXY", PROXY)
+    monkeypatch.setenv("NO_PROXY", "internal.example")
+    bundle = str(tmp_path / "ca-bundle.pem")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", bundle)
+    return bundle
 
 
 class TestHttpChatClient:
     def make_request(self):
         return CompletionRequest(prompt="hello", model="demo", temperature=0.5, max_tokens=32)
 
+    def chat_config(self):
+        return DatagenConfig(endpoint=CHAT_ENDPOINT, model="demo", auth_env="DEMO_TOKEN")
+
+    def post_directly(self, session):
+        """What ``session.post`` sends for the client's request, in the current environment."""
+        headers = {"Content-Type": "application/json", "Authorization": "Bearer tok-123"}
+        return session.post(CHAT_ENDPOINT, json=CHAT_BODY, headers=headers, timeout=60.0)
+
     def test_chat_shape_request_and_response(self, monkeypatch):
         monkeypatch.setenv("DEMO_TOKEN", "tok-123")
-        config = DatagenConfig(
-            endpoint="https://api.example.com/v1/chat", model="demo", auth_env="DEMO_TOKEN"
-        )
-        session = StubSession(
-            {"choices": [{"message": {"content": "hi there"}, "finish_reason": "stop"}]}
-        )
-        client = HttpChatClient(config, session=session)
+        session, adapter = stub_session(CHAT_REPLY)
+        client = HttpChatClient(self.chat_config(), session=session)
         response = client.complete(self.make_request())
         assert response.text == "hi there"
-        call = session.calls[0]
-        assert call["url"] == "https://api.example.com/v1/chat"
-        assert call["json"] == {
-            "model": "demo",
-            "temperature": 0.5,
-            "max_tokens": 32,
-            "messages": [{"role": "user", "content": "hello"}],
-        }
+        call = adapter.calls[0]
+        assert (call["method"], call["url"]) == ("POST", CHAT_ENDPOINT)
+        assert json.loads(call["body"]) == CHAT_BODY
         assert call["headers"]["Authorization"] == "Bearer tok-123"
         assert call["timeout"] == 60.0
 
@@ -517,26 +602,59 @@ class TestHttpChatClient:
                 prompt_mode="text", prompt_key="prompt", response_path=("completion",)
             ),
         )
-        session = StubSession({"completion": "plain text answer"})
+        session, adapter = stub_session({"completion": "plain text answer"})
         client = HttpChatClient(config, session=session)
         assert client.complete(self.make_request()).text == "plain text answer"
-        assert session.calls[0]["json"]["prompt"] == "hello"
-        assert "Authorization" not in session.calls[0]["headers"]
+        assert json.loads(adapter.calls[0]["body"])["prompt"] == "hello"
+        assert "Authorization" not in adapter.calls[0]["headers"]
 
     def test_missing_auth_env_named(self, monkeypatch):
         monkeypatch.delenv("ABSENT_TOKEN", raising=False)
         config = DatagenConfig(
             endpoint="https://x.invalid", model="m", auth_env="ABSENT_TOKEN"
         )
-        client = HttpChatClient(config, session=StubSession({}))
+        session, adapter = stub_session({})
+        client = HttpChatClient(config, session=session)
         with pytest.raises(DatagenError, match="ABSENT_TOKEN"):
             client.complete(self.make_request())
+        assert adapter.calls == []
 
     def test_bad_response_path(self):
         config = DatagenConfig(endpoint="https://x.invalid", model="m")
-        client = HttpChatClient(config, session=StubSession({"unexpected": True}))
+        client = HttpChatClient(config, session=stub_session({"unexpected": True})[0])
         with pytest.raises(DatagenError, match="response missing text"):
             client.complete(self.make_request())
+
+    def test_sends_what_session_post_sends(self, proxy_env):
+        session, adapter = stub_session(CHAT_REPLY)
+        client = HttpChatClient(self.chat_config(), session=session)
+        client.complete(self.make_request())
+        self.post_directly(session)
+        sent, posted = adapter.calls
+        assert sent == posted
+        assert sent["proxies"]["https"] == PROXY
+        assert sent["verify"] == proxy_env
+
+    def test_environment_read_when_client_is_built(self, proxy_env, monkeypatch):
+        session, adapter = stub_session(CHAT_REPLY)
+        client = HttpChatClient(self.chat_config(), session=session)
+        client.complete(self.make_request())
+        monkeypatch.setenv("HTTPS_PROXY", "http://other-proxy.example:8080")
+        client.complete(self.make_request())
+        self.post_directly(session)
+        first, later, posted = adapter.calls
+        assert later == first
+        assert posted["proxies"]["https"] == "http://other-proxy.example:8080"
+
+    def test_untrusted_environment_matches_session_post(self, proxy_env):
+        session, adapter = stub_session(CHAT_REPLY)
+        session.trust_env = False
+        client = HttpChatClient(self.chat_config(), session=session)
+        client.complete(self.make_request())
+        self.post_directly(session)
+        sent, posted = adapter.calls
+        assert sent == posted
+        assert (sent["proxies"], sent["verify"]) == ({}, True)
 
 
 class TestCaptionItems:
