@@ -11,8 +11,10 @@ The HTTP client is a generic JSON-over-HTTPS adapter: request body keys, the
 prompt shape, the auth header, and the response text path are all
 configurable, so any chat-completion provider works without provider-specific
 code.  Auth tokens are read from an environment variable named in the config
-on every request and never stored or serialized.  The session's environment
-settings (proxies, CA bundle) are read once, when the client is built.
+on every request and never stored or serialized; the session's cookies are
+also read per request.  What else the session fixes for the endpoint (URL and
+params, headers, auth, hooks, proxies, CA bundle) is resolved once, when the
+client is built.
 
 A template is checked once, when it is built; rendering substitutes text
 verbatim, so braces in a caption pass through.
@@ -43,6 +45,10 @@ from pathlib import Path
 from typing import Optional
 
 import requests
+from requests.cookies import RequestsCookieJar, merge_cookies
+from requests.sessions import merge_setting
+from requests.structures import CaseInsensitiveDict
+from requests.utils import check_header_validity, get_netrc_auth
 
 from .benchmark import (
     BenchmarkSample,
@@ -347,23 +353,46 @@ class CompletionResponse:
 class HttpChatClient:
     """Thread-safe JSON-over-HTTPS chat-completion adapter.
 
-    The session's proxies, ``verify``, ``cert`` and ``stream``, with the
-    environment's proxy and CA-bundle variables merged in, are resolved once
-    here rather than on every request; a caller who changes them must build a
-    new client.  Each request is still prepared by the session, so its
-    cookies, headers and netrc auth apply, and the auth token is still read
-    from the environment per request.
+    What the session fixes is resolved once, when the client is built: the
+    endpoint URL with ``session.params`` merged in, ``session.headers``, the
+    session's auth (or, when ``trust_env`` is set and the session has none,
+    the netrc entry for the endpoint), the session's hooks, and its
+    environment settings (proxies, ``verify``, ``cert``, ``stream``, with the
+    environment's proxy and CA-bundle variables merged in).  A caller who
+    changes any of them must build a new client.  Read on every request: the
+    body, the auth token header (from the environment) and the session's
+    cookies.  Each request is then prepared in ``PreparedRequest.prepare``'s
+    order (headers, cookies, body, auth, hooks), so it is what ``session.post``
+    would send.
     """
 
     def __init__(self, config: DatagenConfig, session=None):
         self.config = config
-        self._session = session if session is not None else requests.Session()
-        self._send_settings = self._session.merge_environment_settings(
-            config.endpoint, {}, None, None, None
+        session = session if session is not None else requests.Session()
+        self._session = session
+        template = requests.PreparedRequest()
+        template.prepare_method("POST")
+        template.prepare_url(config.endpoint, merge_setting({}, session.params))
+        template.prepare_headers(
+            merge_setting(
+                {"Content-Type": "application/json"},
+                session.headers,
+                dict_class=CaseInsensitiveDict,
+            )
+        )
+        self._template = template
+        auth = session.auth
+        if session.trust_env and not auth:
+            auth = get_netrc_auth(config.endpoint) or auth
+        self._auth = auth
+        self._hooks = {event: list(hooks) for event, hooks in session.hooks.items()}
+        self._send_settings = session.merge_environment_settings(
+            template.url, {}, None, None, None
         )
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        """The auth token header, if the config names a token variable."""
+        headers = {}
         config = self.config
         if config.auth_env:
             token = os.environ.get(config.auth_env)
@@ -376,6 +405,23 @@ class HttpChatClient:
             headers[shape.auth_header] = value
         return headers
 
+    def _prepare(self, body: dict) -> requests.PreparedRequest:
+        # A fresh request, not ``template.copy()``: a copy shares the hook
+        # lists that auth handlers and ``prepare_hooks`` append to.
+        template = self._template
+        prepared = requests.PreparedRequest()
+        prepared.method, prepared.url = template.method, template.url
+        prepared.headers = template.headers.copy()
+        for name, value in self._headers().items():
+            check_header_validity((name, value))
+            prepared.headers[name] = value
+        prepared.prepare_cookies(merge_cookies(RequestsCookieJar(), self._session.cookies))
+        prepared.prepare_body(None, None, body)
+        # Auth comes after the body, so it can override headers and sign the body.
+        prepared.prepare_auth(self._auth)
+        prepared.prepare_hooks(self._hooks)
+        return prepared
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         shape = self.config.shape
         body = {
@@ -387,13 +433,9 @@ class HttpChatClient:
             body[shape.prompt_key] = [{"role": "user", "content": request.prompt}]
         else:
             body[shape.prompt_key] = request.prompt
-        session = self._session
-        prepared = session.prepare_request(
-            requests.Request("POST", self.config.endpoint, json=body, headers=self._headers())
-        )
         # Explicit proxies also keep ``send`` from scanning the environment.
-        response = session.send(
-            prepared, timeout=self.config.timeout_seconds, **self._send_settings
+        response = self._session.send(
+            self._prepare(body), timeout=self.config.timeout_seconds, **self._send_settings
         )
         response.raise_for_status()
         node = response.json()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -220,9 +221,10 @@ def evaluate_dataset(
 
     Judgements come back in dataset order regardless of parallelism.  With
     ``failures=None`` the first per-sample failure (in dataset order) raises
-    ``EvaluationError`` as soon as it is known: later samples are not judged,
-    and a thread pool's queued samples are cancelled.  With a list, failed
-    samples are skipped and their messages appended to it.
+    ``EvaluationError``, with the same message at any parallelism.  No sample
+    after a known failure starts, so a thread pool judges at most the samples
+    already running when one fails.  With a list, failed samples are skipped
+    and their messages appended to it.
 
     A per-sample failure is a domain error: ``ValueError`` or ``OSError``
     from resolving the image, ``PipelineError`` from a pipeline stage's bad
@@ -236,12 +238,23 @@ def evaluate_dataset(
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
 
-    def run_one(sample):
+    # Strict mode's lowest failing index so far: samples after it are skipped,
+    # the ones before it still run, so the first failure in order is raised.
+    first_failure = len(samples)
+    failure_lock = threading.Lock()
+
+    def run_one(index, sample):
+        nonlocal first_failure
+        if index > first_failure:
+            return None, None  # never read: collect raises at first_failure
         try:
             image = _resolve_image(sample.image, base_dir)
             result = run_pipeline(image, pipeline_config)
             return judge_sample(scorer, result.features, sample), None
         except (ValueError, OSError, PipelineError, EvaluationError) as exc:
+            if failures is None:
+                with failure_lock:
+                    first_failure = min(first_failure, index)
             return None, f"sample {sample.id}: {exc}"
 
     judgements = []
@@ -256,11 +269,11 @@ def evaluate_dataset(
                 failures.append(failure)
 
     if parallelism == 1:
-        collect(map(run_one, samples))
+        collect(map(run_one, range(len(samples)), samples))
     else:
         pool = ThreadPoolExecutor(max_workers=parallelism)
         try:
-            collect(pool.map(run_one, samples))
+            collect(pool.map(run_one, range(len(samples)), samples))
         finally:
             # After a raise, samples not yet started are dropped, not judged.
             pool.shutdown(cancel_futures=True)
@@ -480,7 +493,9 @@ def toy_judging_config(
 
     With ``favored_persona=None`` the router is all-zero, i.e. exactly uniform
     routing; naming a persona puts ``_FAVOR_BIAS`` on that expert's router
-    bias, which makes routing effectively one-hot.
+    bias.  Routing stays soft: each of the other five experts weighs about
+    exp(-25) ≈ 1.4e-11, so all six are still encoded and summed for every
+    sample.
     """
     if favored_persona is not None and favored_persona not in PERSONAS:
         raise ValueError(

@@ -1,5 +1,6 @@
 """Tests for prompt rendering, generation parsing, and the generation pipeline."""
 
+import base64
 import hashlib
 import json
 import sys
@@ -571,16 +572,17 @@ def proxy_env(monkeypatch, tmp_path):
 
 
 class TestHttpChatClient:
-    def make_request(self):
-        return CompletionRequest(prompt="hello", model="demo", temperature=0.5, max_tokens=32)
+    def make_request(self, prompt="hello"):
+        return CompletionRequest(prompt=prompt, model="demo", temperature=0.5, max_tokens=32)
 
     def chat_config(self):
         return DatagenConfig(endpoint=CHAT_ENDPOINT, model="demo", auth_env="DEMO_TOKEN")
 
-    def post_directly(self, session):
+    def post_directly(self, session, prompt="hello"):
         """What ``session.post`` sends for the client's request, in the current environment."""
         headers = {"Content-Type": "application/json", "Authorization": "Bearer tok-123"}
-        return session.post(CHAT_ENDPOINT, json=CHAT_BODY, headers=headers, timeout=60.0)
+        body = {**CHAT_BODY, "messages": [{"role": "user", "content": prompt}]}
+        return session.post(CHAT_ENDPOINT, json=body, headers=headers, timeout=60.0)
 
     def test_chat_shape_request_and_response(self, monkeypatch):
         monkeypatch.setenv("DEMO_TOKEN", "tok-123")
@@ -655,6 +657,91 @@ class TestHttpChatClient:
         sent, posted = adapter.calls
         assert sent == posted
         assert (sent["proxies"], sent["verify"]) == ({}, True)
+
+    def test_cookies_are_read_per_request(self, monkeypatch):
+        monkeypatch.setenv("DEMO_TOKEN", "tok-123")
+        session, adapter = stub_session(CHAT_REPLY)
+        session.cookies.set("before", "1")
+        client = HttpChatClient(self.chat_config(), session=session)
+        session.cookies.set("after", "2")
+        client.complete(self.make_request())
+        self.post_directly(session)
+        sent, posted = adapter.calls
+        assert sent == posted
+        assert sent["headers"]["Cookie"] == "before=1; after=2"
+
+    def test_netrc_auth_overrides_the_token_header(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("DEMO_TOKEN", "tok-123")
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.example.com login user password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        session, adapter = stub_session(CHAT_REPLY)
+        client = HttpChatClient(self.chat_config(), session=session)
+        client.complete(self.make_request())
+        self.post_directly(session)
+        sent, posted = adapter.calls
+        assert sent == posted
+        assert sent["headers"]["Authorization"] == "Basic " + base64.b64encode(b"user:secret").decode()
+
+    def test_session_headers_params_and_hooks_apply(self, monkeypatch):
+        monkeypatch.setenv("DEMO_TOKEN", "tok-123")
+        session, adapter = stub_session(CHAT_REPLY)
+        session.headers["X-Team"] = "vision"
+        session.params = {"api-version": "2024-06"}
+        hooked = []
+        session.hooks["response"].append(lambda response, **kwargs: hooked.append(response.url))
+        client = HttpChatClient(self.chat_config(), session=session)
+        client.complete(self.make_request())
+        self.post_directly(session)
+        sent, posted = adapter.calls
+        assert sent == posted
+        assert sent["url"] == CHAT_ENDPOINT + "?api-version=2024-06"
+        assert sent["headers"]["X-Team"] == "vision"
+        assert hooked == [sent["url"]] * 2
+
+    def test_session_auth_signs_each_body(self, monkeypatch):
+        monkeypatch.setenv("DEMO_TOKEN", "tok-123")
+
+        def sign(prepared):
+            prepared.headers["X-Body-Digest"] = hashlib.sha256(prepared.body).hexdigest()
+            return prepared
+
+        session, adapter = stub_session(CHAT_REPLY)
+        session.auth = sign
+        client = HttpChatClient(self.chat_config(), session=session)
+        for prompt in ("hello", "a different prompt"):
+            client.complete(self.make_request(prompt))
+            self.post_directly(session, prompt)
+        first, first_posted, second, second_posted = adapter.calls
+        assert (first, second) == (first_posted, second_posted)
+        for call in (first, second):
+            assert call["headers"]["X-Body-Digest"] == hashlib.sha256(call["body"]).hexdigest()
+        assert first["headers"]["X-Body-Digest"] != second["headers"]["X-Body-Digest"]
+
+    def test_invalid_token_header_is_rejected_before_sending(self, monkeypatch):
+        monkeypatch.setenv("DEMO_TOKEN", "tok-123\n")
+        session, adapter = stub_session(CHAT_REPLY)
+        client = HttpChatClient(self.chat_config(), session=session)
+        with pytest.raises(requests.exceptions.InvalidHeader):
+            client.complete(self.make_request())
+        assert adapter.calls == []
+
+    def test_session_prepares_at_most_once_per_client(self, monkeypatch):
+        monkeypatch.setenv("DEMO_TOKEN", "tok-123")
+        prepared = []
+        prepare_request = requests.Session.prepare_request
+
+        def counted(session, request):
+            prepared.append(request)
+            return prepare_request(session, request)
+
+        monkeypatch.setattr(requests.Session, "prepare_request", counted)
+        session, adapter = stub_session(CHAT_REPLY)
+        client = HttpChatClient(self.chat_config(), session=session)
+        for _ in range(10):
+            client.complete(self.make_request())
+        assert len(adapter.calls) == 10
+        assert len(prepared) <= 1
 
 
 class TestCaptionItems:

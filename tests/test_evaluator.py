@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -439,6 +440,38 @@ class TestEvaluateDataset:
             # Judging every other sample would score 499; the queued ones are
             # cancelled, so only samples already running are scored.
             assert len(calls) < 50
+
+    def test_strict_mode_starts_no_sample_after_a_failure(self):
+        # One worker is held in sample 0's scorer while the other fails
+        # sample 1; no later sample may start once that failure is known,
+        # and the error is still the first in dataset order.
+        dataset = build_synthetic_dataset(5, seed=0)
+        dataset[1] = BenchmarkSample(
+            id="missing-image",
+            image=ImageRef(kind="file", path="nowhere/missing.raw"),
+            real_caption="A red circle sits.",
+            hallucinated_caption="A blue circle sits.",
+            category=HallucinationCategory.COLOR,
+        )
+        config = toy_judging_config()
+        messages = []
+        for parallelism in (1, 2):
+            scorer = affinity_scorer(AffinityConfig())
+            calls = []
+            score = scorer.score
+
+            def held(*args, calls=calls, score=score):
+                calls.append(args)
+                if len(calls) == 1:
+                    time.sleep(0.2)
+                return score(*args)
+
+            scorer.score = held
+            with pytest.raises(EvaluationError, match="^sample missing-image: ") as excinfo:
+                evaluate_dataset(scorer, config, dataset, parallelism=parallelism)
+            assert [args[1] for args in calls] == [dataset[0].real_caption]
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_lenient_mode_collects_failures(self):
         dataset = build_synthetic_dataset(1, seed=31)
