@@ -281,7 +281,7 @@ def _add_pipeline_flags(sub):
         "--favor",
         type=_persona,
         default=None,
-        help="bias the built-in toy pipeline's router toward one persona",
+        help="route the built-in toy pipeline top-1 to one persona (default: uniform)",
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for the built-in toy pipeline")
 

@@ -116,8 +116,13 @@ def judge_sample(scorer, pipeline_output: FeatureMap, sample: BenchmarkSample) -
 
 @dataclass(frozen=True)
 class CategoryStats:
+    """Counts over one category's judgements.  ``ties`` counts samples whose
+    captions scored the same perplexity (judged correct by the error rule);
+    ``degenerate`` flags a category with no samples."""
+
     n: int
     errors: int
+    ties: int
     error_rate: float
     degenerate: bool = False
 
@@ -142,23 +147,26 @@ class CategoryReport:
         }
 
 
-def _stats(n: int, errors: int) -> CategoryStats:
+def _stats(judgements: list) -> CategoryStats:
+    n = len(judgements)
     if n == 0:
-        return CategoryStats(n=0, errors=0, error_rate=0.0, degenerate=True)
-    return CategoryStats(n=n, errors=errors, error_rate=errors / n)
+        return CategoryStats(n=0, errors=0, ties=0, error_rate=0.0, degenerate=True)
+    errors = sum(j.is_error for j in judgements)
+    ties = sum(j.ppl_real == j.ppl_hall for j in judgements)
+    return CategoryStats(n=n, errors=errors, ties=ties, error_rate=errors / n)
 
 
 def error_rates(judgements) -> CategoryReport:
-    """Raw per-category and overall error rates; empty categories are flagged."""
+    """Raw per-category and overall error rates and tie counts; empty
+    categories are flagged."""
     items = list(judgements)
     if not items:
         raise ValueError("error_rates needs at least one judgement")
-    per_category = {}
-    for category in HallucinationCategory:
-        sub = [j for j in items if j.category is category]
-        per_category[category] = _stats(len(sub), sum(j.is_error for j in sub))
-    overall = _stats(len(items), sum(j.is_error for j in items))
-    return CategoryReport(per_category=per_category, overall=overall, mode="raw")
+    per_category = {
+        category: _stats([j for j in items if j.category is category])
+        for category in HallucinationCategory
+    }
+    return CategoryReport(per_category=per_category, overall=_stats(items), mode="raw")
 
 
 def radar_csv(reports: dict) -> str:
@@ -492,10 +500,11 @@ def toy_judging_config(
     """A six-expert routed pipeline for judging experiments.
 
     With ``favored_persona=None`` the router is all-zero, i.e. exactly uniform
-    routing; naming a persona puts ``_FAVOR_BIAS`` on that expert's router
-    bias.  Routing stays soft: each of the other five experts weighs about
-    exp(-25) ≈ 1.4e-11, so all six are still encoded and summed for every
-    sample.
+    soft routing over all six experts.  Naming a persona puts ``_FAVOR_BIAS``
+    on that expert's router bias and routes top-1: the favoured expert
+    weighs exactly 1 and the other five exactly 0, so ``run_pipeline``
+    encodes only the favoured one.  Under soft routing the five would each
+    weigh about exp(-25) ≈ 1.4e-11.
     """
     if favored_persona is not None and favored_persona not in PERSONAS:
         raise ValueError(
@@ -521,7 +530,7 @@ def toy_judging_config(
     return PipelineConfig(
         experts=experts,
         router=router,
-        strategy=FusionStrategy(kind="routed"),
+        strategy=FusionStrategy(kind="routed", k=None if favored_persona is None else 1),
         projector=projector,
         canonical_tokens=JUDGING_TOKENS,
         canonical_dim=JUDGING_DIM,

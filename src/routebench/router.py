@@ -22,6 +22,7 @@ from .experts import (
     ToyExpertSpec,
     _grid_side,
     _mean,
+    _unchecked,
     encode_toy_expert,
     resample_tokens,
 )
@@ -166,29 +167,40 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def routing_weights(logits: np.ndarray) -> RoutingWeights:
-    """Validated :func:`softmax` over expert logits, all experts active."""
+    """Validated :func:`softmax` over expert logits, all experts active.
+
+    The logits are checked; the result is built without ``RoutingWeights``'
+    checks, which a softmax of finite logits satisfies by construction
+    (entries in [0, 1], sum 1 within rounding, every expert active).
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size < 1:
         raise ValueError("logits must be a non-empty vector")
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite values")
-    return RoutingWeights(softmax(logits), frozenset(range(logits.size)))
+    return _unchecked(
+        RoutingWeights, weights=softmax(logits), active=frozenset(range(logits.size))
+    )
 
 
 def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:
     """Keep the k largest weights (ties broken by lower expert id), renormalize.
 
-    Masked experts get exactly 0 so downstream fusion can skip them.
+    Masked experts get exactly 0 so downstream fusion can skip them.  The
+    input already lies on the simplex, and renormalizing the kept weights
+    (the largest is at least 1/n) keeps it there, so the result is built
+    without ``RoutingWeights``' checks.
     """
     n = routing.n_experts
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == n:
-        return RoutingWeights(routing.weights.copy(), frozenset(range(n)))
+        weights = routing.weights.copy()
+        return _unchecked(RoutingWeights, weights=weights, active=frozenset(range(n)))
     order = np.argsort(-routing.weights, kind="stable")
     kept = np.sort(order[:k])
     mask = np.zeros(n, dtype=bool)
     mask[kept] = True
     total = routing.weights[mask].sum()
     out = np.where(mask, routing.weights / total, 0.0)
-    return RoutingWeights(out, frozenset(int(i) for i in kept))
+    return _unchecked(RoutingWeights, weights=out, active=frozenset(int(i) for i in kept))

@@ -140,6 +140,10 @@ class TestEval:
         assert code == 0
         doc = json.loads(stdout)
         assert set(doc["report"]["categories"]) == set(CATEGORY_NAMES)
+        # Only Color's captions differ in what the affinity scorer reads.
+        for name, stats in doc["report"]["categories"].items():
+            assert stats["ties"] == (0 if name == "Color" else 2), name
+        assert doc["report"]["overall"]["ties"] == 18
 
     def test_missing_dataset_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(

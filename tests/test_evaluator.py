@@ -1,12 +1,17 @@
 """Tests for perplexity judging, scorers, and report aggregation."""
 
+import dataclasses
+import functools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from routebench import fusion
 from routebench.benchmark import (
     COLORS,
     COUNT_WORDS,
@@ -23,6 +28,7 @@ from routebench.benchmark import (
     SceneObject,
     build_synthetic_dataset,
     rasterize,
+    synth_scene,
 )
 from routebench.evaluator import (
     _BASE_NLL,
@@ -44,8 +50,8 @@ from routebench.evaluator import (
     toy_judging_config,
     _token_kind,
 )
-from routebench.experts import FeatureMap
-from routebench.fusion import run_pipeline
+from routebench.experts import PERSONAS, FeatureMap
+from routebench.fusion import FusionStrategy, run_pipeline
 
 DUMMY_FEATURES = FeatureMap(np.zeros((4, 3)), source="fused")
 
@@ -170,8 +176,8 @@ class TestJudgement:
 
 class TestErrorRates:
     @staticmethod
-    def judgement(i, category, is_error):
-        real, hall = (5.0, 4.0) if is_error else (4.0, 5.0)
+    def judgement(i, category, is_error, tie=False):
+        real, hall = (4.0, 4.0) if tie else (5.0, 4.0) if is_error else (4.0, 5.0)
         return Judgement(f"j-{i}", real, hall, is_error, category)
 
     def test_counting_example(self):
@@ -200,17 +206,19 @@ class TestErrorRates:
         rng = random.Random(11)
         categories = list(HallucinationCategory)
         for _ in range(100):
-            js = [
-                self.judgement(i, rng.choice(categories), rng.random() < 0.4)
-                for i in range(rng.randint(1, 60))
-            ]
+            js = []
+            for i in range(rng.randint(1, 60)):
+                outcome = rng.random()
+                js.append(self.judgement(i, rng.choice(categories), outcome < 0.4, outcome > 0.7))
             report = error_rates(js)
             for category in categories:
                 n = sum(1 for j in js if j.category is category)
                 errors = sum(1 for j in js if j.category is category and j.is_error)
+                ties = sum(1 for j in js if j.category is category and j.ppl_real == j.ppl_hall)
                 stats = report.per_category[category]
-                assert (stats.n, stats.errors) == (n, errors)
+                assert (stats.n, stats.errors, stats.ties) == (n, errors, ties)
                 assert stats.error_rate == (errors / n if n else 0.0)
+            assert report.overall.ties == sum(1 for j in js if j.ppl_real == j.ppl_hall)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -553,13 +561,37 @@ class TestJudgingConfig:
         result = run_pipeline(rasterize(scene), toy_judging_config())
         np.testing.assert_allclose(result.routing.weights, np.full(6, 1 / 6), atol=1e-12)
 
-    def test_favoring_is_effectively_one_hot(self):
-        scene = SceneDescriptor(seed=0, objects=(SceneObject("circle", "red", (1, 1), 0),))
-        result = run_pipeline(rasterize(scene), toy_judging_config("color-histogram"))
-        from routebench.experts import PERSONAS
+    @staticmethod
+    def run_counting_encodes(monkeypatch, config, images):
+        """Pipeline results and the personas encoded for them, counted
+        through the name ``run_pipeline`` calls (``fusion``'s)."""
+        calls = []
+        encode = fusion.encode_toy_expert
 
-        index = PERSONAS.index("color-histogram")
-        assert result.routing.weights[index] > 0.999
+        def counted(image, spec, pixels=None):
+            calls.append(spec.persona)
+            return encode(image, spec, pixels)
+
+        monkeypatch.setattr(fusion, "encode_toy_expert", counted)
+        return [run_pipeline(image, config) for image in images], calls
+
+    @pytest.mark.parametrize("persona", PERSONAS)
+    def test_favoring_is_exactly_one_hot(self, monkeypatch, persona):
+        index = PERSONAS.index(persona)
+        one_hot = [float(i == index) for i in range(len(PERSONAS))]
+        images = [synth_scene(seed)[1] for seed in range(3)]
+        results, calls = self.run_counting_encodes(
+            monkeypatch, toy_judging_config(persona), images
+        )
+        for result in results:
+            assert result.routing.weights.tolist() == one_hot
+            assert result.routing.active == {index}
+        assert calls == [persona] * len(images)
+
+    def test_uniform_config_encodes_every_expert(self, monkeypatch):
+        images = [synth_scene(seed)[1] for seed in range(3)]
+        _, calls = self.run_counting_encodes(monkeypatch, toy_judging_config(), images)
+        assert calls == list(PERSONAS) * len(images)
 
     def test_unknown_persona_rejected(self):
         with pytest.raises(ValueError, match="unknown persona"):
@@ -576,6 +608,77 @@ class TestJudgingConfig:
         )
         key = HallucinationCategory.COLOR
         assert routed.per_category[key].error_rate < uniform.per_category[key].error_rate
+
+
+# perfbench's frozen category rows for the colour-favoured judging config on
+# the default 500-sample set: [n, errors, ties, sum PPL(R), sum PPL(H)].
+GOLDEN_JUDGE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)["judge"]["categories"]
+
+
+@pytest.fixture(scope="module")
+def judged():
+    """``judged(favored, soft, per_category)``: affinity judgements and report
+    on ``build_synthetic_dataset(per_category, 0)``, each computed once per
+    module; ``soft`` swaps the config's fusion for soft routing (k=None)."""
+
+    @functools.lru_cache(maxsize=None)
+    def judge(favored, soft, per_category):
+        config = toy_judging_config(favored)
+        if soft:
+            config = dataclasses.replace(config, strategy=FusionStrategy("routed"))
+        dataset = build_synthetic_dataset(per_category, 0)
+        return evaluate_dataset(affinity_scorer(AffinityConfig()), config, dataset)
+
+    yield judge
+    judge.cache_clear()
+
+
+class TestTopOneFavouring:
+    """A favoured judging config routes top-1.  The soft routing it replaced
+    gave each of the five other experts about 1.4e-11; dropping them moves no
+    verdict and no perplexity beyond rounding."""
+
+    @pytest.mark.parametrize(
+        "persona, per_category",
+        [("color-histogram", 50)] + [(p, 10) for p in PERSONAS if p != "color-histogram"],
+    )
+    def test_same_verdicts_as_soft_routing(self, judged, persona, per_category):
+        top1, _ = judged(persona, False, per_category)
+        soft, _ = judged(persona, True, per_category)
+        assert [j.sample_id for j in top1] == [j.sample_id for j in soft]
+        for a, b in zip(top1, soft):
+            assert a.is_error == b.is_error, a.sample_id
+            assert (a.ppl_real == a.ppl_hall) == (b.ppl_real == b.ppl_hall), a.sample_id
+            assert math.isclose(a.ppl_real, b.ppl_real, rel_tol=1e-10, abs_tol=0.0)
+            assert math.isclose(a.ppl_hall, b.ppl_hall, rel_tol=1e-10, abs_tol=0.0)
+
+    def test_category_sums_match_the_benchmark_golden(self, judged):
+        judgements, _ = judged("color-histogram", False, 50)
+        summary = {}
+        for j in judgements:
+            row = summary.setdefault(j.category.value, [0, 0, 0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += int(j.is_error)
+            row[2] += int(j.ppl_real == j.ppl_hall)
+            row[3] += j.ppl_real
+            row[4] += j.ppl_hall
+        assert sorted(summary) == sorted(GOLDEN_JUDGE)
+        for category, row in summary.items():
+            want = GOLDEN_JUDGE[category]
+            assert row[:3] == want[:3], category
+            for got, frozen in zip(row[3:], want[3:]):
+                assert abs(got - frozen) <= 1e-9 * abs(frozen), (category, row, want)
+
+    @pytest.mark.parametrize("favored", [None, "color-histogram"])
+    def test_report_counts_ties(self, judged, favored):
+        _, report = judged(favored, False, 50)
+        for category, stats in report.per_category.items():
+            assert stats.ties == (0 if category is HallucinationCategory.COLOR else 50)
+            assert stats.ties == GOLDEN_JUDGE[category.value][2]
+            assert stats.to_json_dict()["ties"] == stats.ties
+        assert report.overall.ties == 450
 
 
 class _ReferenceAffinityScorer:

@@ -251,20 +251,25 @@ ROUTING_ROWS = [
     ([0.0, 0.0, 0.37523119502831925, 0.0, 0.6247688049716809, 0.0], -2.701531426215782, 0.17586422869112292),
 ]
 
+# The colour-favoured judging config routes top-1, so the five other weights
+# are exact zeros (under its earlier soft routing each was 1.3887943863999641e-11
+# and the favoured one 0.99999999993056; the feature sums moved by at most
+# 3.2e-8 relative, the sums of squares by at most 9.5e-11).
 ROUTING_ROWS_COLOR = [
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 7.0927690721034935, 6.991212720617657),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 0.2548924064350979, 1.8727091523919683),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], -1.4126707743365388, 1.225832095860437),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 2.9802872942413146, 3.7395448064312733),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 0.6901704608189312, 2.2895769218146276),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 5.556309658590317, 4.974042904061282),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 7.302666240218398, 7.511665213756226),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 0.9304839095904966, 2.3332174943797046),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 1.5945400003443018, 2.609516228453447),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 5.024012941907481, 4.887959293053886),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 2.7873660011990156, 3.933573088198097),
-    ([1.3887943863999641e-11, 0.99999999993056, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11, 1.3887943863999641e-11], 4.9254349401659026, 5.214416439104829),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 7.092769064704063, 6.991212721182126),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.2548923982773521, 1.8727091524350827),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], -1.4126707823680515, 1.2258320959091258),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.9802872863414946, 3.7395448066201795),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.690170452790502, 2.2895769219277025),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 5.556309650773946, 4.974042904337141),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 7.302666233195858, 7.511665214464371),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.9304839016211438, 2.333217494484395),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1.5945399923349461, 2.6095162285389755),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 5.024012934313834, 4.887959293394978),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.7873659933127195, 3.933573088464082),
+    ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 4.925434932467077, 5.214416439463601),
 ]
+
 
 GRADCHECK_ROWS = [
     [[True, 32], [True, 4], [True, 64], [True, 64]],
@@ -400,7 +405,8 @@ def paper_config(kind, k=None) -> PipelineConfig:
 
 JUDGEMENTS_SHA256 = {
     None: "44520acbc4f16ac8578c3c32919c9bb1ed0ea7bfb861ca3c974eebddd28c010d",
-    "color-histogram": "8d692cdbe1699038469fb6be9773a218bf2e4e0b1b0365c010acbab23762d7f8",
+    # Top-1 routing; the soft-routed digest was 8d692cdb...d7f8.
+    "color-histogram": "61a76f0490fcd8469374cfa10ef7c21ccf90d74d942aecf88d601b6e16b2660d",
 }
 
 PAPER_SHA256 = {

@@ -17,6 +17,7 @@ from routebench.router import (
     route_logits,
     routing_weights,
     select_top_k,
+    softmax,
 )
 
 
@@ -124,6 +125,42 @@ class TestTopK:
         for k in (0, 2, -1):
             with pytest.raises(ValueError, match="k must be"):
                 select_top_k(routing, k)
+
+
+def assert_same_routing(got: RoutingWeights, want_weights: np.ndarray, want_active: frozenset):
+    """``got`` passes the checked constructor and equals the reference byte for byte."""
+    RoutingWeights(got.weights, got.active)
+    assert got.weights.dtype == np.float64 and got.weights.shape == want_weights.shape
+    assert got.weights.tobytes() == want_weights.tobytes()
+    assert type(got.active) is frozenset and got.active == want_active
+    assert all(type(i) is int for i in got.active)
+
+
+class TestUncheckedConstruction:
+    """``routing_weights`` and ``select_top_k`` build their results without
+    the constructor's checks; every result must still pass them and match
+    the checked construction byte for byte."""
+
+    @staticmethod
+    def random_logits(rng, n):
+        kind = rng.integers(3)
+        if kind == 0:
+            return rng.normal(size=n)
+        if kind == 1:  # few distinct values: ties in the weights and the top-k order
+            return rng.integers(-1, 2, size=n).astype(np.float64)
+        return rng.normal(size=n) * 800.0  # most weights underflow to exactly 0
+
+    def test_results_pass_the_checked_constructor_unchanged(self):
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            for _ in range(40):
+                logits = self.random_logits(rng, n)
+                routing = routing_weights(logits)
+                checked = RoutingWeights(softmax(logits), frozenset(range(n)))
+                assert_same_routing(routing, checked.weights, checked.active)
+                for k in range(1, n + 1):
+                    want_w, want_active = brute_force_top_k(checked.weights, k)
+                    assert_same_routing(select_top_k(routing, k), want_w, want_active)
 
 
 class TestRouteLogits:
