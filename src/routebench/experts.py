@@ -440,37 +440,57 @@ def _pool_axis0(arr: np.ndarray, n_out: int) -> np.ndarray:
     return out
 
 
-def _interp_axis0(arr: np.ndarray, n_out: int) -> np.ndarray:
-    """Linear interpolation along axis 0 with half-pixel sample centers.
-
-    Written in lerp form a + t*(b - a) so constant inputs come back bit-exact.
-    """
-    n_in = arr.shape[0]
+@functools.lru_cache(maxsize=16)
+def _lerp_plan(n_in: int, n_out: int) -> tuple:
+    """Source indices ``j``, ``j + 1`` (clamped) and weights ``t`` of linear
+    interpolation from ``n_in`` to ``n_out`` samples with half-pixel sample
+    centers; read-only, since calls share them."""
     xs = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     xs = np.clip(xs, 0.0, n_in - 1.0)
     j = xs.astype(np.int64)
     jn = np.minimum(j + 1, n_in - 1)
-    t = (xs - j).reshape((n_out,) + (1,) * (arr.ndim - 1))
-    a = arr[j]
-    b = arr[jn]
-    return a + t * (b - a)
+    t = xs - j
+    for arr in (j, jn, t):
+        arr.setflags(write=False)
+    return j, jn, t
+
+
+def _lerp(arr: np.ndarray, j, jn, t, axis: int) -> np.ndarray:
+    """``a + t*(b - a)`` for ``a``, ``b`` the entries ``j``, ``jn`` of ``arr``
+    along ``axis``, evaluated in place in the gathered ``b``; the lerp form
+    reproduces constant inputs exactly."""
+    # The indices are in range; mode "raise" would check them and buffer out.
+    a = np.take(arr, j, axis=axis, mode="clip")
+    out = np.take(arr, jn, axis=axis, mode="clip")
+    out -= a
+    out *= t.reshape(t.shape + (1,) * (arr.ndim - 1 - axis))
+    out += a
+    return out
+
+
+def _upsample(grid: np.ndarray, dst: int) -> np.ndarray:
+    """Bilinear upsampling of a (src, src, dim) grid to (dst, dst, dim): rows
+    first, then columns."""
+    j, jn, t = _lerp_plan(grid.shape[0], dst)
+    return _lerp(_lerp(grid, j, jn, t, 0), j, jn, t, 1)
 
 
 def resample_tokens(fm: FeatureMap, target_tokens: int) -> FeatureMap:
     """Resample a square token grid to another square size.
 
     Downscaling uses area-average pooling (mean preserving for integer
-    factors); upscaling uses bilinear interpolation.  Constant maps are
-    reproduced exactly in both directions.
+    factors); upscaling uses bilinear interpolation, rows then columns.
+    Constant maps are reproduced exactly in both directions.
     """
     src = _grid_side(fm.tokens, "feature map token count")
     dst = _grid_side(target_tokens, "target token count")
     if src == dst:
         return FeatureMap(fm.values.copy(), fm.source)
     grid = fm.values.reshape(src, src, fm.dim)
-    resample = _pool_axis0 if dst < src else _interp_axis0
-    grid = resample(grid, dst)
-    grid = np.swapaxes(resample(np.swapaxes(grid, 0, 1), dst), 0, 1)
+    if dst > src:
+        return FeatureMap(_upsample(grid, dst).reshape(dst * dst, fm.dim), fm.source)
+    grid = _pool_axis0(grid, dst)
+    grid = np.swapaxes(_pool_axis0(np.swapaxes(grid, 0, 1), dst), 0, 1)
     return FeatureMap(np.ascontiguousarray(grid.reshape(dst * dst, fm.dim)), fm.source)
 
 
@@ -480,7 +500,9 @@ def adapt_dim(fm: FeatureMap, adapter: LinearAdapter) -> FeatureMap:
         raise ValueError(
             f"adapter expects {adapter.in_dim} input features, feature map has {fm.dim}"
         )
-    return FeatureMap(fm.values @ adapter.weights + adapter.bias, fm.source)
+    out = fm.values @ adapter.weights
+    out += adapter.bias  # in place: the product is a fresh array
+    return FeatureMap(out, fm.source)
 
 
 _RAW_HEADER = struct.Struct("<III")

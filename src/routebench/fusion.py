@@ -32,6 +32,7 @@ from .experts import (
     LinearAdapter,
     ToyExpertSpec,
     _grid_side,
+    _unchecked,
     adapt_dim,
     descriptor_width,
     encode_toy_expert,
@@ -62,9 +63,20 @@ PIPELINE_STAGES = ("encode", "align", "route", "fuse", "project")
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh-approximated GELU, the projector nonlinearity."""
     x = np.asarray(x, dtype=np.float64)
-    # x * x * x, not x**3: numpy sends a cube to libm pow, which is tens of
-    # times slower on arrays with negative entries.
-    return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))))
+    # 0.5 * x * (1 + tanh(S * (x + C * (x * x * x)))) step by step in one
+    # scratch array, in that order, so it rounds the same.  x * x * x, not
+    # x**3: numpy sends a cube to libm pow, which is tens of times slower on
+    # arrays with negative entries.
+    u = x * x
+    u *= x
+    u *= _GELU_CUBIC
+    u += x
+    u *= _GELU_SCALE
+    np.tanh(u, out=u)
+    u += 1.0
+    out = np.multiply(x, 0.5)
+    out *= u
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -125,11 +137,12 @@ def weighted_sum(weights, arrays) -> np.ndarray:
     weights = np.asarray(weights)
     batch = weights.shape[:-1]
     acc = np.zeros(batch + arrays[0].shape)
+    product = None if batch else np.empty(acc.shape)  # one buffer for every w * values
     for w, values in zip(np.moveaxis(weights, -1, 0), arrays):
         if batch:
             acc += w.reshape(batch + (1,) * values.ndim) * values
         elif w != 0.0:
-            acc += w * values
+            acc += np.multiply(w, values, out=product)
     return acc
 
 
@@ -195,9 +208,12 @@ def residual_merge(patches: FeatureMap, fused: FeatureMap) -> FeatureMap:
 def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
     """Unvalidated two-layer GELU MLP over the rows of ``x``; returns
     ``(hidden, act, out)`` so gradients can reuse the intermediates."""
-    hidden = x @ w1 + b1
+    hidden = x @ w1
+    hidden += b1  # in place: the product is a fresh array
     act = gelu(hidden)
-    return hidden, act, act @ w2 + b2
+    out = act @ w2
+    out += b2
+    return hidden, act, out
 
 
 def project(fm: FeatureMap, params: ProjectorParams) -> FeatureMap:
@@ -355,20 +371,54 @@ class _AlignStep:
     folded onto those columns; it is None when ``native_dim`` already equals
     ``canonical_dim``, and the resampled columns are tiled back out instead.
     An expert already at the canonical geometry has no step (None).
+
+    Resampling acts on tokens and the adapter on features, so the two
+    commute up to rounding.  ``adapt_first`` is set when running the adapter
+    at the native token count and then resampling costs fewer multiply-adds
+    than resampling first (see :func:`_adapt_first`): that holds when a wide
+    expert is upsampled.  A narrow folded descriptor, a downsampled expert
+    and an expert without an adapter resample first.
     """
 
     width: int
     adapter: Optional[LinearAdapter]
+    adapt_first: bool = False
+
+
+# What one element a bilinear pass writes costs, in multiply-adds of a
+# matrix product: two gathers and three elementwise passes, against a
+# product that reuses each loaded value many times.  Fitted to where the
+# timed orders crossed with one OpenBLAS thread on a Xeon host, adapting to
+# 1024 features and upsampling to 576 tokens: near width 128 from 256
+# tokens and near 64 from 64 tokens (this model: 126 and 67).
+_RESAMPLE_MULADDS = 48
+
+
+def _adapt_first(n_in: int, n_out: int, width: int, dim: int) -> bool:
+    """Whether adapting ``width`` to ``dim`` features before resampling
+    ``n_in`` to ``n_out`` tokens costs fewer multiply-adds than after."""
+    if n_out <= n_in:
+        return False
+    src, dst = math.isqrt(n_in), math.isqrt(n_out)
+    lerped = dst * (src + dst)  # elements per feature the two bilinear passes write
+    resample_first = _RESAMPLE_MULADDS * lerped * width + n_out * width * dim
+    adapt_first = n_in * width * dim + _RESAMPLE_MULADDS * lerped * dim
+    return adapt_first < resample_first
 
 
 def _align_step(config: PipelineConfig, spec: ToyExpertSpec) -> Optional[_AlignStep]:
-    if (spec.native_tokens, spec.native_dim) == (config.canonical_tokens, config.canonical_dim):
+    tokens, dim = config.canonical_tokens, config.canonical_dim
+    if (spec.native_tokens, spec.native_dim) == (tokens, dim):
         return None
     width = descriptor_width(spec)
-    if spec.native_dim == config.canonical_dim:
+    if spec.native_dim == dim:
         return _AlignStep(width, None)
     adapter = config.expert_adapter(spec)
-    return _AlignStep(width, LinearAdapter(fold_tiled_rows(adapter.weights, width), adapter.bias))
+    return _AlignStep(
+        width,
+        LinearAdapter(fold_tiled_rows(adapter.weights, width), adapter.bias),
+        _adapt_first(spec.native_tokens, tokens, width, dim),
+    )
 
 
 _ALIGN_STEPS_LOCK = threading.Lock()
@@ -392,16 +442,21 @@ def _align_steps(config: PipelineConfig) -> tuple:
 
 
 def _align(fm: FeatureMap, step: Optional[_AlignStep], config: PipelineConfig) -> FeatureMap:
+    # Slicing and tiling a finite map keep it finite, so those maps skip the
+    # checks; adapt_dim and resample_tokens check their own output.
     if step is None:
         return fm
     if step.width < fm.dim:
-        fm = FeatureMap(fm.values[:, : step.width], fm.source)
+        fm = _unchecked(FeatureMap, values=fm.values[:, : step.width], source=fm.source)
+    if step.adapt_first:
+        return resample_tokens(adapt_dim(fm, step.adapter), config.canonical_tokens)
     if fm.tokens != config.canonical_tokens:
         fm = resample_tokens(fm, config.canonical_tokens)
     if step.adapter is not None:
         return adapt_dim(fm, step.adapter)
     if fm.dim < config.canonical_dim:
-        return FeatureMap(tile_columns(fm.values, config.canonical_dim), fm.source)
+        values = tile_columns(fm.values, config.canonical_dim)
+        return _unchecked(FeatureMap, values=values, source=fm.source)
     return fm
 
 
@@ -415,12 +470,20 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     encode the image fails the run only when it is active.  ``add`` and
     ``concat`` encode every expert.
 
-    Config-only state is derived once: the folded width adapters are built
-    on the first run with a config and kept on it for its lifetime, and the
-    seeded Gaussian projections of the ``random-projection`` persona and the
-    clip encoder sit in a small memo in ``experts``.  Experts at the canonical
+    Config-only state is derived once: the folded width adapters, and for
+    each expert the order of its resample and adapter, are built on the
+    first run with a config and kept on it for its lifetime; the seeded
+    Gaussian projections of the ``random-projection`` persona and the clip
+    encoder sit in a small memo in ``experts``.  Experts at the canonical
     geometry skip align; those sharing a patch side share one pixel copy.
+    A wide expert that is upsampled runs its adapter at its native token
+    count and is resampled after; every other expert is resampled first
+    (see :class:`_AlignStep`).  Either order gives the same map up to
+    rounding.
 
+    The cut and tiled column maps of align are not re-checked for finite
+    values (they hold entries of a checked map); every stage function's
+    output is, so a non-finite fused or merged map fails the ``fuse`` stage.
     A stage's ``ValueError`` re-raises as :class:`PipelineError` with the
     stage name prefixed; any other exception is a bug and propagates as is.
     Expert maps are combined in expert-id order, so results are

@@ -197,6 +197,13 @@ def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:
     if k == n:
         weights = routing.weights.copy()
         return _unchecked(RoutingWeights, weights=weights, active=frozenset(range(n)))
+    if k == 1:
+        # argmax takes the lowest id on ties, as the stable sort below does,
+        # and the winner's renormalized weight w / w is exactly 1.
+        i = int(np.argmax(routing.weights))
+        out = np.zeros(n)
+        out[i] = 1.0
+        return _unchecked(RoutingWeights, weights=out, active=frozenset((i,)))
     order = np.argsort(-routing.weights, kind="stable")
     kept = np.sort(order[:k])
     mask = np.zeros(n, dtype=bool)

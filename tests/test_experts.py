@@ -219,6 +219,41 @@ class TestResample:
         with pytest.raises(ValueError, match="perfect square"):
             resample_tokens(fm, 8)
 
+    @pytest.mark.parametrize(
+        "src, dst, dim",
+        [(1, 2, 3), (2, 3, 5), (3, 7, 1), (5, 6, 2), (4, 24, 7), (8, 24, 512), (16, 24, 1024)],
+    )
+    def test_upsampling_equals_the_two_pass_form_bit_for_bit(self, src, dst, dim):
+        values = np.random.default_rng([src, dst, dim]).standard_normal((src * src, dim))
+        want = two_pass_upsample(values, dst)
+        for fm in (FeatureMap(values, "0"), FeatureMap(np.hstack([values, values])[:, :dim], "0")):
+            out = resample_tokens(fm, dst * dst)
+            assert out.values.flags.c_contiguous
+            assert out.values.tobytes() == want.tobytes()
+
+
+def _interp_axis0(arr: np.ndarray, n_out: int) -> np.ndarray:
+    """Linear interpolation along axis 0 with half-pixel sample centers, in
+    lerp form a + t*(b - a): upsampling's former kernel, kept as the
+    reference the gathering one must match."""
+    n_in = arr.shape[0]
+    xs = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    xs = np.clip(xs, 0.0, n_in - 1.0)
+    j = xs.astype(np.int64)
+    jn = np.minimum(j + 1, n_in - 1)
+    t = (xs - j).reshape((n_out,) + (1,) * (arr.ndim - 1))
+    a = arr[j]
+    b = arr[jn]
+    return a + t * (b - a)
+
+
+def two_pass_upsample(values: np.ndarray, dst: int) -> np.ndarray:
+    """Rows, then columns through a swapped view, as upsampling used to run."""
+    src = int(np.sqrt(values.shape[0]))
+    grid = _interp_axis0(values.reshape(src, src, -1), dst)
+    grid = np.swapaxes(_interp_axis0(np.swapaxes(grid, 0, 1), dst), 0, 1)
+    return np.ascontiguousarray(grid.reshape(dst * dst, -1))
+
 
 class TestAdapt:
     def test_worked_example(self):

@@ -13,11 +13,13 @@ import routebench.experts as experts_module
 import routebench.fusion as fusion_module
 from routebench.evaluator import toy_judging_config
 from routebench.experts import (
+    PERSONAS,
     FeatureMap,
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
     adapt_dim,
+    descriptor_width,
     encode_toy_expert,
     identity_adapter,
     resample_tokens,
@@ -30,11 +32,13 @@ from routebench.fusion import (
     ProjectorParams,
     _align,
     _align_step,
+    _align_steps,
     fuse_add,
     fuse_concat,
     gelu,
     gelu_grad,
     load_pipeline_config,
+    mlp,
     pipeline_config_from_json,
     pipeline_config_to_json,
     project,
@@ -43,6 +47,7 @@ from routebench.fusion import (
     weighted_fuse,
     weighted_sum,
 )
+from routebench.numerics import small_gradcheck_config
 from routebench.router import (
     RouterParams,
     RoutingWeights,
@@ -161,6 +166,68 @@ class TestStackedKernels:
         np.testing.assert_array_equal(out, np.full((2, 2), 2.0))
 
 
+def expression_gelu(x):
+    """gelu as one expression, the form the in-place kernel must match."""
+    scale, cubic = math.sqrt(2.0 / math.pi), 0.044715
+    return 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
+
+
+def expression_mlp(x, w1, b1, w2, b2):
+    hidden = x @ w1 + b1
+    act = expression_gelu(hidden)
+    return hidden, act, act @ w2 + b2
+
+
+def looped_weighted_sum(weights, arrays):
+    """The 1-D weighted sum as a plain loop over whole arrays."""
+    acc = np.zeros(arrays[0].shape)
+    for w, values in zip(weights, arrays):
+        if w != 0.0:
+            acc += w * values
+    return acc
+
+
+class TestInPlaceKernels:
+    """gelu, mlp and the 1-D weighted_sum compute in reused buffers; each
+    must equal its expression form bit for bit."""
+
+    SHAPES = [(64, 24), (7, 5), (576, 1024), (3, 40, 300), (2, 4, 16, 8)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_gelu_equals_the_expression_form(self, shape):
+        x = np.random.default_rng(len(shape)).normal(scale=4.0, size=shape)
+        x.flat[:6] = [0.0, -0.0, 40.0, -40.0, 1e-310, -1e-310]
+        assert gelu(x).tobytes() == expression_gelu(x).tobytes()
+        assert gelu(x.T).tobytes() == np.ascontiguousarray(expression_gelu(x.T)).tobytes()
+
+    def test_mlp_equals_the_expression_form_plain_and_stacked(self):
+        rng = np.random.default_rng(8)
+        t, d, h, b = 300, 24, 160, 3
+        x, w1, b1 = rng.normal(size=(t, d)), rng.normal(size=(d, h)), rng.normal(size=h)
+        w2, b2 = rng.normal(size=(h, d)), rng.normal(size=d)
+        stacked_x, stacked_w1 = rng.normal(size=(b, t, d)), rng.normal(size=(b, d, h))
+        stacked_w2 = rng.normal(size=(b, h, d))
+        for args in (
+            (x, w1, b1, w2, b2),
+            (stacked_x, w1, b1, w2, b2),
+            (x, stacked_w1, b1, w2, b2),
+            (x, w1, b1, stacked_w2, b2),
+        ):
+            for got, want in zip(mlp(*args), expression_mlp(*args)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(64, 24), (576, 1024), (5, 3)], ids=str)
+    def test_1d_weighted_sum_equals_the_loop(self, shape):
+        rng = np.random.default_rng(9)
+        arrays = [rng.normal(size=shape) for _ in range(4)]
+        arrays[3] = np.asfortranarray(arrays[3])  # another memory order, same values
+        for weights in ([0.25, 0.0, 0.5, 0.25], [0.0, 1.0, 0.0, 0.0], softmax(rng.normal(size=4))):
+            weights = np.asarray(weights)
+            got = weighted_sum(weights, arrays)
+            assert got.tobytes() == looped_weighted_sum(weights, arrays).tobytes()
+
+
 class TestAddAndConcat:
     def test_add_equals_scaled_uniform_weighted_fuse(self):
         rng = np.random.default_rng(8)
@@ -194,6 +261,24 @@ class TestResidualAndProject:
         out = residual_merge(const_map(3, 2, 1.0, source="clip-patch"), const_map(3, 2, 2.0))
         np.testing.assert_array_equal(out.values, np.full((3, 2), 3.0))
         assert out.source == "fused"
+
+    def test_public_fusion_functions_leave_their_inputs_unchanged(self):
+        rng = np.random.default_rng(12)
+        maps = [FeatureMap(rng.normal(size=(16, 8)), source=str(i)) for i in range(3)]
+        patches = FeatureMap(rng.normal(size=(16, 8)), source="clip-patch")
+        routing = RoutingWeights(np.array([0.25, 0.0, 0.75]), frozenset({0, 2}))
+        weights = np.array([0.5, 0.25, 0.25])
+        stacked = softmax(rng.normal(size=(2, 3)))
+        inputs = [fm.values for fm in maps] + [patches.values, routing.weights, weights, stacked]
+        before = [a.copy() for a in inputs]
+        fused = weighted_fuse(routing, maps)
+        merged = residual_merge(patches, fused)
+        weighted_sum(weights, [fm.values for fm in maps])
+        weighted_sum(stacked, [fm.values for fm in maps])
+        for got, want in zip(inputs, before):
+            assert got.tobytes() == want.tobytes()
+        assert merged.values is not fused.values and merged.values is not patches.values
+        np.testing.assert_array_equal(merged.values, patches.values + fused.values)
 
     def test_residual_merge_shape_check(self):
         with pytest.raises(ValueError, match="merge shapes"):
@@ -282,6 +367,21 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="encode: "):
             run_pipeline(bad, config)
 
+    @pytest.mark.parametrize("kind, stage_fn", [("routed", "weighted_fuse"), ("add", "fuse_add")])
+    def test_non_finite_fused_map_fails_the_fuse_stage(self, monkeypatch, kind, stage_fn):
+        from routebench import fusion
+
+        real = getattr(fusion, stage_fn)
+
+        def overflowing(*args):
+            values = real(*args).values.copy()
+            values[0, 0] = np.inf
+            return experts_module._unchecked(FeatureMap, values=values, source="fused")
+
+        monkeypatch.setattr(fusion, stage_fn, overflowing)
+        with pytest.raises(PipelineError, match="fuse: .*non-finite"):
+            run_pipeline(self.random_image(3), small_config(FusionStrategy(kind=kind)))
+
     def test_stage_bugs_propagate_unwrapped(self, monkeypatch):
         from routebench import fusion
 
@@ -331,6 +431,27 @@ MIXED_EXPERTS = (
 )
 # Experts whose native_dim differs from the canonical 16: 0, 1, 2 and 4.
 MIXED_ADAPTED = 4
+
+
+def paper_geometry_config():
+    """Six experts at 64 or 256 tokens and 512 or 768 dims into 576 x 1024."""
+    experts = tuple(
+        ToyExpertSpec(
+            id=i,
+            persona=persona,
+            seed=i,
+            native_tokens=256 if i % 2 else 64,
+            native_dim=768 if i % 2 else 512,
+        )
+        for i, persona in enumerate(PERSONAS)
+    )
+    head = seeded_adapter(1024, len(experts), 0)
+    return PipelineConfig(
+        experts=experts,
+        router=RouterParams(head.weights, head.bias),
+        strategy=FusionStrategy(kind="routed", k=2),
+        projector=identity_projector(1024),
+    )
 
 
 def mixed_config(strategy, seed_offset=0):
@@ -514,6 +635,32 @@ class TestEncodePlan:
             assert _align(fm, step, config) is fm
         else:
             assert (step.adapter is not None) == (want == "adapter")
+
+    def test_adapt_first_only_for_wide_upsampled_experts(self):
+        config = paper_geometry_config()
+        steps = [_align_step(config, spec) for spec in config.experts]
+        assert [step.adapt_first for step in steps] == [
+            spec.persona == "random-projection" for spec in config.experts
+        ]
+        wide = dict(persona="random-projection", seed=1, native_dim=768)
+        for tokens in (16, 64, 256):
+            assert _align_step(config, ToyExpertSpec(0, native_tokens=tokens, **wide)).adapt_first
+        for tokens in (576, 2304):  # not upsampled
+            assert not _align_step(config, ToyExpertSpec(0, native_tokens=tokens, **wide)).adapt_first
+        for persona in PERSONAS:  # folded descriptors, 24 columns at most
+            if persona == "random-projection":
+                continue
+            for tokens in (4, 64, 256):
+                for dim in (24, 768):
+                    spec = ToyExpertSpec(0, persona, 1, tokens, dim)
+                    assert descriptor_width(spec) <= 24
+                    assert not _align_step(config, spec).adapt_first
+
+    def test_judging_and_gradcheck_configs_never_adapt_first(self):
+        configs = [toy_judging_config(), toy_judging_config("color-histogram")]
+        configs += [small_gradcheck_config(seed)[0] for seed in range(40)]
+        for config in configs:
+            assert not any(step is not None and step.adapt_first for step in _align_steps(config))
 
     @pytest.fixture
     def counted(self, monkeypatch):

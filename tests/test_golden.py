@@ -42,20 +42,34 @@ from routebench.experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    adapt_dim,
+    encode_toy_expert,
     identity_adapter,
+    resample_tokens,
     seeded_adapter,
 )
 from routebench.fusion import (
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
+    fuse_add,
+    fuse_concat,
     pipeline_config_from_json,
     pipeline_config_to_json,
+    project,
+    residual_merge,
     run_pipeline,
+    weighted_fuse,
 )
 from routebench.metrics import BinaryOutcome, pope_metrics
 from routebench.numerics import check_router_fusion_gradients, small_gradcheck_config
-from routebench.router import RouterParams
+from routebench.router import (
+    RouterParams,
+    clip_encode,
+    route_logits,
+    routing_weights,
+    select_top_k,
+)
 
 REL = 1e-9
 
@@ -409,10 +423,16 @@ JUDGEMENTS_SHA256 = {
     "color-histogram": "61a76f0490fcd8469374cfa10ef7c21ccf90d74d942aecf88d601b6e16b2660d",
 }
 
+# The random-projection expert adapts before it is upsampled, which moves
+# the last bits; test_paper_geometry_matches_the_staged_composition bounds
+# the change.  The resample-first digests are in the comments.
 PAPER_SHA256 = {
-    ("routed", 2): "96d0435e509e39ecd375974ec49cb71524052dc05a56b8a9c9d640a43bf6dea2",
-    ("add", None): "59577ec3a1b46f56d9998ec7cfff29f7f1f3f330e2948341f8929d0551536a5b",
-    ("concat", None): "dcd15f5b122407920200f0e59956585e601b9880c8f2f80ec4e8459173ed2356",
+    # was 96d0435e...6dea2
+    ("routed", 2): "232e69aa38dddb96fe7c33dd66ce4cc2e73803492b69e738b7a8493e74da37b5",
+    # was 59577ec3...36a5b
+    ("add", None): "7cd3a18f4eb5d3ca8c0a655fdb504f8c4caddb23648ab08143d59eb69a7c9e31",
+    # was dcd15f5b...2356
+    ("concat", None): "c7d3c7b41f59b82cc161837e2cecd7e789a15824d64622da35cdc5a7d6ad46a3",
 }
 
 
@@ -455,3 +475,37 @@ def test_paper_geometry_pipeline_bytes(golden_blas, kind, k):
     image = ImageGrid(np.random.default_rng([0, 0]).random((384, 384, 3)))
     result = run_pipeline(image, paper_config(kind, k))
     assert sha256_of(result.features.values, result.routing.weights) == PAPER_SHA256[(kind, k)]
+
+
+def staged_paper_composition(image, config):
+    """perfbench's stage-by-stage reference: every expert resampled first,
+    then passed through its full width adapter."""
+    aligned = []
+    for spec in config.experts:
+        fm = resample_tokens(encode_toy_expert(image, spec), config.canonical_tokens)
+        if spec.native_dim != config.canonical_dim:
+            fm = adapt_dim(fm, config.expert_adapter(spec))
+        aligned.append(fm)
+    clip = clip_encode(image, config.clip_params())
+    routing = routing_weights(route_logits(clip.cls, config.router))
+    if config.strategy.k is not None:
+        routing = select_top_k(routing, config.strategy.k)
+    if config.strategy.kind == "routed":
+        fused = residual_merge(clip.patches, weighted_fuse(routing, aligned))
+    elif config.strategy.kind == "add":
+        fused = residual_merge(clip.patches, fuse_add(aligned))
+    else:
+        fused = fuse_concat(aligned)
+    return routing, project(fused, config.projector)
+
+
+@pytest.mark.parametrize("kind, k", sorted(PAPER_SHA256, key=str))
+def test_paper_geometry_matches_the_staged_composition(kind, k):
+    image = ImageGrid(np.random.default_rng([0, 0]).random((384, 384, 3)))
+    config = paper_config(kind, k)
+    result = run_pipeline(image, config)
+    routing, features = staged_paper_composition(image, config)
+    assert result.routing.weights.tobytes() == routing.weights.tobytes()
+    assert result.routing.active == routing.active
+    want = features.values
+    assert np.abs(result.features.values - want).max() <= 1e-12 * np.abs(want).max()

@@ -162,6 +162,28 @@ class TestUncheckedConstruction:
                     want_w, want_active = brute_force_top_k(checked.weights, k)
                     assert_same_routing(select_top_k(routing, k), want_w, want_active)
 
+    @staticmethod
+    def sorted_top_k(routing, k):
+        """select_top_k's general path: a stable argsort, then renormalize."""
+        order = np.argsort(-routing.weights, kind="stable")
+        kept = np.sort(order[:k])
+        mask = np.zeros(routing.n_experts, dtype=bool)
+        mask[kept] = True
+        out = np.where(mask, routing.weights / routing.weights[mask].sum(), 0.0)
+        return out, frozenset(int(i) for i in kept)
+
+    def test_top_1_equals_the_sorted_path(self):
+        rng = np.random.default_rng(15)
+        cases = [
+            RoutingWeights(np.full(4, 0.25), frozenset(range(4))),
+            RoutingWeights(np.array([0.0, 0.5, 0.5]), frozenset({1, 2})),
+            RoutingWeights(np.array([0.0, 1.0, 0.0]), frozenset({1})),
+            RoutingWeights(np.array([0.1, 0.3, 0.3, 0.3]), frozenset(range(4))),
+        ]
+        cases += [routing_weights(self.random_logits(rng, n)) for n in range(2, 9) for _ in range(40)]
+        for routing in cases:
+            assert_same_routing(select_top_k(routing, 1), *self.sorted_top_k(routing, 1))
+
 
 class TestRouteLogits:
     def test_worked_example(self):
