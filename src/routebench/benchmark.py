@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .experts import ImageGrid, _unchecked
+from .experts import ImageGrid, _unchecked, json_field
 
 
 class HallucinationCategory(enum.Enum):
@@ -105,9 +105,11 @@ class SceneObject:
             raise ValueError(f"unknown shape {self.shape!r}; valid shapes: {', '.join(SHAPES)}")
         if self.color not in COLORS:
             raise ValueError(f"unknown color {self.color!r}; valid colors: {', '.join(COLORS)}")
-        cell = (int(self.cell[0]), int(self.cell[1]))
-        if len(tuple(self.cell)) != 2 or not all(0 <= c < SCENE_GRID for c in cell):
-            raise ValueError(f"cell {self.cell!r} outside the {SCENE_GRID}x{SCENE_GRID} grid")
+        cell = tuple(self.cell) if isinstance(self.cell, (tuple, list)) else ()
+        if len(cell) != 2 or not all(type(c) is int for c in cell):
+            raise ValueError(f"cell must be two integers, got {self.cell!r}")
+        if not all(0 <= c < SCENE_GRID for c in cell):
+            raise ValueError(f"cell {cell!r} outside the {SCENE_GRID}x{SCENE_GRID} grid")
         if self.label_text is not None and self.label_text not in LABEL_WORDS:
             raise ValueError(
                 f"unknown label {self.label_text!r}; valid labels: {', '.join(LABEL_WORDS)}"
@@ -158,29 +160,19 @@ def scene_to_json_dict(desc: SceneDescriptor) -> dict:
     }
 
 
-def _json_bool(value, field: str) -> bool:
-    # bool("false") is True: only a JSON true/false is a flag.
-    if not isinstance(value, bool):
-        raise ValueError(f"{field} must be true or false, got {value!r}")
-    return value
-
-
 def scene_from_json_dict(doc: dict) -> SceneDescriptor:
-    try:
-        objects = tuple(
-            SceneObject(
-                shape=o["shape"],
-                color=o["color"],
-                cell=(o["cell"][0], o["cell"][1]),
-                count_group=int(o["count_group"]),
-                occluded=_json_bool(o["occluded"], "occluded"),
-                label_text=o.get("label_text"),
-            )
-            for o in doc["objects"]
+    objects = tuple(
+        SceneObject(
+            shape=json_field(o, "shape", str),
+            color=json_field(o, "color", str),
+            cell=o["cell"],
+            count_group=json_field(o, "count_group", int),
+            occluded=json_field(o, "occluded", bool),
+            label_text=None if o.get("label_text") is None else json_field(o, "label_text", str),
         )
-        return SceneDescriptor(seed=int(doc["seed"]), objects=objects)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed scene descriptor: {exc}") from exc
+        for o in doc["objects"]
+    )
+    return SceneDescriptor(seed=json_field(doc, "seed", int), objects=objects)
 
 
 @dataclass(frozen=True)
@@ -402,18 +394,9 @@ def caption_claims(caption: str) -> list:
 
 
 @dataclass(frozen=True)
-class TokenEdit:
-    category: HallucinationCategory
-    positions: tuple
-    before: tuple
-    after: tuple
-
-
-@dataclass(frozen=True)
 class CaptionPair:
     real: str
     hallucinated: str
-    edit: TokenEdit
 
 
 def _pick_edit(desc: SceneDescriptor, category: HallucinationCategory, rng) -> Optional[tuple]:
@@ -487,16 +470,7 @@ def synth_caption_pair(
     tokens = real.split()
     for (index, value), word in zip(edited, after):
         tokens[index] = word + tokens[index][len(value) :]
-    return CaptionPair(
-        real=real,
-        hallucinated=" ".join(tokens),
-        edit=TokenEdit(
-            category=category,
-            positions=tuple(index for index, _ in edited),
-            before=tuple(value for _, value in edited),
-            after=tuple(after),
-        ),
-    )
+    return CaptionPair(real=real, hallucinated=" ".join(tokens))
 
 
 def classify_pair(real: str, hallucinated: str) -> Optional[HallucinationCategory]:
@@ -589,13 +563,14 @@ def image_ref_to_json_dict(ref: ImageRef) -> dict:
 
 
 def image_ref_from_json_dict(doc) -> ImageRef:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("image must be an object with a 'kind' field")
-    if doc["kind"] == "file":
-        return ImageRef(kind="file", path=doc.get("path"))
-    if doc["kind"] == "scene":
-        return ImageRef(kind="scene", scene=scene_from_json_dict(doc.get("scene") or {}))
-    raise ValueError(f"unknown image kind {doc['kind']!r}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"image must be a JSON object, got {doc!r}")
+    kind = json_field(doc, "kind", str)
+    if kind == "file":
+        return ImageRef(kind="file", path=json_field(doc, "path", str))
+    if kind == "scene":
+        return ImageRef(kind="scene", scene=scene_from_json_dict(doc["scene"]))
+    raise ValueError(f"unknown image kind {kind!r}")
 
 
 def sample_to_json_dict(sample: BenchmarkSample) -> dict:
@@ -609,46 +584,39 @@ def sample_to_json_dict(sample: BenchmarkSample) -> dict:
 
 
 def _sample_from_json_dict(doc: dict) -> BenchmarkSample:
-    sample_id, image, real, hallucinated, category = (
-        doc["id"], doc["image"], doc["real"], doc["hallucinated"], doc["category"]
-    )
+    sample_id = json_field(doc, "id", str)
+    image = image_ref_from_json_dict(doc["image"])
+    real, hallucinated = json_field(doc, "real", str), json_field(doc, "hallucinated", str)
+    category = json_field(doc, "category", str)
     if category not in CATEGORY_NAMES:
         raise ValueError(
             f"unknown category {category!r}; valid categories: " + ", ".join(CATEGORY_NAMES)
         )
     return BenchmarkSample(
-        id=str(sample_id),
-        image=image_ref_from_json_dict(image),
-        real_caption=str(real),
-        hallucinated_caption=str(hallucinated),
+        id=sample_id,
+        image=image,
+        real_caption=real,
+        hallucinated_caption=hallucinated,
         category=HallucinationCategory(category),
     )
 
 
-def iter_jsonl(text: str):
-    """Yield ``(line_num, doc)`` per non-blank line (1-based numbers);
-    a line that does not parse raises ``DatasetError``."""
+def parse_jsonl(text: str, parse, empty_message: str) -> list:
+    """``parse(doc)`` for each non-blank line of a JSONL text, in order.
+
+    An unparseable line, a missing field (``KeyError``) or a rejected value
+    (``TypeError``, ``ValueError``) raises ``DatasetError`` naming the line,
+    counted from 1 with blank lines included; a text without records raises
+    ``DatasetError(empty_message)``.
+    """
+    records = []
     for line_num, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
+            records.append(parse(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {line_num}: invalid JSON: {exc}") from exc
-        yield line_num, doc
-
-
-def parse_jsonl(text: str, parse, empty_message: str) -> list:
-    """``parse(doc)`` for each record of a JSONL text, in order.
-
-    A missing field (``KeyError``) or a rejected value (``TypeError``,
-    ``ValueError``) raises ``DatasetError`` naming the line; a text without
-    records raises ``DatasetError(empty_message)``.
-    """
-    records = []
-    for line_num, doc in iter_jsonl(text):
-        try:
-            records.append(parse(doc))
         except KeyError as exc:
             raise DatasetError(f"line {line_num}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -53,11 +53,10 @@ from requests.utils import check_header_validity, get_netrc_auth
 from .benchmark import (
     BenchmarkSample,
     HallucinationCategory,
-    dumps_jsonl,
     image_ref_from_json_dict,
-    image_ref_to_json_dict,
     parse_jsonl,
 )
+from .experts import json_field
 
 logger = logging.getLogger(__name__)
 
@@ -294,6 +293,10 @@ class DatagenConfig:
     shape: ClientShape = field(default_factory=ClientShape)
 
     def __post_init__(self):
+        json_field(vars(self), "endpoint", str)
+        json_field(vars(self), "model", str)
+        if self.auth_env is not None:
+            json_field(vars(self), "auth_env", str)
         if not self.endpoint.startswith("https://"):
             raise ValueError(f"endpoint must be https://, got {self.endpoint!r}")
         if not self.model:
@@ -586,7 +589,7 @@ def generate_dataset(
 
 def _caption_item(doc: dict) -> tuple:
     image = image_ref_from_json_dict(doc["image"])
-    caption = str(doc["caption"])
+    caption = json_field(doc, "caption", str)
     if not caption.strip():
         raise ValueError("caption must be non-empty")
     return image, caption
@@ -599,9 +602,3 @@ def loads_caption_items(text: str) -> list:
 
 def load_caption_items(path) -> list:
     return loads_caption_items(Path(path).read_text(encoding="utf-8"))
-
-
-def dumps_caption_items(items) -> str:
-    return dumps_jsonl(
-        {"image": image_ref_to_json_dict(image), "caption": caption} for image, caption in items
-    )

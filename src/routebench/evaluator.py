@@ -48,6 +48,7 @@ from .experts import (
     ToyExpertSpec,
     _mean,
     identity_adapter,
+    json_field,
     load_raw_image,
 )
 from .fusion import FusionStrategy, PipelineConfig, PipelineError, ProjectorParams, run_pipeline
@@ -198,11 +199,11 @@ def dumps_judgements(judgements) -> str:
 
 def _judgement_from_json_dict(doc: dict) -> Judgement:
     return Judgement(
-        sample_id=str(doc["sample_id"]),
-        ppl_real=float(doc["ppl_real"]),
-        ppl_hall=float(doc["ppl_hall"]),
-        is_error=bool(doc["is_error"]),
-        category=HallucinationCategory(doc["category"]),
+        sample_id=json_field(doc, "sample_id", str),
+        ppl_real=json_field(doc, "ppl_real", float),
+        ppl_hall=json_field(doc, "ppl_hall", float),
+        is_error=json_field(doc, "is_error", bool),
+        category=HallucinationCategory(json_field(doc, "category", str)),
     )
 
 

@@ -149,6 +149,24 @@ class ToyExpertSpec:
             raise ValueError(f"native_dim must be positive, got {self.native_dim}")
 
 
+_JSON_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
+
+
+def json_field(doc, key: str, kind: type):
+    """``doc[key]`` if it already has the JSON type ``kind`` (str, int,
+    float or bool), else ``ValueError``; nothing is cast.
+
+    A bool is not an int, and only a float field takes a JSON integer, which
+    it returns as a float.  Every document loader reads its scalars here.
+    """
+    value = doc[key]
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ValueError(f"{key} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearAdapter:
     """A dense affine map applied per token: ``row @ weights + bias``."""
@@ -191,8 +209,8 @@ class LinearAdapter:
     @classmethod
     def _from_json_dict(cls, doc, what: str, in_key: str = "in_dim", out_key: str = "out_dim"):
         try:
-            rows = int(doc[in_key])
-            cols = int(doc[out_key])
+            rows = json_field(doc, in_key, int)
+            cols = json_field(doc, out_key, int)
             weights = np.asarray(doc["weights"], dtype=np.float64)
             bias = np.asarray(doc["bias"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:

@@ -38,6 +38,7 @@ from .experts import (
     encode_toy_expert,
     fold_tiled_rows,
     identity_adapter,
+    json_field,
     resample_tokens,
     seeded_adapter,
     tile_columns,
@@ -137,12 +138,11 @@ def weighted_sum(weights, arrays) -> np.ndarray:
     weights = np.asarray(weights)
     batch = weights.shape[:-1]
     acc = np.zeros(batch + arrays[0].shape)
-    product = None if batch else np.empty(acc.shape)  # one buffer for every w * values
     for w, values in zip(np.moveaxis(weights, -1, 0), arrays):
         if batch:
             acc += w.reshape(batch + (1,) * values.ndim) * values
         elif w != 0.0:
-            acc += np.multiply(w, values, out=product)
+            acc += w * values
     return acc
 
 
@@ -309,18 +309,18 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     try:
         experts = tuple(
             ToyExpertSpec(
-                id=int(e["id"]),
-                persona=str(e["persona"]),
-                seed=int(e["seed"]),
-                native_tokens=int(e["native_tokens"]),
-                native_dim=int(e["native_dim"]),
+                id=json_field(e, "id", int),
+                persona=json_field(e, "persona", str),
+                seed=json_field(e, "seed", int),
+                native_tokens=json_field(e, "native_tokens", int),
+                native_dim=json_field(e, "native_dim", int),
             )
             for e in doc["experts"]
         )
         strategy_doc = doc["strategy"]
         strategy = FusionStrategy(
-            kind=str(strategy_doc["kind"]),
-            k=None if strategy_doc.get("k") is None else int(strategy_doc["k"]),
+            kind=json_field(strategy_doc, "kind", str),
+            k=None if strategy_doc.get("k") is None else json_field(strategy_doc, "k", int),
         )
         projector_doc = doc["projector"]
         return PipelineConfig(
@@ -331,9 +331,9 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
                 stage1=LinearAdapter._from_json_dict(projector_doc["stage1"], "projector stage1"),
                 stage2=LinearAdapter._from_json_dict(projector_doc["stage2"], "projector stage2"),
             ),
-            canonical_tokens=int(doc["canonical_tokens"]),
-            canonical_dim=int(doc["canonical_dim"]),
-            clip_seed=int(doc["clip_seed"]),
+            canonical_tokens=json_field(doc, "canonical_tokens", int),
+            canonical_dim=json_field(doc, "canonical_dim", int),
+            clip_seed=json_field(doc, "clip_seed", int),
         )
     except KeyError as exc:
         raise ValueError(f"malformed pipeline config: missing field {exc}") from exc

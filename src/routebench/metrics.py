@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .benchmark import parse_jsonl
+from .experts import json_field
 
 YES = "yes"
 NO = "no"
@@ -150,7 +151,9 @@ def avg_metric(pope_f1: float, autohallusion_overall: float) -> float:
 def loads_binary_outcomes(text: str) -> list:
     return parse_jsonl(
         text,
-        lambda doc: BinaryOutcome(pred=doc["pred"], label=doc["label"]),
+        lambda doc: BinaryOutcome(
+            pred=json_field(doc, "pred", str), label=json_field(doc, "label", str)
+        ),
         "outcome file contains no entries",
     )
 
@@ -160,11 +163,9 @@ def load_binary_outcomes(path) -> list:
 
 
 def _scenario_result(doc: dict) -> tuple:
-    scenario, correct = doc["scenario"], doc["correct"]
+    scenario, correct = json_field(doc, "scenario", str), json_field(doc, "correct", bool)
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected 'synthetic' or 'real'")
-    if not isinstance(correct, bool):
-        raise ValueError("'correct' must be a boolean")
     return scenario, correct
 
 

@@ -138,7 +138,8 @@ def clip_encode(image: ImageGrid, params: ToyClipParams) -> ClipOutput:
     fm = encode_toy_expert(image, _clip_spec(image.height, image.width, params))
     if fm.tokens != params.tokens:
         fm = resample_tokens(fm, params.tokens)
-    patches = FeatureMap(fm.values, source="clip-patch")
+    # A projection of a validated image (or resample_tokens' checked output).
+    patches = _unchecked(FeatureMap, values=fm.values, source="clip-patch")
     return ClipOutput(cls=_mean(patches.values, 0), patches=patches)
 
 

@@ -29,9 +29,9 @@ from routebench.benchmark import (
     classify_pair,
     draw_scene,
     dumps_dataset,
-    iter_jsonl,
     load_dataset,
     loads_dataset,
+    parse_jsonl,
     rasterize,
     sample_to_json_dict,
     scene_from_json_dict,
@@ -42,8 +42,10 @@ from routebench.benchmark import (
 )
 from routebench.datagen import loads_caption_items
 from routebench.experts import ImageGrid
-from routebench.evaluator import loads_judgements
+from routebench.evaluator import Judgement, loads_judgements
+from routebench.fusion import pipeline_config_from_json, pipeline_config_to_json
 from routebench.metrics import loads_binary_outcomes, loads_scenario_results
+from routebench.numerics import small_gradcheck_config
 
 # Frozen sha256 digests of rasterized scenes for seeds 0..19, with the object
 # count each seed produces.  Regenerating these bytes must stay stable across
@@ -163,6 +165,11 @@ class TestSceneDescriptor:
             SceneObject("circle", "red", (0, 0), 0, label_text="HELLO")
         with pytest.raises(ValueError, match="outside"):
             SceneObject("circle", "red", (4, 0), 0)
+
+    @pytest.mark.parametrize("cell", [(1,), (0, 1, 2), [0.5, 0], (True, 0), 5, "01"], ids=repr)
+    def test_cell_must_be_two_integers(self, cell):
+        with pytest.raises(ValueError, match=r"^cell must be two integers, got "):
+            SceneObject("circle", "red", cell, 0)
 
 
 class TestRasterize:
@@ -335,6 +342,26 @@ class TestCaptionClaims:
         ]
 
 
+def caption_edit(pair: CaptionPair) -> tuple:
+    """``(positions, before, after)``: the token positions where a pair's
+    captions differ and the words there, trailing punctuation stripped."""
+    r_tokens, h_tokens = pair.real.split(), pair.hallucinated.split()
+    assert len(r_tokens) == len(h_tokens)
+    positions = tuple(i for i, (a, b) in enumerate(zip(r_tokens, h_tokens)) if a != b)
+    before = tuple(r_tokens[i].rstrip(".,") for i in positions)
+    after = tuple(h_tokens[i].rstrip(".,") for i in positions)
+    return positions, before, after
+
+
+def assert_one_claim_edited(pair: CaptionPair, category: HallucinationCategory) -> None:
+    """The captions differ in claim words only: one, or the two-word
+    visibility phrase for Occlusion."""
+    positions, _, _ = caption_edit(pair)
+    assert len(positions) == (2 if category is HallucinationCategory.OCCLUSION else 1)
+    claimed = {index for _, _, _, index in caption_claims(pair.real)}
+    assert set(positions) <= claimed
+
+
 class TestCaptionPairs:
     @pytest.mark.parametrize("category", list(HallucinationCategory))
     def test_full_scene_supports_every_category(self, category):
@@ -342,12 +369,7 @@ class TestCaptionPairs:
         assert pair is not None
         assert classify_pair(pair.real, pair.hallucinated) is category
         assert pair.real == synth_caption(SCENE_FULL)
-        r_tokens = pair.real.split()
-        h_tokens = pair.hallucinated.split()
-        assert len(r_tokens) == len(h_tokens)
-        diffs = tuple(i for i, (a, b) in enumerate(zip(r_tokens, h_tokens)) if a != b)
-        assert diffs == pair.edit.positions
-        assert pair.edit.category is category
+        assert_one_claim_edited(pair, category)
 
     def test_edit_vocabulary_per_category(self):
         cases = {
@@ -361,35 +383,39 @@ class TestCaptionPairs:
         }
         for category, (befores, afters) in cases.items():
             for seed in range(5):
-                pair = synth_caption_pair(SCENE_FULL, category, seed)
-                assert pair.edit.before[0] in befores, category
-                assert pair.edit.after[0] in afters, category
+                _, before, after = caption_edit(synth_caption_pair(SCENE_FULL, category, seed))
+                assert before[0] in befores, category
+                assert after[0] in afters, category
 
     def test_occlusion_swaps_two_tokens(self):
         pair = synth_caption_pair(SCENE_FULL, HallucinationCategory.OCCLUSION, seed=0)
-        assert pair.edit.before == ("partly", "hidden")
-        assert pair.edit.after == ("fully", "visible")
+        positions, before, after = caption_edit(pair)
+        assert positions[1] == positions[0] + 1
+        assert before == ("partly", "hidden")
+        assert after == ("fully", "visible")
         assert "partly hidden" in pair.real
         assert "fully visible" in pair.hallucinated
 
     def test_shape_swap_uses_present_shape(self):
         for seed in range(10):
-            pair = synth_caption_pair(SCENE_FULL, HallucinationCategory.SHAPE, seed)
-            assert pair.edit.after[0] in ("circle", "square")
-            assert pair.edit.after[0] != pair.edit.before[0]
+            _, before, after = caption_edit(
+                synth_caption_pair(SCENE_FULL, HallucinationCategory.SHAPE, seed)
+            )
+            assert after[0] in ("circle", "square")
+            assert after[0] != before[0]
 
     def test_absolute_position_moves_by_one(self):
         for seed in range(10):
-            pair = synth_caption_pair(SCENE_FULL, HallucinationCategory.ABSOLUTE_POSITION, seed)
-            assert abs(int(pair.edit.after[0]) - int(pair.edit.before[0])) == 1
+            _, before, after = caption_edit(
+                synth_caption_pair(SCENE_FULL, HallucinationCategory.ABSOLUTE_POSITION, seed)
+            )
+            assert abs(int(after[0]) - int(before[0])) == 1
 
     def test_counting_edges(self):
         pair = synth_caption_pair(SCENE_ONE, HallucinationCategory.COUNTING, seed=0)
-        assert pair.edit.before == ("one",)
-        assert pair.edit.after == ("two",)
+        assert caption_edit(pair)[1:] == (("one",), ("two",))
         pair = synth_caption_pair(SCENE_SIX, HallucinationCategory.COUNTING, seed=0)
-        assert pair.edit.before == ("six",)
-        assert pair.edit.after == ("five",)
+        assert caption_edit(pair)[1:] == (("six",), ("five",))
 
     def test_unsupported_categories_return_none(self):
         unsupported = [
@@ -425,11 +451,7 @@ class TestCaptionPairs:
                 continue
             produced += 1
             assert classify_pair(pair.real, pair.hallucinated) is category
-            r_tokens = pair.real.split()
-            h_tokens = pair.hallucinated.split()
-            assert len(r_tokens) == len(h_tokens)
-            diffs = [i for i, (a, b) in enumerate(zip(r_tokens, h_tokens)) if a != b]
-            assert tuple(diffs) == pair.edit.positions
+            assert_one_claim_edited(pair, category)
         assert produced > 200
 
 
@@ -558,8 +580,11 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 2"):
             loads_dataset(good + "\n{oops\n")
 
-    def test_iter_jsonl_numbers_lines_and_skips_blanks(self):
-        assert list(iter_jsonl('{"a": 1}\n  \n\n[2]\n')) == [(1, {"a": 1}), (4, [2])]
+    def test_parse_jsonl_numbers_lines_and_skips_blanks(self):
+        text = '{"a": 1}\n  \n\n[2]\n'
+        assert parse_jsonl(text, lambda doc: doc, "empty") == [{"a": 1}, [2]]
+        with pytest.raises(DatasetError, match=r"^line 3: missing field 'a'$"):
+            parse_jsonl('{"a": 1}\n\n{"b": 2}\n', lambda doc: doc["a"], "empty")
 
     @pytest.mark.parametrize(
         "loads",
@@ -639,7 +664,7 @@ class TestDatasetIO:
         # caption does not mention.
         text = self._line_with_occluded(False) + self._line_with_occluded(value, index=1)
         with pytest.raises(
-            DatasetError, match=rf"^line 2: occluded must be true or false, got {value!r}$"
+            DatasetError, match=rf"^line 2: occluded must be a JSON boolean, got {value!r}$"
         ):
             loads_dataset(text)
 
@@ -647,3 +672,115 @@ class TestDatasetIO:
     def test_occluded_json_boolean_loads_as_is(self, value):
         (sample,) = loads_dataset(self._line_with_occluded(value))
         assert sample.image.scene.objects[0].occluded is value
+
+
+def _file_sample_doc() -> dict:
+    return sample_to_json_dict(
+        BenchmarkSample(
+            id="file-0001",
+            image=ImageRef(kind="file", path="imgs/a.raw"),
+            real_caption="A red circle sits at row 0 column 1.",
+            hallucinated_caption="A blue circle sits at row 0 column 1.",
+            category=HallucinationCategory.COLOR,
+        )
+    )
+
+
+def _judgement_doc() -> dict:
+    judgement = Judgement(
+        sample_id="color-1-0000",
+        ppl_real=1.25,
+        ppl_hall=2.5,
+        is_error=False,
+        category=HallucinationCategory.COLOR,
+    )
+    return judgement.to_json_dict()
+
+
+# Each loader with a document its writer produces (or the documented shape
+# for the outcome files, which nothing here writes).
+_LOADERS = {
+    "dataset": (loads_dataset, lambda: sample_to_json_dict(build_synthetic_dataset(1, seed=1)[0])),
+    "file-dataset": (loads_dataset, _file_sample_doc),
+    "judgements": (loads_judgements, _judgement_doc),
+    "items": (
+        loads_caption_items,
+        lambda: {"image": {"kind": "file", "path": "a.raw"}, "caption": "A red circle."},
+    ),
+    "outcomes": (loads_binary_outcomes, lambda: {"pred": "yes", "label": "no"}),
+    "scenarios": (loads_scenario_results, lambda: {"scenario": "real", "correct": True}),
+    "pipeline": (None, lambda: pipeline_config_to_json(small_gradcheck_config(0)[0])),
+}
+
+_OBJECT = ["image", "scene", "objects", 0]
+
+# (loader, path to the field, mistyped JSON value)
+_MISTYPED = [
+    ("dataset", ["real"], None),
+    ("dataset", ["hallucinated"], 5),
+    ("dataset", ["id"], 7),
+    ("dataset", ["category"], ["Color"]),
+    ("dataset", ["image", "kind"], 1),
+    ("dataset", ["image", "scene", "seed"], 1.9),
+    ("dataset", _OBJECT + ["cell"], [0.5, 0]),
+    ("dataset", _OBJECT + ["cell"], [0, 1, 2]),
+    ("dataset", _OBJECT + ["count_group"], 0.0),
+    ("dataset", _OBJECT + ["shape"], 0),
+    ("dataset", _OBJECT + ["label_text"], 3),
+    ("file-dataset", ["image", "path"], 5),
+    ("judgements", ["ppl_real"], "1.5"),
+    ("judgements", ["ppl_hall"], True),
+    ("judgements", ["is_error"], 0),
+    ("judgements", ["sample_id"], 7),
+    ("items", ["caption"], None),
+    ("outcomes", ["pred"], True),
+    ("scenarios", ["correct"], "true"),
+    ("scenarios", ["scenario"], 0),
+    ("pipeline", ["canonical_tokens"], 64.9),
+    ("pipeline", ["clip_seed"], True),
+    ("pipeline", ["canonical_dim"], "4"),
+    ("pipeline", ["experts", 0, "native_dim"], 2.0),
+    ("pipeline", ["experts", 0, "persona"], None),
+    ("pipeline", ["strategy", "kind"], 0),
+]
+
+
+class TestJsonFieldTypes:
+    """Every loader reads each scalar field through one rule: the value must
+    already have the field's JSON type, and nothing is cast."""
+
+    @pytest.mark.parametrize("name", sorted(_LOADERS))
+    def test_written_documents_load(self, name):
+        loads, make_doc = _LOADERS[name]
+        doc = make_doc()
+        if loads is None:
+            pipeline_config_from_json(json.loads(json.dumps(doc)))
+        else:
+            assert len(loads(json.dumps(doc) + "\n")) == 1
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        _MISTYPED,
+        ids=[f"{name}-{path[-1]}={value!r}" for name, path, value in _MISTYPED],
+    )
+    def test_a_mistyped_field_is_rejected_by_name(self, name, path, value):
+        loads, make_doc = _LOADERS[name]
+        doc = make_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        field = path[-1]
+        parent[field] = value
+        if loads is None:
+            with pytest.raises(ValueError, match=rf"^malformed pipeline config: {field} must be "):
+                pipeline_config_from_json(json.loads(json.dumps(doc)))
+        else:
+            with pytest.raises(DatasetError, match=rf"^line 1: {field} must be "):
+                loads(json.dumps(doc) + "\n")
+
+    def test_a_float_field_takes_a_json_integer(self):
+        doc = _judgement_doc()
+        doc["ppl_real"], doc["ppl_hall"] = 1, 3
+        (judgement,) = loads_judgements(json.dumps(doc) + "\n")
+        assert type(judgement.ppl_real) is float and judgement.ppl_real == 1.0
+        assert type(judgement.ppl_hall) is float and judgement.ppl_hall == 3.0

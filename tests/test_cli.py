@@ -177,6 +177,19 @@ class TestEval:
         assert doc["report"]["overall"]["n"] == len(lines)
         assert len(doc["failures"]) == 1 and "sample missing-image" in doc["failures"][0]
 
+    @pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+    def test_mistyped_dataset_field_exits_one(self, capsys, dataset_path, lenient):
+        # A mistyped field fails the load, before any sample is judged, so
+        # lenient eval has nothing to skip and fails the same way.
+        doc = json.loads(dataset_path.read_text().splitlines()[0])
+        doc["image"] = {"kind": "file", "path": 5}
+        dataset_path.write_text(json.dumps(doc) + "\n")
+        code, stdout, err = run_cli(
+            capsys, ["eval", "--dataset", str(dataset_path), "--scorer", "oracle"] + lenient
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["ERROR line 1: path must be a JSON string, got 5"]
+
     def test_nonfinite_alpha_exits_one(self, capsys, dataset_path):
         code, stdout, err = run_cli(
             capsys, ["eval", "--dataset", str(dataset_path), "--alpha", "nan"]
@@ -382,6 +395,19 @@ class TestGenLlm:
         docs = [json.loads(line) for line in stdout.splitlines()]
         assert [d["category"] for d in docs] == ["Color", "Action"]
         assert all(d["hallucinated"].endswith("Altered.") for d in docs)
+
+    def test_mistyped_config_exits_one(self, capsys, tmp_path):
+        items = tmp_path / "items.jsonl"
+        items.write_text(
+            '{"image": {"kind": "file", "path": "imgs/1.raw"}, "caption": "A red circle sits."}\n'
+        )
+        config = tmp_path / "datagen.json"
+        config.write_text(json.dumps({"endpoint": 5, "model": "m"}))
+        code, stdout, err = run_cli(
+            capsys, ["gen-llm", "--items", str(items), "--config", str(config)]
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [f"ERROR {config}: endpoint must be a JSON string, got 5"]
 
     def test_missing_config_exits_one(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"

@@ -12,7 +12,14 @@ import pytest
 import requests
 from requests.adapters import BaseAdapter
 
-from routebench.benchmark import DatasetError, HallucinationCategory, ImageRef, dumps_dataset
+from routebench.benchmark import (
+    DatasetError,
+    HallucinationCategory,
+    ImageRef,
+    dumps_dataset,
+    dumps_jsonl,
+    image_ref_to_json_dict,
+)
 from routebench.datagen import (
     CATEGORY_SPECS,
     DEFAULT_TEMPLATE,
@@ -25,7 +32,6 @@ from routebench.datagen import (
     HttpChatClient,
     PromptTemplate,
     category_spec,
-    dumps_caption_items,
     generate_dataset,
     load_datagen_config,
     loads_caption_items,
@@ -484,6 +490,16 @@ class TestDatagenConfig:
         with pytest.raises(DatagenError, match="unknown config keys"):
             load_datagen_config(path)
 
+    @pytest.mark.parametrize("key", ["endpoint", "model", "auth_env"])
+    @pytest.mark.parametrize("value", [5, ["https://x.invalid"], True])
+    def test_non_string_text_fields_rejected(self, tmp_path, key, value):
+        doc = {"endpoint": "https://x.invalid", "model": "m", "auth_env": "DEMO_TOKEN"}
+        doc[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DatagenError, match=rf": {key} must be a JSON string, got "):
+            load_datagen_config(path)
+
     def test_defaults(self):
         config = DatagenConfig(endpoint="https://x.invalid", model="m")
         assert config.temperature == 0.7
@@ -747,11 +763,13 @@ class TestHttpChatClient:
 class TestCaptionItems:
     def test_round_trip(self):
         items = [ITEM, (ImageRef(kind="file", path="b.raw"), "Another caption.")]
-        blob = dumps_caption_items(items)
+        blob = dumps_jsonl(
+            {"image": image_ref_to_json_dict(image), "caption": caption} for image, caption in items
+        )
         assert loads_caption_items(blob) == items
 
     def test_line_numbered_errors(self):
-        good = dumps_caption_items([ITEM]).rstrip("\n")
+        good = json.dumps({"image": image_ref_to_json_dict(ITEM[0]), "caption": ITEM[1]})
         with pytest.raises(DatasetError, match="line 2"):
             loads_caption_items(good + '\n{"image": {"kind": "file", "path": "x"}}\n')
         with pytest.raises(DatasetError, match="line 1.*caption"):

@@ -188,8 +188,8 @@ def looped_weighted_sum(weights, arrays):
 
 
 class TestInPlaceKernels:
-    """gelu, mlp and the 1-D weighted_sum compute in reused buffers; each
-    must equal its expression form bit for bit."""
+    """gelu and mlp compute in reused buffers, and the 1-D weighted_sum
+    skips zero weights; each must equal its expression form bit for bit."""
 
     SHAPES = [(64, 24), (7, 5), (576, 1024), (3, 40, 300), (2, 4, 16, 8)]
 

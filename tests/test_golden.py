@@ -192,20 +192,26 @@ def gradcheck_rows() -> list:
 
 
 def caption_pair_digest() -> str:
-    """sha256 over every category's caption pair for scene seeds 0..1999."""
+    """sha256 over every category's caption pair for scene seeds 0..1999,
+    each with the positions and words where its two captions differ
+    (trailing punctuation stripped)."""
     digest = hashlib.sha256()
     for seed in range(2000):
         desc, _ = synth_scene(seed)
         for offset, category in enumerate(HallucinationCategory):
             pair = synth_caption_pair(desc, category, 10 * seed + offset)
-            doc = None if pair is None else [
-                pair.real,
-                pair.hallucinated,
-                pair.edit.category.value,
-                list(pair.edit.positions),
-                list(pair.edit.before),
-                list(pair.edit.after),
-            ]
+            doc = None
+            if pair is not None:
+                r_tokens, h_tokens = pair.real.split(), pair.hallucinated.split()
+                diffs = [i for i, (a, b) in enumerate(zip(r_tokens, h_tokens)) if a != b]
+                doc = [
+                    pair.real,
+                    pair.hallucinated,
+                    category.value,
+                    diffs,
+                    [r_tokens[i].rstrip(".,") for i in diffs],
+                    [h_tokens[i].rstrip(".,") for i in diffs],
+                ]
             digest.update((json.dumps(doc) + "\n").encode("utf-8"))
     return digest.hexdigest()
 
