@@ -293,8 +293,13 @@ class DatagenConfig:
     shape: ClientShape = field(default_factory=ClientShape)
 
     def __post_init__(self):
-        json_field(vars(self), "endpoint", str)
-        json_field(vars(self), "model", str)
+        for kind, keys in (
+            (str, ("endpoint", "model")),
+            (float, ("temperature", "max_failure_fraction", "timeout_seconds")),
+            (int, ("max_tokens", "max_retries", "backoff_base_ms", "max_in_flight")),
+        ):
+            for key in keys:
+                json_field(vars(self), key, kind)
         if self.auth_env is not None:
             json_field(vars(self), "auth_env", str)
         if not self.endpoint.startswith("https://"):

@@ -47,11 +47,12 @@ from .experts import (
     ImageGrid,
     ToyExpertSpec,
     _mean,
+    _unchecked,
     identity_adapter,
     json_field,
     load_raw_image,
 )
-from .fusion import FusionStrategy, PipelineConfig, PipelineError, ProjectorParams, run_pipeline
+from .fusion import FusionStrategy, PipelineConfig, ProjectorParams, _run_stack
 from .router import RouterParams
 
 
@@ -218,6 +219,13 @@ def _resolve_image(ref: ImageRef, base_dir) -> ImageGrid:
     return load_raw_image(path)
 
 
+# Images per stacked pipeline tail in evaluate_dataset; judgements do not
+# depend on it.  Every image of a chunk stays alive from clip-encode to its
+# encode: on judge-synth500, 16 held 1-2 MB more peak RSS than 8 and judged
+# about a tenth more samples per second.
+_CHUNK = 16
+
+
 def evaluate_dataset(
     scorer,
     pipeline_config: PipelineConfig,
@@ -228,12 +236,15 @@ def evaluate_dataset(
 ):
     """Judge every sample: resolve image -> run pipeline -> score both captions.
 
+    Samples run in chunks of ``_CHUNK`` through ``fusion._run_stack``, one
+    stacked route, fuse and project per chunk whose rows equal single-image
+    runs bit for bit; a pool of ``parallelism`` threads maps chunks.
     Judgements come back in dataset order regardless of parallelism.  With
     ``failures=None`` the first per-sample failure (in dataset order) raises
-    ``EvaluationError``, with the same message at any parallelism.  No sample
-    after a known failure starts, so a thread pool judges at most the samples
-    already running when one fails.  With a list, failed samples are skipped
-    and their messages appended to it.
+    ``EvaluationError``, with the same message at any parallelism.  No chunk
+    or sample after a known failure starts, so a thread pool judges at most
+    the chunks already running when one fails.  With a list, failed samples
+    are skipped, the rest of their chunk judged, and their messages appended.
 
     A per-sample failure is a domain error: ``ValueError`` or ``OSError``
     from resolving the image, ``PipelineError`` from a pipeline stage's bad
@@ -252,24 +263,42 @@ def evaluate_dataset(
     first_failure = len(samples)
     failure_lock = threading.Lock()
 
-    def run_one(index, sample):
+    def failed(index, exc):
         nonlocal first_failure
-        if index > first_failure:
-            return None, None  # never read: collect raises at first_failure
-        try:
-            image = _resolve_image(sample.image, base_dir)
-            result = run_pipeline(image, pipeline_config)
-            return judge_sample(scorer, result.features, sample), None
-        except (ValueError, OSError, PipelineError, EvaluationError) as exc:
-            if failures is None:
-                with failure_lock:
-                    first_failure = min(first_failure, index)
-            return None, f"sample {sample.id}: {exc}"
+        if failures is None:
+            with failure_lock:
+                first_failure = min(first_failure, index)
+        return None, f"sample {samples[index].id}: {exc}"
+
+    def run_chunk(start):
+        outcomes, images, indices = {}, [], []  # outcomes: index -> (judgement, failure)
+        for index in range(start, min(start + _CHUNK, len(samples))):
+            if index > first_failure:
+                break
+            try:
+                images.append(_resolve_image(samples[index].image, base_dir))
+                indices.append(index)
+            except (ValueError, OSError) as exc:
+                outcomes[index] = failed(index, exc)
+        if images:
+            _, _, out, errors = _run_stack(images, pipeline_config)
+            for row, index in enumerate(indices):
+                if index > first_failure:
+                    break
+                if errors[row] is not None:
+                    outcomes[index] = failed(index, errors[row])
+                    continue
+                features = _unchecked(FeatureMap, values=out[row], source="fused")
+                try:
+                    outcomes[index] = judge_sample(scorer, features, samples[index]), None
+                except EvaluationError as exc:
+                    outcomes[index] = failed(index, exc)
+        return [outcomes[index] for index in sorted(outcomes)]
 
     judgements = []
 
-    def collect(outcomes):
-        for judgement, failure in outcomes:
+    def collect(chunks):
+        for judgement, failure in (outcome for outcomes in chunks for outcome in outcomes):
             if failure is None:
                 judgements.append(judgement)
             elif failures is None:
@@ -277,14 +306,15 @@ def evaluate_dataset(
             else:
                 failures.append(failure)
 
+    starts = range(0, len(samples), _CHUNK)
     if parallelism == 1:
-        collect(map(run_one, range(len(samples)), samples))
+        collect(map(run_chunk, starts))
     else:
         pool = ThreadPoolExecutor(max_workers=parallelism)
         try:
-            collect(pool.map(run_one, range(len(samples)), samples))
+            collect(pool.map(run_chunk, starts))
         finally:
-            # After a raise, samples not yet started are dropped, not judged.
+            # After a raise, chunks not yet started are dropped, not judged.
             pool.shutdown(cancel_futures=True)
     if not judgements:
         raise EvaluationError("no samples were judged successfully")

@@ -43,14 +43,18 @@ from .experts import (
     seeded_adapter,
     tile_columns,
 )
+# Tracers patch route_logits, routing_weights and select_top_k on this module
+# as well, so they stay imported here.
 from .router import (
     RouterParams,
     RoutingWeights,
     ToyClipParams,
+    _top_k_rows,
     clip_encode,
     route_logits,
     routing_weights,
     select_top_k,
+    softmax,
 )
 
 FUSION_KINDS = ("routed", "add", "concat")
@@ -130,17 +134,22 @@ def weighted_sum(weights, arrays) -> np.ndarray:
     """Unvalidated ``sum(w * a)`` in list order; the order keeps it
     byte-reproducible.
 
-    1-D ``weights`` skip (do not read) arrays whose weight is exactly 0.
-    Weights with leading batch axes ``(..., N)`` give one sum per row,
-    shaped ``(..., *a.shape)``; for finite arrays each row equals the 1-D
-    sum of its weights bit for bit.
+    Each array is a map ``(T, D)`` or a stack of maps ``(..., T, D)`` with
+    the weights' leading axes.  Weights with leading axes ``(..., N)`` give
+    one sum per row, and a row scales the matching map of a stack; for
+    finite arrays each row equals the 1-D sum of its weights bit for bit.
+    1-D ``weights`` skip (do not read) arrays whose weight is exactly 0;
+    None arrays are always skipped.
     """
     weights = np.asarray(weights)
     batch = weights.shape[:-1]
-    acc = np.zeros(batch + arrays[0].shape)
+    shape = next(a.shape for a in arrays if a is not None)
+    acc = np.zeros(shape if len(shape) > 2 else batch + shape)
     for w, values in zip(np.moveaxis(weights, -1, 0), arrays):
+        if values is None:
+            continue
         if batch:
-            acc += w.reshape(batch + (1,) * values.ndim) * values
+            acc += w.reshape(batch + (1, 1)) * values
         elif w != 0.0:
             acc += w * values
     return acc
@@ -460,80 +469,164 @@ def _align(fm: FeatureMap, step: Optional[_AlignStep], config: PipelineConfig) -
     return fm
 
 
+# The tail parameters gradcheck differentiates, by name.
+TAIL_PARAMS = (
+    "router.weights", "router.bias", "projector.stage1.weights", "projector.stage2.weights"
+)
+
+
+def _tail_params(config: PipelineConfig) -> dict:
+    router, projector = config.router, config.projector
+    values = (router.weights, router.bias, projector.stage1.weights, projector.stage2.weights)
+    return dict(zip(TAIL_PARAMS, values))
+
+
+def _no_lap(stage: str) -> None:
+    pass
+
+
+def _tail(cls, patches, maps_for, config, params=None, checked=False, lap=_no_lap) -> tuple:
+    """Route -> fuse -> merge -> project: the pipeline's one tail forward.
+
+    It runs over the leading stack axes of ``cls`` ``(..., D)`` and
+    ``patches`` ``(..., T, D)``, one row per image, and returns ``(weights,
+    kept, fused, merged, hidden, act, out)`` with those axes; ``kept`` is
+    top-k's mask (None: every expert kept).  ``maps_for(weights)`` returns
+    the N expert maps, each ``(T, D)`` or ``(..., T, D)``, or None for an
+    expert no row weighs.  ``params`` replaces ``TAIL_PARAMS`` by name; one
+    stacked as ``(P, *shape)`` adds an axis of P forwards (gradcheck).
+
+    Each row equals its own unstacked forward bit for bit: the logits are a
+    ``(1, D) @ W`` product per row and the projector's products stay 3-D
+    (``(B, D) @ W`` and a ``(B*T, D) @ W`` reshape round differently).
+    Nothing raises on bad values: logits that are not finite give NaN
+    weights, and with ``checked`` a non-finite merged row is False in
+    ``fused`` and set to NaN, which the projector passes through quietly.
+    """
+    p = {**_tail_params(config), **(params or {})}
+    logits = (cls[..., None, :] @ p["router.weights"])[..., 0, :] + p["router.bias"]
+    weights, kept = softmax(logits), None
+    kind, k = config.strategy.kind, config.strategy.k
+    if kind == "routed" and k is not None and k < weights.shape[-1]:
+        weights, kept = _top_k_rows(weights, k)
+    lap("route")
+    maps = maps_for(weights)
+    if kind == "concat":
+        merged = np.concatenate(maps, axis=-1)
+    else:
+        merged = patches + weighted_sum(weights if kind == "routed" else np.ones(len(maps)), maps)
+    fused = None
+    if checked:
+        fused = np.isfinite(merged).all(axis=(-2, -1))
+        merged[~fused] = np.nan
+    lap("fuse")
+    s1, s2 = config.projector.stage1, config.projector.stage2
+    w1, w2 = p["projector.stage1.weights"], p["projector.stage2.weights"]
+    hidden, act, out = mlp(merged, w1, s1.bias, w2, s2.bias)
+    lap("project")
+    return weights, kept, fused, merged, hidden, act, out
+
+
+def _stack(arrays, shape) -> np.ndarray:
+    """``(B, *shape)`` from B arrays, None ones as zeros; one array is
+    viewed, not copied."""
+    if any(a is None for a in arrays):
+        arrays = [np.zeros(shape) if a is None else a for a in arrays]
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _run_stack(images, config: PipelineConfig, lap=_no_lap) -> tuple:
+    """The pipeline over a stack of images: per image clip-encode, one
+    stacked route, per image encode and align of the experts it uses, then
+    the stacked rest of :func:`_tail`.  Returns ``(weights, kept, out)``
+    (row ``b`` is image ``b``) and per image a :class:`PipelineError` or
+    None; a failed image runs on with zero maps and only fails its own row.
+    The ``images`` list is consumed: each image is dropped once encoded.
+    """
+    n, shape = len(images), (config.canonical_tokens, config.canonical_dim)
+    failures, cls, patches = [None] * n, [None] * n, [None] * n
+    for b, image in enumerate(images):
+        try:
+            clip = clip_encode(image, config.clip_params())
+            cls[b], patches[b] = clip.cls, clip.patches.values
+        except ValueError as exc:
+            failures[b] = PipelineError(f"route: {exc}")
+            failures[b].__cause__ = exc
+    routed = config.strategy.kind == "routed"
+
+    def maps_for(weights):
+        rows = [[None] * n for _ in config.experts]
+        unrouted = np.isnan(weights).any(axis=-1)
+        for b, (image, row) in enumerate(zip(images, weights.tolist())):
+            if failures[b] is None and unrouted[b]:
+                failures[b] = PipelineError("route: logits contain non-finite values")
+            if failures[b] is not None:
+                continue
+            used = [i for i, w in enumerate(row) if not routed or w != 0.0]
+            pixels: dict = {}  # one pixel-major copy per patch side, for this image only
+            stage = "encode"
+            try:
+                native = [encode_toy_expert(image, config.experts[i], pixels) for i in used]
+                lap(stage)
+                stage = "align"
+                # Fetched after the encode, not up front: a first run then
+                # allocates the long-lived folded adapters above the image's
+                # own arrays, where they keep the heap from being trimmed
+                # between images; at paper geometry that saves about 1,100
+                # page faults per image (glibc malloc).
+                steps = _align_steps(config)
+                aligned = [_align(fm, steps[i], config) for i, fm in zip(used, native)]
+                lap(stage)
+            except ValueError as exc:
+                failures[b] = PipelineError(f"{stage}: {exc}")
+                failures[b].__cause__ = exc
+                continue
+            for i, fm in zip(used, aligned):
+                rows[i][b] = fm.values
+            images[b] = None  # encoded: the tail no longer needs the image
+        # Under routed fusion an expert no row uses is not stacked at all.
+        unused = [routed and not weights[..., i].any() for i in range(len(rows))]
+        return [None if skip else _stack(r, shape) for skip, r in zip(unused, rows)]
+
+    cls, patches = _stack(cls, shape[1:]), _stack(patches, shape)
+    weights, kept, fused, *_, out = _tail(cls, patches, maps_for, config, checked=True, lap=lap)
+    projected = np.isfinite(out).all(axis=(-2, -1))
+    for b in range(n):
+        if failures[b] is None and not (fused[b] and projected[b]):
+            stage = "project" if fused[b] else "fuse"
+            failures[b] = PipelineError(f"{stage}: feature map contains non-finite values")
+    return weights, kept, out, failures
+
+
 def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     """Run route -> encode -> align -> fuse -> project and report timings.
 
-    The image is clip-encoded and routed first (the ``"route"`` timing covers
-    both).  Under ``routed`` fusion only experts with a non-zero weight are
-    then encoded and aligned: an expert that top-k masking or softmax
-    underflow leaves at exactly 0 is never run, so an expert that cannot
-    encode the image fails the run only when it is active.  ``add`` and
-    ``concat`` encode every expert.
+    This is :func:`_run_stack` on a stack of one image.  The image is
+    clip-encoded and routed first (the ``"route"`` timing covers both).
+    Under ``routed`` fusion only experts with a non-zero weight are then
+    encoded and aligned: an expert that top-k masking or softmax underflow
+    leaves at exactly 0 is never run, so an expert that cannot encode the
+    image fails the run only when it is active.  ``add`` and ``concat``
+    encode every expert.  Config-only state (the align steps, the Gaussian
+    projections) is derived once, not per image.
 
-    Config-only state is derived once: the folded width adapters, and for
-    each expert the order of its resample and adapter, are built on the
-    first run with a config and kept on it for its lifetime; the seeded
-    Gaussian projections of the ``random-projection`` persona and the clip
-    encoder sit in a small memo in ``experts``.  Experts at the canonical
-    geometry skip align; those sharing a patch side share one pixel copy.
-    A wide expert that is upsampled runs its adapter at its native token
-    count and is resampled after; every other expert is resampled first
-    (see :class:`_AlignStep`).  Either order gives the same map up to
-    rounding.
-
-    The cut and tiled column maps of align are not re-checked for finite
-    values (they hold entries of a checked map); every stage function's
-    output is, so a non-finite fused or merged map fails the ``fuse`` stage.
-    A stage's ``ValueError`` re-raises as :class:`PipelineError` with the
-    stage name prefixed; any other exception is a bug and propagates as is.
-    Expert maps are combined in expert-id order, so results are
-    deterministic for a fixed (image, config) pair.
+    A stage's ``ValueError`` and a non-finite merged or projected map raise
+    :class:`PipelineError` with the stage name prefixed; any other exception
+    is a bug and propagates as is.  Expert maps are combined in expert-id
+    order, so results are deterministic for a fixed (image, config) pair.
     """
-    timings: dict[str, float] = {}
+    seconds = dict.fromkeys(PIPELINE_STAGES, 0.0)
+    last = [time.perf_counter()]
 
-    def staged(stage, fn):
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except ValueError as exc:
-            raise PipelineError(f"{stage}: {exc}") from exc
-        timings[stage] = time.perf_counter() - start
-        return result
+    def lap(stage):
+        now = time.perf_counter()
+        seconds[stage] += now - last[0]
+        last[0] = now
 
-    def route_stage():
-        clip = clip_encode(image, config.clip_params())
-        logits = route_logits(clip.cls, config.router)
-        weights = routing_weights(logits)
-        if config.strategy.kind == "routed" and config.strategy.k is not None:
-            weights = select_top_k(weights, config.strategy.k)
-        return clip, weights
-
-    clip, weights = staged("route", route_stage)
-    routed = config.strategy.kind == "routed"
-    used = [i for i, w in enumerate(weights.weights) if not routed or w != 0.0]
-    pixels: dict = {}  # one pixel-major copy per patch side, for this image only
-    native = staged(
-        "encode", lambda: [encode_toy_expert(image, config.experts[i], pixels) for i in used]
-    )
-
-    def align_stage():
-        steps = _align_steps(config)
-        return [_align(fm, steps[i], config) for i, fm in zip(used, native)]
-
-    aligned = staged("align", align_stage)
-
-    def fuse_stage():
-        if routed:
-            # weighted_fuse skips weight-0 experts without reading their maps,
-            # so the slots of masked experts reuse an active expert's map.
-            maps = dict(zip(used, aligned))
-            experts = [maps.get(i, aligned[0]) for i in range(len(config.experts))]
-            return residual_merge(clip.patches, weighted_fuse(weights, experts))
-        if config.strategy.kind == "add":
-            return residual_merge(clip.patches, fuse_add(aligned))
-        return fuse_concat(aligned)
-
-    fused = staged("fuse", fuse_stage)
-    features = staged("project", lambda: project(fused, config.projector))
-    stage_seconds = {stage: timings[stage] for stage in PIPELINE_STAGES}
-    return PipelineResult(features=features, routing=weights, stage_seconds=stage_seconds)
+    weights, kept, out, failures = _run_stack([image], config, lap)
+    if failures[0] is not None:
+        raise failures[0]
+    active = range(len(config.experts)) if kept is None else np.flatnonzero(kept[0]).tolist()
+    routing = _unchecked(RoutingWeights, weights=weights[0], active=frozenset(active))
+    features = _unchecked(FeatureMap, values=out[0], source="fused")
+    return PipelineResult(features=features, routing=routing, stage_seconds=seconds)

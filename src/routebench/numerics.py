@@ -5,15 +5,15 @@ One harness lives here: a gradient checker that backpropagates a scalar loss
 analytically, then compares every parameter coordinate against central finite
 differences.  Timing the pipeline is left to perfbench's traced runs.
 
-The checker runs the pipeline's own align path and the unvalidated
-``softmax``/``weighted_sum``/``mlp`` kernels behind the public stage
-functions, so its forward is byte-equal to ``run_pipeline``.  Those kernels
-broadcast over leading axes, so the finite differences of one parameter run
-as stacked calls of that same forward: every +eps and -eps copy of the
-parameter is one row of a batch, and each row's loss equals the unbatched
-loss bit for bit.  Coordinates go in chunks that keep a stacked call's
-largest intermediate under ``_STACK_FLOATS`` floats; every parameter of
-``small_gradcheck_config`` fits in one chunk.
+The checker runs the pipeline's own align path and its one tail forward
+(``fusion._tail``, shared with ``run_pipeline`` and eval), so its forward
+is byte-equal to ``run_pipeline``.  That forward runs over leading stack
+axes, so the finite differences of one parameter run as stacked calls of
+it: every +eps and -eps copy of the parameter is one row of a batch, and
+each row's loss equals the unbatched loss bit for bit.  Coordinates go in
+chunks that keep a stacked call's largest intermediate under
+``_STACK_FLOATS`` floats; every parameter of ``small_gradcheck_config``
+fits in one chunk.
 
 The analytic path backpropagates through softmax in the product form
 w * (d_w - w.d_w), which is the Jacobian diag(w) - w w^T applied without
@@ -41,23 +41,19 @@ from .experts import (
     resample_tokens,
 )
 from .fusion import (
+    TAIL_PARAMS,
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
     _align,
     _align_steps,
+    _tail,
+    _tail_params,
     gelu_grad,
-    mlp,
-    weighted_sum,
 )
-from .router import RouterParams, clip_encode, softmax
+from .router import RouterParams, clip_encode
 
-CHECKED_PARAMS = (
-    "router.weights",
-    "router.bias",
-    "projector.stage1.weights",
-    "projector.stage2.weights",
-)
+CHECKED_PARAMS = TAIL_PARAMS
 
 
 @dataclass(frozen=True)
@@ -119,11 +115,11 @@ def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 
 
 class _RoutedChain:
-    """Precomputed inputs and the differentiable tail of a routed pipeline.
+    """Precomputed inputs of a routed pipeline's differentiable tail.
 
     Expert maps, patches, and cls are constants with respect to the checked
     parameters, so they are computed once by the pipeline's align path;
-    forward/backward only rebuild the route -> fuse -> merge -> project tail.
+    every loss runs the pipeline's own tail (``fusion._tail``) on them.
     """
 
     def __init__(self, image: ImageGrid, config: PipelineConfig):
@@ -136,54 +132,31 @@ class _RoutedChain:
                 "gradient check requires soft routing over all experts (k = None or k = N)"
             )
         pairs = zip(config.experts, _align_steps(config))
-        aligned = [_align(encode_toy_expert(image, spec), step, config) for spec, step in pairs]
-        self.z = np.stack([fm.values for fm in aligned])  # (N, T, D)
+        self.z = [_align(encode_toy_expert(image, s), step, config).values for s, step in pairs]
         clip = clip_encode(image, config.clip_params())
         self.patches = clip.patches.values
         self.cls = clip.cls
         self.config = config
 
-    def params(self) -> dict:
-        c = self.config
-        return {
-            "router.weights": c.router.weights,
-            "router.bias": c.router.bias,
-            "projector.stage1.weights": c.projector.stage1.weights,
-            "projector.stage2.weights": c.projector.stage2.weights,
-        }
-
-    def forward(self, params: dict) -> tuple:
-        """``(w, merged, hidden, act, out)`` for the checked ``params``."""
-        c = self.config
-        w = softmax(self.cls @ params["router.weights"] + params["router.bias"])
-        merged = self.patches + weighted_sum(w, self.z)
-        return (w, merged) + mlp(
-            merged,
-            params["projector.stage1.weights"],
-            c.projector.stage1.bias,
-            params["projector.stage2.weights"],
-            c.projector.stage2.bias,
-        )
+    def maps(self, weights) -> list:
+        return self.z
 
     def loss(self, overrides: dict | None = None):
         """Sum of squared outputs; an override stacked as ``(B, *shape)``
         gives ``B`` losses, one per row."""
-        p = self.params()
-        if overrides:
-            p = {**p, **overrides}
-        out = self.forward(p)[-1]
+        out = _tail(self.cls, self.patches, self.maps, self.config, overrides)[-1]
         return (out**2).sum(axis=(-2, -1))
 
     def analytic_gradients(self) -> dict:
-        p = self.params()
-        w, merged, hidden, act, out = self.forward(p)
+        p = _tail_params(self.config)
+        w, _, _, merged, hidden, act, out = _tail(self.cls, self.patches, self.maps, self.config)
         d_out = 2.0 * out
         d_stage2 = act.T @ d_out
         d_act = d_out @ p["projector.stage2.weights"].T
         d_hidden = d_act * gelu_grad(hidden)
         d_stage1 = merged.T @ d_hidden
         d_merged = d_hidden @ p["projector.stage1.weights"].T
-        d_w = np.array([(d_merged * self.z[i]).sum() for i in range(self.z.shape[0])])
+        d_w = np.array([(d_merged * z).sum() for z in self.z])
         d_logits = w * (d_w - float(w @ d_w))
         d_router_w = np.outer(self.cls, d_logits)
         return {
@@ -211,13 +184,13 @@ def check_router_fusion_gradients(
     """
     chain = _RoutedChain(image, config)
     analytic = chain.analytic_gradients()
-    degenerate_router = bool(np.all(chain.z == 0.0))
+    degenerate_router = not any(z.any() for z in chain.z)
     tokens, dim = chain.patches.shape
     activation = tokens * max(dim, config.projector.stage1.out_dim)
     rng = np.random.default_rng(seed)
     reports = []
     for name in CHECKED_PARAMS:
-        base = chain.params()[name]
+        base = _tail_params(config)[name]
         coords = np.arange(base.size)
         if max_coords_per_param is not None and base.size > max_coords_per_param:
             coords = np.sort(rng.choice(base.size, size=max_coords_per_param, replace=False))

@@ -184,6 +184,19 @@ def routing_weights(logits: np.ndarray) -> RoutingWeights:
     )
 
 
+def _top_k_rows(weights: np.ndarray, k: int) -> tuple:
+    """:func:`select_top_k` unvalidated, over the last axis of ``(..., N)``
+    weights: the renormalized weights and the bool mask of kept experts.
+    Each row equals its own 1-D call bit for bit; k = 1 gives exactly 1."""
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    ids = np.sort(order[..., :k], axis=-1)
+    kept = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(kept, ids, True, axis=-1)
+    # The kept weights summed in id order, as a 1-D masked sum adds them.
+    total = np.take_along_axis(weights, ids, axis=-1).sum(axis=-1, keepdims=True)
+    return np.where(kept, weights / total, 0.0), kept
+
+
 def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:
     """Keep the k largest weights (ties broken by lower expert id), renormalize.
 
@@ -198,17 +211,7 @@ def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:
     if k == n:
         weights = routing.weights.copy()
         return _unchecked(RoutingWeights, weights=weights, active=frozenset(range(n)))
-    if k == 1:
-        # argmax takes the lowest id on ties, as the stable sort below does,
-        # and the winner's renormalized weight w / w is exactly 1.
-        i = int(np.argmax(routing.weights))
-        out = np.zeros(n)
-        out[i] = 1.0
-        return _unchecked(RoutingWeights, weights=out, active=frozenset((i,)))
-    order = np.argsort(-routing.weights, kind="stable")
-    kept = np.sort(order[:k])
-    mask = np.zeros(n, dtype=bool)
-    mask[kept] = True
-    total = routing.weights[mask].sum()
-    out = np.where(mask, routing.weights / total, 0.0)
-    return _unchecked(RoutingWeights, weights=out, active=frozenset(int(i) for i in kept))
+    weights, kept = _top_k_rows(routing.weights, k)
+    return _unchecked(
+        RoutingWeights, weights=weights, active=frozenset(np.flatnonzero(kept).tolist())
+    )

@@ -500,6 +500,33 @@ class TestDatagenConfig:
         with pytest.raises(DatagenError, match=rf": {key} must be a JSON string, got "):
             load_datagen_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("max_in_flight", 1.5, "integer"),
+            ("max_tokens", True, "integer"),
+            ("max_retries", "3", "integer"),
+            ("backoff_base_ms", 0.0, "integer"),
+            ("temperature", "0.5", "number"),
+            ("max_failure_fraction", None, "number"),
+            ("timeout_seconds", False, "number"),
+        ],
+    )
+    def test_mistyped_numeric_fields_rejected(self, tmp_path, key, value, kind):
+        # A JSON number field takes an integer too; nothing is cast, and the
+        # error names the field.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"endpoint": "https://x.invalid", "model": "m", key: value}))
+        with pytest.raises(DatagenError, match=rf": {key} must be a JSON {kind}, got "):
+            load_datagen_config(path)
+
+    def test_integer_numbers_load(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"endpoint": "https://x.invalid", "model": "m", "temperature": 1, '
+                        '"max_failure_fraction": 0, "timeout_seconds": 5}')
+        config = load_datagen_config(path)
+        assert (config.temperature, config.max_failure_fraction, config.timeout_seconds) == (1, 0, 5)
+
     def test_defaults(self):
         config = DatagenConfig(endpoint="https://x.invalid", model="m")
         assert config.temperature == 0.7

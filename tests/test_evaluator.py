@@ -47,11 +47,14 @@ from routebench.evaluator import (
     oracle_scorer,
     perplexity,
     radar_csv,
+    JUDGING_DIM,
     toy_judging_config,
+    _CHUNK,
     _token_kind,
 )
-from routebench.experts import PERSONAS, FeatureMap
-from routebench.fusion import FusionStrategy, run_pipeline
+from routebench.experts import PERSONAS, FeatureMap, seeded_adapter
+from routebench.fusion import FusionStrategy, ProjectorParams, run_pipeline
+from routebench.router import RouterParams, clip_encode
 
 DUMMY_FEATURES = FeatureMap(np.zeros((4, 3)), source="fused")
 
@@ -450,11 +453,13 @@ class TestEvaluateDataset:
             assert len(calls) < 50
 
     def test_strict_mode_starts_no_sample_after_a_failure(self):
-        # One worker is held in sample 0's scorer while the other fails
-        # sample 1; no later sample may start once that failure is known,
-        # and the error is still the first in dataset order.
+        # One worker is held in sample 0's scorer while the other fails the
+        # second sample of the second chunk: no chunk or sample after it may
+        # start once that failure is known, the samples before it are still
+        # judged, and the error is still the first in dataset order.
+        bad = _CHUNK + 1
         dataset = build_synthetic_dataset(5, seed=0)
-        dataset[1] = BenchmarkSample(
+        dataset[bad] = BenchmarkSample(
             id="missing-image",
             image=ImageRef(kind="file", path="nowhere/missing.raw"),
             real_caption="A red circle sits.",
@@ -477,7 +482,8 @@ class TestEvaluateDataset:
             scorer.score = held
             with pytest.raises(EvaluationError, match="^sample missing-image: ") as excinfo:
                 evaluate_dataset(scorer, config, dataset, parallelism=parallelism)
-            assert [args[1] for args in calls] == [dataset[0].real_caption]
+            scored = sorted(args[1:] for args in calls)
+            assert scored == sorted((s.real_caption, s.hallucinated_caption) for s in dataset[:bad])
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -505,10 +511,10 @@ class TestEvaluateDataset:
     def test_stage_bugs_are_not_sample_failures(self, monkeypatch, failures):
         from routebench import fusion
 
-        def broken(fm, params):
+        def broken(*args):
             raise TypeError("not a domain error")
 
-        monkeypatch.setattr(fusion, "project", broken)
+        monkeypatch.setattr(fusion, "mlp", broken)
         with pytest.raises(TypeError, match="not a domain error"):
             evaluate_dataset(
                 affinity_scorer(AffinityConfig()),
@@ -553,6 +559,148 @@ class TestEvaluateDataset:
             evaluate_dataset(
                 scorer, toy_judging_config(), build_synthetic_dataset(1, seed=1), parallelism=0
             )
+
+
+def judging_configs() -> dict:
+    """The judging configs a chunked eval must judge as single images do."""
+    base = toy_judging_config()
+    n, dim = len(PERSONAS), JUDGING_DIM
+    # Context vectors of scenes differ little, so the top-2 router is scaled
+    # up and centred on their mean: samples of one chunk route apart.
+    centre = np.mean([clip_encode(synth_scene(s)[1], base.clip_params()).cls for s in range(10)], 0)
+    weights = np.random.default_rng(3).normal(scale=300.0, size=(dim, n))
+    concat = ProjectorParams(seeded_adapter(n * dim, dim, seed=1), seeded_adapter(dim, dim, seed=2))
+    return {
+        "favoured": toy_judging_config("color-histogram"),
+        "uniform": base,
+        "add": dataclasses.replace(base, strategy=FusionStrategy(kind="add")),
+        "concat": dataclasses.replace(base, strategy=FusionStrategy(kind="concat"), projector=concat),
+        "top2": dataclasses.replace(
+            base,
+            strategy=FusionStrategy(kind="routed", k=2),
+            router=RouterParams(weights, -centre @ weights),
+        ),
+    }
+
+
+JUDGING_CONFIGS = judging_configs()
+
+
+def single_image_judgements(scorer, config, dataset):
+    """Each sample judged from its own run_pipeline call, the unchunked path."""
+    return [
+        judge_sample(scorer, run_pipeline(rasterize(s.image.scene), config).features, s)
+        for s in dataset
+    ]
+
+
+class TestChunkedEvaluation:
+    """Eval runs route, fuse and project once per chunk of samples; no
+    judgement may depend on the chunking or on the parallelism."""
+
+    # 30 samples: full chunks and a partial one.
+    DATASET = build_synthetic_dataset(3, seed=41)
+
+    @pytest.mark.parametrize("name", sorted(JUDGING_CONFIGS))
+    def test_judgements_equal_single_image_runs_at_any_parallelism(self, name):
+        config = JUDGING_CONFIGS[name]
+        scorer = affinity_scorer(AffinityConfig())
+        want = dumps_judgements(single_image_judgements(scorer, config, self.DATASET))
+        for parallelism in (1, 2, 8):
+            got, _ = evaluate_dataset(scorer, config, self.DATASET, parallelism=parallelism)
+            assert dumps_judgements(got) == want, parallelism
+
+    def test_top2_chunk_mixes_active_sets(self):
+        config = JUDGING_CONFIGS["top2"]
+        chunk = self.DATASET[:_CHUNK]
+        active = {run_pipeline(rasterize(s.image.scene), config).routing.active for s in chunk}
+        assert len(active) >= 4
+
+    @pytest.mark.parametrize("name", ["favoured", "uniform"])
+    def test_category_blocks_judge_as_the_whole_dataset(self, name):
+        # perfbench's oracle: 50-sample categories judged one call each
+        # equal the whole set judged at once, across other chunk boundaries.
+        config = JUDGING_CONFIGS[name]
+        scorer = affinity_scorer(AffinityConfig())
+        dataset = build_synthetic_dataset(7, seed=42)
+        whole, _ = evaluate_dataset(scorer, config, dataset, parallelism=2)
+        blocks = []
+        for start in range(0, len(dataset), 7):
+            assert len({s.category for s in dataset[start : start + 7]}) == 1
+            blocks += evaluate_dataset(scorer, config, dataset[start : start + 7])[0]
+        assert dumps_judgements(blocks) == dumps_judgements(whole)
+
+    @staticmethod
+    def with_failures(dataset, missing, exploding):
+        """The dataset with a missing image file at ``missing`` and a sample
+        the scorer below raises on at ``exploding``."""
+        dataset = list(dataset)
+        dataset[missing] = dataclasses.replace(
+            dataset[missing], image=ImageRef(kind="file", path="nowhere/missing.raw")
+        )
+        sample = dataset[exploding]
+        dataset[exploding] = dataclasses.replace(sample, real_caption=sample.real_caption + " Boom.")
+        return dataset
+
+    class Exploding:
+        def __init__(self):
+            self.inner = affinity_scorer(AffinityConfig())
+
+        def score(self, features, real, hallucinated):
+            if real.endswith(" Boom."):
+                raise RuntimeError("scorer exploded")
+            return self.inner.score(features, real, hallucinated)
+
+    def test_lenient_failures_mid_chunk_leave_the_rest_judged(self):
+        config = JUDGING_CONFIGS["favoured"]
+        dataset = self.with_failures(self.DATASET, missing=5, exploding=9)
+        scorer = self.Exploding()
+        kept = [s for i, s in enumerate(dataset) if i not in (5, 9)]
+        want = dumps_judgements(single_image_judgements(scorer, config, kept))
+        for parallelism in (1, 2, 8):
+            failures = []
+            got, _ = evaluate_dataset(
+                scorer, config, dataset, parallelism=parallelism, failures=failures
+            )
+            assert dumps_judgements(got) == want
+            assert [f.split(":")[0] for f in failures] == [
+                f"sample {dataset[5].id}",
+                f"sample {dataset[9].id}",
+            ]
+            assert "missing.raw" in failures[0] and "scorer exploded" in failures[1]
+
+    @pytest.mark.parametrize("missing, exploding", [(25, 20), (3, 20), (20, 3)])
+    def test_strict_raises_the_first_failure_in_dataset_order(self, missing, exploding):
+        dataset = self.with_failures(self.DATASET, missing=missing, exploding=exploding)
+        first = dataset[min(missing, exploding)].id
+        for parallelism in (1, 2, 8):
+            with pytest.raises(EvaluationError, match=f"^sample {first}: "):
+                evaluate_dataset(
+                    self.Exploding(), JUDGING_CONFIGS["uniform"], dataset, parallelism=parallelism
+                )
+
+    @pytest.mark.parametrize("stage, kernel", [("fuse", "weighted_sum"), ("project", "mlp")])
+    def test_non_finite_row_fails_only_its_own_sample(self, monkeypatch, stage, kernel):
+        config = JUDGING_CONFIGS["favoured"]
+        scorer = affinity_scorer(AffinityConfig())
+        want = single_image_judgements(scorer, config, self.DATASET)
+        real = getattr(fusion, kernel)
+
+        def overflowing(*args):
+            result = real(*args)
+            values = result[-1] if kernel == "mlp" else result
+            if len(values) > 2:  # row 2 of a chunk's stack
+                values[2, 0, 0] = np.inf
+            return result
+
+        monkeypatch.setattr(fusion, kernel, overflowing)
+        failures = []
+        got, _ = evaluate_dataset(scorer, config, self.DATASET, failures=failures)
+        bad = range(2, len(self.DATASET), _CHUNK)  # every chunk here has a row 2
+        message = f"{stage}: feature map contains non-finite values"
+        assert failures == [f"sample {self.DATASET[i].id}: {message}" for i in bad]
+        kept = [j for i, j in enumerate(want) if i not in bad]
+        assert dumps_judgements(got) == dumps_judgements(kept)
 
 
 class TestJudgingConfig:

@@ -12,7 +12,9 @@ from routebench.experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
+    _histogram_offsets,
     _mean,
+    _pixel_major,
     adapt_dim,
     descriptor_width,
     encode_toy_expert,
@@ -490,6 +492,51 @@ class TestPersonaOracle:
             )
             got = encode_toy_expert(image, spec).values
             assert np.array_equal(got, want), f"{persona} on {name}"
+
+
+def _pixel_major_color_histogram(pixels):
+    """The color histogram as the encoder once counted it, from the
+    pixel-major (patch_h, patch_w, T, C) copy; the reference for binning
+    the image itself."""
+    ph, pw, t, _ = pixels.shape
+    bins = (pixels * HISTOGRAM_BINS).astype(np.intp)
+    np.minimum(bins, HISTOGRAM_BINS - 1, out=bins)
+    bins += np.arange(t * CHANNELS).reshape(t, CHANNELS) * HISTOGRAM_BINS
+    counts = np.bincount(bins.ravel(), minlength=t * CHANNELS * HISTOGRAM_BINS)
+    out = counts.reshape(t, CHANNELS * HISTOGRAM_BINS) / (ph * pw)
+    return out - _mean(out, 0)
+
+
+class TestColorHistogramFromImage:
+    @pytest.mark.parametrize(
+        "height, width, side",
+        [(64, 64, 8), (384, 384, 16), (12, 12, 12), (36, 60, 6), (64, 128, 1)],
+        ids=["64-side8", "384-side16", "one-pixel-patches", "36x60-side6", "one-token"],
+    )
+    def test_equals_the_pixel_major_formula_bit_for_bit(self, height, width, side):
+        images = [random_image(height, width, seed) for seed in range(3)]
+        # Palette colours and exact bin edges, 0 and 1 included.
+        edges = np.arange(height * width * CHANNELS) % (HISTOGRAM_BINS + 1) / HISTOGRAM_BINS
+        images.append(ImageGrid(edges.reshape(height, width, CHANNELS)))
+        if (height, width) == (64, 64):
+            images += [synth_scene(seed)[1] for seed in range(3)]
+        spec = ToyExpertSpec(0, "color-histogram", 0, side * side, CHANNELS * HISTOGRAM_BINS)
+        for image in images:
+            want = _pixel_major_color_histogram(_pixel_major(image, side))
+            assert encode_toy_expert(image, spec).values.tobytes() == want.tobytes()
+
+    def test_offsets_are_shared_and_read_only(self):
+        offsets = _histogram_offsets(8, 8)
+        assert offsets is _histogram_offsets(8, 8)
+        assert offsets.shape == (8, 1, 64 * CHANNELS) and not offsets.flags.writeable
+        # Image column 17 of token row 1 lies in token 1*8 + 2; its green
+        # channel's slots start at (10*3 + 1) * 8.
+        assert offsets[1, 0, 17 * CHANNELS : 18 * CHANNELS].tolist() == [240, 248, 256]
+
+    def test_image_not_on_the_grid_rejected(self):
+        spec = ToyExpertSpec(0, "color-histogram", 0, 16, 24)
+        with pytest.raises(ValueError, match="cannot be divided into a 4x4 token grid"):
+            encode_toy_expert(random_image(10, 12, 0), spec)
 
 
 class TestMean:

@@ -26,6 +26,7 @@ from routebench.experts import (
     seeded_adapter,
 )
 from routebench.fusion import (
+    FUSION_KINDS,
     FusionStrategy,
     PipelineConfig,
     PipelineError,
@@ -33,6 +34,7 @@ from routebench.fusion import (
     _align,
     _align_step,
     _align_steps,
+    _run_stack,
     fuse_add,
     fuse_concat,
     gelu,
@@ -367,28 +369,42 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="encode: "):
             run_pipeline(bad, config)
 
-    @pytest.mark.parametrize("kind, stage_fn", [("routed", "weighted_fuse"), ("add", "fuse_add")])
-    def test_non_finite_fused_map_fails_the_fuse_stage(self, monkeypatch, kind, stage_fn):
+    @pytest.mark.parametrize("kind", ["routed", "add"])
+    def test_non_finite_fused_map_fails_the_fuse_stage(self, monkeypatch, kind):
         from routebench import fusion
 
-        real = getattr(fusion, stage_fn)
+        real = fusion.weighted_sum
 
         def overflowing(*args):
-            values = real(*args).values.copy()
-            values[0, 0] = np.inf
-            return experts_module._unchecked(FeatureMap, values=values, source="fused")
+            values = real(*args)
+            values[..., 0, 0] = np.inf
+            return values
 
-        monkeypatch.setattr(fusion, stage_fn, overflowing)
+        monkeypatch.setattr(fusion, "weighted_sum", overflowing)
         with pytest.raises(PipelineError, match="fuse: .*non-finite"):
             run_pipeline(self.random_image(3), small_config(FusionStrategy(kind=kind)))
+
+    def test_non_finite_projection_fails_the_project_stage(self, monkeypatch):
+        from routebench import fusion
+
+        real = fusion.mlp
+
+        def overflowing(*args):
+            hidden, act, out = real(*args)
+            out[..., 0, 0] = np.inf
+            return hidden, act, out
+
+        monkeypatch.setattr(fusion, "mlp", overflowing)
+        with pytest.raises(PipelineError, match="project: .*non-finite"):
+            run_pipeline(self.random_image(3), small_config(FusionStrategy(kind="routed")))
 
     def test_stage_bugs_propagate_unwrapped(self, monkeypatch):
         from routebench import fusion
 
-        def broken(fm, params):
+        def broken(*args):
             raise TypeError("not a domain error")
 
-        monkeypatch.setattr(fusion, "project", broken)
+        monkeypatch.setattr(fusion, "mlp", broken)
         config = small_config(FusionStrategy(kind="routed"))
         with pytest.raises(TypeError, match="not a domain error"):
             run_pipeline(self.random_image(3), config)
@@ -611,6 +627,71 @@ class TestPlannedPipeline:
         assert None not in results and len(set(results)) == 1
 
 
+class TestStackedTail:
+    """``_run_stack`` runs route, fuse, merge and project once over a stack
+    of images; every row must equal the single-image run bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal_single_runs(images, config):
+        weights, kept, out, failures = _run_stack(list(images), config)
+        assert failures == [None] * len(images)
+        active_sets = []
+        for b, image in enumerate(images):
+            single = run_pipeline(image, config)
+            assert weights[b].tobytes() == single.routing.weights.tobytes()
+            assert out[b].tobytes() == single.features.values.tobytes()
+            active = range(len(config.experts)) if kept is None else np.flatnonzero(kept[b])
+            assert set(active) == single.routing.active
+            active_sets.append(single.routing.active)
+        return active_sets
+
+    def test_gradcheck_configs(self):
+        for seed in range(40):
+            config, image = small_gradcheck_config(seed)
+            rng = np.random.default_rng(seed)
+            images = [image] + [ImageGrid(rng.random(image.data.shape)) for _ in range(4)]
+            self.assert_rows_equal_single_runs(images, config)
+
+    @pytest.mark.parametrize("kind", FUSION_KINDS)
+    def test_one_canonical_token(self, kind):
+        # At T = 1 a (B*T, D) @ W product would round differently from the
+        # per-image (1, D) @ W one.
+        config = small_config(FusionStrategy(kind=kind), router_bias=[0.3, -0.2], canonical_tokens=1)
+        self.assert_rows_equal_single_runs([image_of(seed, 16) for seed in range(6)], config)
+
+    def test_top2_with_active_sets_differing_per_image(self):
+        config = mixed_config(FusionStrategy(kind="routed", k=2))
+        # Context vectors of random images differ little, so the router is
+        # scaled up and centred on their mean to route them apart.
+        centre = np.mean([clip_encode(image_of(s, 16), config.clip_params()).cls for s in range(8)], 0)
+        weights = np.random.default_rng(3).normal(scale=30.0, size=config.router.weights.shape)
+        config = dataclasses.replace(config, router=RouterParams(weights, -centre @ weights))
+        active_sets = self.assert_rows_equal_single_runs(
+            [image_of(seed, 16) for seed in range(12)], config
+        )
+        assert len(set(active_sets)) >= 4
+
+    def test_paper_geometry(self):
+        config = paper_geometry_config()
+        images = [image_of(seed, 96) for seed in range(2)]
+        self.assert_rows_equal_single_runs(images, config)
+
+    def test_a_failing_image_fails_only_its_row(self):
+        config = small_config(FusionStrategy(kind="routed"))
+        images = [image_of(1, 16), ImageGrid(np.full((15, 15, 3), 0.5)), image_of(2, 16)]
+        consumed = list(images)
+        weights, _, out, failures = _run_stack(consumed, config)
+        # Encoded images are dropped from the list; the failed one is kept.
+        assert consumed == [None, images[1], None]
+        assert isinstance(failures[1], PipelineError)
+        assert str(failures[1]).startswith("encode: ")
+        assert isinstance(failures[1].__cause__, ValueError)
+        for b in (0, 2):
+            assert failures[b] is None
+            single = run_pipeline(images[b], config)
+            assert out[b].tobytes() == single.features.values.tobytes()
+
+
 class TestEncodePlan:
     @pytest.mark.parametrize(
         "persona, tokens, dim, want",
@@ -685,9 +766,10 @@ class TestEncodePlan:
         config = toy_judging_config("color-histogram")
         for seed in range(2):
             run_pipeline(image_of(seed, 64), config)
-        # Five pixel personas at side 8, one copy per call; every expert is
-        # at the canonical geometry, so align does nothing.
-        assert counted["pixel_major"] == [8, 8]
+        # Top-1 routing encodes only the colour histogram, which bins the
+        # image itself; every expert is at the canonical geometry, so align
+        # does nothing.
+        assert counted["pixel_major"] == []
         assert counted["resample"] == []
 
     def test_one_copy_per_patch_side_per_call(self, counted):
@@ -709,7 +791,8 @@ class TestEncodePlan:
         )
         for seed in range(3):
             run_pipeline(image_of(seed, 16), config)
-        assert Counter(counted["pixel_major"]) == {2: 3, 4: 3, 8: 3}
+        # The colour histogram at side 2 is alone on its grid and makes no copy.
+        assert Counter(counted["pixel_major"]) == {4: 3, 8: 3}
         # Experts 0, 1 and 5 are at the canonical 16 x 8: no align step.
         # Expert 3 keeps 6 of its 12 columns and resamples them.
         assert counted["resample"] == ["2", "3", "4"] * 3
@@ -804,6 +887,15 @@ class TestConfigJson:
     def test_malformed_config_rejected(self):
         with pytest.raises(ValueError, match="malformed pipeline config"):
             pipeline_config_from_json({"experts": []})
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    @pytest.mark.parametrize("key, entry", [("weights", "1.0"), ("weights", True), ("bias", None)])
+    def test_non_number_projector_entry_rejected(self, stage, key, entry):
+        doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
+        doc["projector"][stage][key][1] = entry
+        message = f"^malformed pipeline config: malformed projector {stage}: .*arrays of numbers"
+        with pytest.raises(ValueError, match=message):
+            pipeline_config_from_json(doc)
 
     @pytest.mark.parametrize("key", ["canonical_tokens", "canonical_dim", "clip_seed"])
     def test_geometry_fields_required(self, key):

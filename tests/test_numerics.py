@@ -5,7 +5,14 @@ import pytest
 
 from routebench import numerics
 from routebench.experts import ImageGrid, ToyExpertSpec, identity_adapter, seeded_adapter
-from routebench.fusion import FusionStrategy, PipelineConfig, ProjectorParams, run_pipeline
+from routebench.fusion import (
+    FusionStrategy,
+    PipelineConfig,
+    ProjectorParams,
+    _tail,
+    _tail_params,
+    run_pipeline,
+)
 from routebench.numerics import (
     CHECKED_PARAMS,
     check_router_fusion_gradients,
@@ -141,7 +148,7 @@ class TestGradCheck:
         )
         image = ImageGrid(np.random.default_rng(4).random((16, 16, 3)))
         chain = _RoutedChain(image, config)
-        w, *_, out = chain.forward(chain.params())
+        w, *_, out = _tail(chain.cls, chain.patches, chain.maps, config)
         result = run_pipeline(image, config)
         assert np.count_nonzero(w) == 3
         assert w.tobytes() == result.routing.weights.tobytes()
@@ -176,13 +183,13 @@ class TestGradCheck:
             config, image = small_gradcheck_config(seed)
             chain = _RoutedChain(image, config)
             for name in CHECKED_PARAMS:
-                base = chain.params()[name]
+                base = _tail_params(config)[name]
                 rng = np.random.default_rng(seed)
                 stack = base + rng.normal(scale=1e-3, size=(5,) + base.shape)
                 losses = chain.loss({name: stack})
                 assert losses.shape == (5,)
                 for row, loss in zip(stack, losses):
-                    out = chain.forward({**chain.params(), name: row})[-1]
+                    out = _tail(chain.cls, chain.patches, chain.maps, config, {name: row})[-1]
                     assert loss == float((out**2).sum()), (seed, name)
 
     @pytest.mark.parametrize("max_coords", [None, 3])

@@ -208,6 +208,29 @@ class TestRouteLogits:
         with pytest.raises(ValueError, match="length"):
             RouterParams.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [
+            (["0.5", True], [0, "1e0"]),  # strings would cast to numbers
+            ([0.5, True], [0, 1]),  # a bool is not a number
+            ([0.5, 1.0], [0, None]),
+            ([[0.5, 1.0]], [0, 1]),  # the weights are flat, row-major
+            ({"0": 0.5, "1": 1.0}, [0, 1]),
+            ([0.5, 1.0], "0 1"),
+        ],
+    )
+    def test_non_number_arrays_rejected(self, weights, bias):
+        doc = {"dim_in": 1, "n_experts": 2, "weights": weights, "bias": bias}
+        with pytest.raises(ValueError, match="^malformed router document: .*JSON arrays of numbers"):
+            RouterParams.from_json_dict(doc)
+
+    def test_integer_entries_load_as_floats(self):
+        params = RouterParams.from_json_dict(
+            {"dim_in": 1, "n_experts": 2, "weights": [1, 0.5], "bias": [0, -2]}
+        )
+        assert params.weights.dtype == params.bias.dtype == np.float64
+        assert params.weights.tolist() == [[1.0, 0.5]] and params.bias.tolist() == [0.0, -2.0]
+
     def test_router_is_a_validated_adapter(self):
         params = RouterParams(np.zeros((4, 3)), np.zeros(3))
         assert isinstance(params, LinearAdapter)
