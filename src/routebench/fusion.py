@@ -145,9 +145,10 @@ def weighted_sum(weights, arrays) -> np.ndarray:
     batch = weights.shape[:-1]
     shape = next(a.shape for a in arrays if a is not None)
     acc = np.zeros(shape if len(shape) > 2 else batch + shape)
-    for w, values in zip(np.moveaxis(weights, -1, 0), arrays):
+    for i, values in enumerate(arrays):
         if values is None:
             continue
+        w = weights[..., i]
         if batch:
             acc += w.reshape(batch + (1, 1)) * values
         elif w != 0.0:

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from routebench import numerics
-from routebench.experts import ImageGrid, ToyExpertSpec, identity_adapter, seeded_adapter
+from routebench.experts import (
+    ImageGrid,
+    LinearAdapter,
+    ToyExpertSpec,
+    identity_adapter,
+    seeded_adapter,
+)
 from routebench.fusion import (
     FusionStrategy,
     PipelineConfig,
@@ -76,6 +84,31 @@ class TestFiniteDiff:
                 want = point.ravel().copy()
                 want[i] += sign * 0.25
                 np.testing.assert_array_equal(stack[row].ravel(), want)
+
+    def test_with_point_puts_point_first(self):
+        point = np.arange(6.0).reshape(2, 3)
+        coords = np.array([4, 0, 5])
+        calls = []
+
+        def fn(stack):
+            calls.append(stack.copy())
+            return cubic_losses(stack)
+
+        grad = finite_diff_gradient(fn, point, 0.25, coords, with_point=True)
+        stack = calls[0]
+        assert stack.shape == (7, 2, 3)
+        np.testing.assert_array_equal(stack[0], point)
+        for j, i in enumerate(coords):
+            for row, sign in ((1 + j, 1.0), (4 + j, -1.0)):
+                want = point.ravel().copy()
+                want[i] += sign * 0.25
+                np.testing.assert_array_equal(stack[row].ravel(), want)
+        np.testing.assert_array_equal(grad, finite_diff_gradient(cubic_losses, point, 0.25, coords))
+
+    @pytest.mark.parametrize("coordinate", [-1, 3])
+    def test_out_of_range_coordinate_rejected(self, coordinate):
+        with pytest.raises(ValueError, match=f"coordinate {coordinate} is out of range"):
+            finite_diff_gradient(lambda s: (s**2).sum(axis=1), np.ones(3), 1e-5, [coordinate])
 
     def test_non_finite_minus_half_names_first_coordinate_in_order(self):
         # Only lowering coordinate 2 and raising coordinate 0 blow up; in
@@ -179,18 +212,28 @@ class TestGradCheck:
             check_router_fusion_gradients(masked, image)
 
     def test_stacked_losses_equal_unbatched_forward(self):
+        # Each parameter alone, and router weights and bias as the check
+        # stacks them: views into one stack of their concatenated values.
+        groups = [(name,) for name in CHECKED_PARAMS] + [("router.weights", "router.bias")]
         for seed in range(40):
             config, image = small_gradcheck_config(seed)
             chain = _RoutedChain(image, config)
-            for name in CHECKED_PARAMS:
-                base = _tail_params(config)[name]
+            base = _tail_params(config)
+            for names in groups:
+                flat = np.concatenate([base[n].ravel() for n in names])
                 rng = np.random.default_rng(seed)
-                stack = base + rng.normal(scale=1e-3, size=(5,) + base.shape)
-                losses = chain.loss({name: stack})
+                stack = flat + rng.normal(scale=1e-3, size=(5, flat.size))
+                params, lo = {}, 0
+                for n in names:
+                    params[n] = stack[:, lo : lo + base[n].size].reshape((5,) + base[n].shape)
+                    lo += base[n].size
+                stacked = _tail(chain.cls, chain.patches, chain.maps, config, params)[-1]
+                losses = (stacked**2).sum(axis=(-2, -1))
                 assert losses.shape == (5,)
-                for row, loss in zip(stack, losses):
-                    out = _tail(chain.cls, chain.patches, chain.maps, config, {name: row})[-1]
-                    assert loss == float((out**2).sum()), (seed, name)
+                for b, loss in enumerate(losses):
+                    row = {n: p[b] for n, p in params.items()}
+                    out = _tail(chain.cls, chain.patches, chain.maps, config, row)[-1]
+                    assert loss == float((out**2).sum()), (seed, names)
 
     @pytest.mark.parametrize("max_coords", [None, 3])
     def test_chunked_reports_equal_unchunked(self, monkeypatch, max_coords):
@@ -207,19 +250,84 @@ class TestGradCheck:
             ]
             assert chunked == whole
 
-    def test_small_configs_take_one_stacked_call_per_parameter(self, monkeypatch):
+    def test_small_configs_take_three_tail_forwards(self, monkeypatch):
         calls = []
 
-        def counted(fn, point, eps, coords):
-            calls.append(len(coords))
-            return finite_diff_gradient(fn, point, eps, coords)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _tail(*args, **kwargs)
 
-        monkeypatch.setattr(numerics, "finite_diff_gradient", counted)
+        monkeypatch.setattr(numerics, "_tail", counted)
         for seed in range(40):
             config, image = small_gradcheck_config(seed)
             calls.clear()
-            reports = check_router_fusion_gradients(config, image)
-            assert calls == [r.n_coordinates for r in reports]
+            check_router_fusion_gradients(config, image)
+            assert len(calls) == 3, seed
+
+    def test_router_stack_first_row_gives_unstacked_analytic_gradients(self, monkeypatch):
+        unstacked = _RoutedChain.analytic_gradients
+        seen = []
+
+        def compared(chain, tail=None):
+            assert tail is not None  # read from the router stack, not a forward of its own
+            got = unstacked(chain, tail)
+            want = unstacked(chain)
+            for name in CHECKED_PARAMS:
+                assert got[name].tobytes() == want[name].tobytes(), name
+            seen.append(1)
+            return got
+
+        monkeypatch.setattr(_RoutedChain, "analytic_gradients", compared)
+        for seed in range(40):
+            config, image = small_gradcheck_config(seed)
+            check_router_fusion_gradients(config, image)
+        assert len(seen) == 40
+
+    def test_non_finite_loss_names_router_weights_first(self):
+        config, image = small_gradcheck_config(0)
+        s2 = config.projector.stage2
+        blown = dataclasses.replace(
+            config,
+            projector=ProjectorParams(
+                config.projector.stage1, LinearAdapter(s2.weights * 1e160, s2.bias)
+            ),
+        )
+        # The loss overflows to inf by design here, and the check must name it.
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^router.weights: non-finite loss while perturbing coordinate 0$"
+        ):
+            check_router_fusion_gradients(blown, image)
+
+    def test_non_finite_bias_row_names_router_bias_coordinate(self, monkeypatch):
+        config, image = small_gradcheck_config(0)
+        bias = config.router.bias
+
+        def blown_bias(cls, patches, maps_for, config, params=None, **kwargs):
+            result = _tail(cls, patches, maps_for, config, params, **kwargs)
+            stacked = (params or {}).get("router.bias")
+            if stacked is not None and stacked.ndim == 2:
+                # Only the row that raises bias coordinate 1 blows up.
+                result[-1][stacked[:, 1] > bias[1]] = np.inf
+            return result
+
+        monkeypatch.setattr(numerics, "_tail", blown_bias)
+        with pytest.raises(
+            ValueError, match="^router.bias: non-finite loss while perturbing coordinate 1$"
+        ):
+            check_router_fusion_gradients(config, image)
+
+    def test_max_coords_below_one_rejected(self):
+        config, image = small_gradcheck_config(0)
+        with pytest.raises(ValueError, match="^max_coords_per_param must be >= 1, got 0$"):
+            check_router_fusion_gradients(config, image, max_coords_per_param=0)
+
+    def test_bad_eps_rejected_before_any_forward(self, monkeypatch):
+        config, image = small_gradcheck_config(0)
+        calls = []
+        monkeypatch.setattr(numerics, "_tail", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="^eps must be positive, got 0$"):
+            check_router_fusion_gradients(config, image, eps=0)
+        assert calls == []
 
     def test_coordinate_subsampling(self):
         config, image = small_gradcheck_config(4)
