@@ -219,10 +219,13 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # A check over no configs or no coordinates would pass vacuously.
+    # A check over no configs or no coordinates would pass vacuously, and
+    # finite differences need a positive step.
     for flag, value in (("--configs", args.configs), ("--max-coords", args.max_coords)):
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if not args.eps > 0:
+        raise UsageError(f"--eps must be positive, got {args.eps}")
     runs = []
     all_passed = True
     for offset in range(args.configs):

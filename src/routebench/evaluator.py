@@ -281,7 +281,7 @@ def evaluate_dataset(
             except (ValueError, OSError) as exc:
                 outcomes[index] = failed(index, exc)
         if images:
-            _, _, out, errors = _run_stack(images, pipeline_config)
+            _, _, out, errors, _ = _run_stack(images, pipeline_config)
             for row, index in enumerate(indices):
                 if index > first_failure:
                     break

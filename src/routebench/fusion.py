@@ -217,13 +217,47 @@ def residual_merge(patches: FeatureMap, fused: FeatureMap) -> FeatureMap:
 
 def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
     """Unvalidated two-layer GELU MLP over the rows of ``x``; returns
-    ``(hidden, act, out)`` so gradients can reuse the intermediates."""
+    ``(hidden, act, out)`` so gradients can reuse the intermediates.  Keep a
+    stack 3-D: a ``(B*T, D) @ W`` reshape rounds differently at T = 1."""
     hidden = x @ w1
     hidden += b1  # in place: the product is a fresh array
     act = gelu(hidden)
     out = act @ w2
     out += b2
     return hidden, act, out
+
+
+def _route(cls, config: PipelineConfig, weights=None, bias=None) -> tuple:
+    """Unvalidated routing of a stack of context vectors ``(..., D)``:
+    returns ``(weights, kept)`` with those axes, where ``kept`` is top-k's
+    mask (None: every expert kept).
+
+    ``weights`` and ``bias`` replace the router's; stacked as ``(P, D, N)``
+    and ``(P, N)`` they add an axis of P routings (gradcheck).  Each row
+    equals its own unstacked routing bit for bit: the logits are a
+    ``(1, D) @ W`` product per row, since a ``(B, D) @ W`` product rounds
+    differently.  Logits that are not finite give NaN weights.
+    """
+    router = config.router
+    w = router.weights if weights is None else weights
+    logits = (cls[..., None, :] @ w)[..., 0, :] + (router.bias if bias is None else bias)
+    weights, kept = softmax(logits), None
+    k = config.strategy.k
+    if config.strategy.kind == "routed" and k is not None and k < weights.shape[-1]:
+        weights, kept = _top_k_rows(weights, k)
+    return weights, kept
+
+
+def _merge(patches, maps, weights, config: PipelineConfig) -> np.ndarray:
+    """Unvalidated fuse and merge over leading stack axes: ``patches`` plus
+    the :func:`weighted_sum` of the N expert ``maps`` (routed: by
+    ``weights``; add: unit weights), or under concat the maps concatenated
+    along the feature axis.  A map is ``(T, D)``, ``(..., T, D)`` or None
+    for an expert no row weighs."""
+    kind = config.strategy.kind
+    if kind == "concat":
+        return np.concatenate(maps, axis=-1)
+    return patches + weighted_sum(weights if kind == "routed" else np.ones(len(maps)), maps)
 
 
 def project(fm: FeatureMap, params: ProjectorParams) -> FeatureMap:
@@ -470,64 +504,6 @@ def _align(fm: FeatureMap, step: Optional[_AlignStep], config: PipelineConfig) -
     return fm
 
 
-# The tail parameters gradcheck differentiates, by name.
-TAIL_PARAMS = (
-    "router.weights", "router.bias", "projector.stage1.weights", "projector.stage2.weights"
-)
-
-
-def _tail_params(config: PipelineConfig) -> dict:
-    router, projector = config.router, config.projector
-    values = (router.weights, router.bias, projector.stage1.weights, projector.stage2.weights)
-    return dict(zip(TAIL_PARAMS, values))
-
-
-def _no_lap(stage: str) -> None:
-    pass
-
-
-def _tail(cls, patches, maps_for, config, params=None, checked=False, lap=_no_lap) -> tuple:
-    """Route -> fuse -> merge -> project: the pipeline's one tail forward.
-
-    It runs over the leading stack axes of ``cls`` ``(..., D)`` and
-    ``patches`` ``(..., T, D)``, one row per image, and returns ``(weights,
-    kept, fused, merged, hidden, act, out)`` with those axes; ``kept`` is
-    top-k's mask (None: every expert kept).  ``maps_for(weights)`` returns
-    the N expert maps, each ``(T, D)`` or ``(..., T, D)``, or None for an
-    expert no row weighs.  ``params`` replaces ``TAIL_PARAMS`` by name; one
-    stacked as ``(P, *shape)`` adds an axis of P forwards (gradcheck).
-
-    Each row equals its own unstacked forward bit for bit: the logits are a
-    ``(1, D) @ W`` product per row and the projector's products stay 3-D
-    (``(B, D) @ W`` and a ``(B*T, D) @ W`` reshape round differently).
-    Nothing raises on bad values: logits that are not finite give NaN
-    weights, and with ``checked`` a non-finite merged row is False in
-    ``fused`` and set to NaN, which the projector passes through quietly.
-    """
-    p = {**_tail_params(config), **(params or {})}
-    logits = (cls[..., None, :] @ p["router.weights"])[..., 0, :] + p["router.bias"]
-    weights, kept = softmax(logits), None
-    kind, k = config.strategy.kind, config.strategy.k
-    if kind == "routed" and k is not None and k < weights.shape[-1]:
-        weights, kept = _top_k_rows(weights, k)
-    lap("route")
-    maps = maps_for(weights)
-    if kind == "concat":
-        merged = np.concatenate(maps, axis=-1)
-    else:
-        merged = patches + weighted_sum(weights if kind == "routed" else np.ones(len(maps)), maps)
-    fused = None
-    if checked:
-        fused = np.isfinite(merged).all(axis=(-2, -1))
-        merged[~fused] = np.nan
-    lap("fuse")
-    s1, s2 = config.projector.stage1, config.projector.stage2
-    w1, w2 = p["projector.stage1.weights"], p["projector.stage2.weights"]
-    hidden, act, out = mlp(merged, w1, s1.bias, w2, s2.bias)
-    lap("project")
-    return weights, kept, fused, merged, hidden, act, out
-
-
 def _stack(arrays, shape) -> np.ndarray:
     """``(B, *shape)`` from B arrays, None ones as zeros; one array is
     viewed, not copied."""
@@ -536,15 +512,27 @@ def _stack(arrays, shape) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _run_stack(images, config: PipelineConfig, lap=_no_lap) -> tuple:
-    """The pipeline over a stack of images: per image clip-encode, one
-    stacked route, per image encode and align of the experts it uses, then
-    the stacked rest of :func:`_tail`.  Returns ``(weights, kept, out)``
-    (row ``b`` is image ``b``) and per image a :class:`PipelineError` or
-    None; a failed image runs on with zero maps and only fails its own row.
-    The ``images`` list is consumed: each image is dropped once encoded.
+def _run_stack(images, config: PipelineConfig) -> tuple:
+    """The pipeline over a stack of images, in order: per image clip-encode,
+    one stacked :func:`_route`, per image encode and align of the experts it
+    uses, then one stacked :func:`_merge` and :func:`mlp`.  Row ``b`` is
+    image ``b`` and equals its single-image run bit for bit.
+
+    Returns ``(weights, kept, out)``, per image a :class:`PipelineError` or
+    None, and the seconds spent in each of ``PIPELINE_STAGES``.  A failed
+    image runs on with zero maps and only fails its own row.  Route, merge
+    and project run with numpy's overflow and invalid-value warnings off: a
+    non-finite row fails its image under the stage's name instead.  The
+    ``images`` list is consumed: each image is dropped once encoded.
     """
     n, shape = len(images), (config.canonical_tokens, config.canonical_dim)
+    seconds, last = dict.fromkeys(PIPELINE_STAGES, 0.0), [time.perf_counter()]
+
+    def lap(stage):
+        now = time.perf_counter()
+        seconds[stage] += now - last[0]
+        last[0] = now
+
     failures, cls, patches = [None] * n, [None] * n, [None] * n
     for b, image in enumerate(images):
         try:
@@ -553,50 +541,56 @@ def _run_stack(images, config: PipelineConfig, lap=_no_lap) -> tuple:
         except ValueError as exc:
             failures[b] = PipelineError(f"route: {exc}")
             failures[b].__cause__ = exc
-    routed = config.strategy.kind == "routed"
-
-    def maps_for(weights):
-        rows = [[None] * n for _ in config.experts]
-        unrouted = np.isnan(weights).any(axis=-1)
-        for b, (image, row) in enumerate(zip(images, weights.tolist())):
-            if failures[b] is None and unrouted[b]:
-                failures[b] = PipelineError("route: logits contain non-finite values")
-            if failures[b] is not None:
-                continue
-            used = [i for i, w in enumerate(row) if not routed or w != 0.0]
-            pixels: dict = {}  # one pixel-major copy per patch side, for this image only
-            stage = "encode"
-            try:
-                native = [encode_toy_expert(image, config.experts[i], pixels) for i in used]
-                lap(stage)
-                stage = "align"
-                # Fetched after the encode, not up front: a first run then
-                # allocates the long-lived folded adapters above the image's
-                # own arrays, where they keep the heap from being trimmed
-                # between images; at paper geometry that saves about 1,100
-                # page faults per image (glibc malloc).
-                steps = _align_steps(config)
-                aligned = [_align(fm, steps[i], config) for i, fm in zip(used, native)]
-                lap(stage)
-            except ValueError as exc:
-                failures[b] = PipelineError(f"{stage}: {exc}")
-                failures[b].__cause__ = exc
-                continue
-            for i, fm in zip(used, aligned):
-                rows[i][b] = fm.values
-            images[b] = None  # encoded: the tail no longer needs the image
-        # Under routed fusion an expert no row uses is not stacked at all.
-        unused = [routed and not weights[..., i].any() for i in range(len(rows))]
-        return [None if skip else _stack(r, shape) for skip, r in zip(unused, rows)]
-
     cls, patches = _stack(cls, shape[1:]), _stack(patches, shape)
-    weights, kept, fused, *_, out = _tail(cls, patches, maps_for, config, checked=True, lap=lap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, kept = _route(cls, config)
+    lap("route")
+    routed = config.strategy.kind == "routed"
+    maps = [[None] * n for _ in config.experts]
+    unrouted = np.isnan(weights).any(axis=-1)
+    for b, (image, row) in enumerate(zip(images, weights.tolist())):
+        if failures[b] is None and unrouted[b]:
+            failures[b] = PipelineError("route: logits contain non-finite values")
+        if failures[b] is not None:
+            continue
+        used = [i for i, w in enumerate(row) if not routed or w != 0.0]
+        pixels: dict = {}  # one pixel-major copy per patch side, for this image only
+        stage = "encode"
+        try:
+            native = [encode_toy_expert(image, config.experts[i], pixels) for i in used]
+            lap(stage)
+            stage = "align"
+            # Fetched after the encode, not up front: a first run then
+            # allocates the long-lived folded adapters above the image's own
+            # arrays, where they keep the heap from being trimmed between
+            # images; at paper geometry that saves about 1,100 page faults
+            # per image (glibc malloc).
+            steps = _align_steps(config)
+            aligned = [_align(fm, steps[i], config) for i, fm in zip(used, native)]
+            lap(stage)
+        except ValueError as exc:
+            failures[b] = PipelineError(f"{stage}: {exc}")
+            failures[b].__cause__ = exc
+            continue
+        for i, fm in zip(used, aligned):
+            maps[i][b] = fm.values
+        images[b] = None  # encoded: the rest no longer needs the image
+    # Under routed fusion an expert no row uses is not stacked at all.
+    unused = [routed and not weights[..., i].any() for i in range(len(maps))]
+    maps = [None if skip else _stack(m, shape) for skip, m in zip(unused, maps)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = _merge(patches, maps, weights, config)
+        fused = np.isfinite(merged).all(axis=(-2, -1))
+        lap("fuse")
+        p = config.projector
+        out = mlp(merged, p.stage1.weights, p.stage1.bias, p.stage2.weights, p.stage2.bias)[-1]
     projected = np.isfinite(out).all(axis=(-2, -1))
+    lap("project")
     for b in range(n):
         if failures[b] is None and not (fused[b] and projected[b]):
             stage = "project" if fused[b] else "fuse"
             failures[b] = PipelineError(f"{stage}: feature map contains non-finite values")
-    return weights, kept, out, failures
+    return weights, kept, out, failures, seconds
 
 
 def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
@@ -616,15 +610,7 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     is a bug and propagates as is.  Expert maps are combined in expert-id
     order, so results are deterministic for a fixed (image, config) pair.
     """
-    seconds = dict.fromkeys(PIPELINE_STAGES, 0.0)
-    last = [time.perf_counter()]
-
-    def lap(stage):
-        now = time.perf_counter()
-        seconds[stage] += now - last[0]
-        last[0] = now
-
-    weights, kept, out, failures = _run_stack([image], config, lap)
+    weights, kept, out, failures, seconds = _run_stack([image], config)
     if failures[0] is not None:
         raise failures[0]
     active = range(len(config.experts)) if kept is None else np.flatnonzero(kept[0]).tolist()

@@ -5,18 +5,19 @@ One harness lives here: a gradient checker that backpropagates a scalar loss
 analytically, then compares every parameter coordinate against central finite
 differences.  Timing the pipeline is left to perfbench's traced runs.
 
-The checker runs the pipeline's own align path and its one tail forward
-(``fusion._tail``, shared with ``run_pipeline`` and eval), so its forward
-is byte-equal to ``run_pipeline``.  That forward runs over leading stack
-axes, so the finite differences run as three stacked calls of it
-(``_STACKS``): every +eps and -eps copy of the parameters is one row of a
-batch, and each row's loss equals the unbatched loss bit for bit.  Router
-weights and bias act only through the logits and share one stack, whose
-first row is the unperturbed point; the analytic pass backpropagates from
-that row's intermediates.  The projector stages keep a stack each: in a
-joint one, every stage-2 row would recompute stage 1's GELU.  Coordinates
-go in chunks that keep a stacked call's largest intermediate under
-``_STACK_FLOATS`` floats; ``small_gradcheck_config`` fits in one chunk.
+The checker runs the pipeline's own align path and its stage kernels
+(``fusion._route``, ``fusion._merge`` and ``fusion.mlp``, which
+``run_pipeline`` and eval run in that order), so its forward is byte-equal
+to ``run_pipeline``.  Those kernels run over leading stack axes, so the
+finite differences run as three stacked forwards (``_STACKS``): every +eps
+and -eps copy of the parameters is one row of a batch, and each row's loss
+equals the unbatched loss bit for bit.  Router weights and bias act only
+through the logits and share one stack, whose first row is the unperturbed
+point; the analytic pass backpropagates from that row's intermediates.  The
+projector stages keep a stack each: in a joint one, every stage-2 row would
+recompute stage 1's GELU.  Coordinates go in chunks that keep a stacked
+forward's largest intermediate under ``_STACK_FLOATS`` floats;
+``small_gradcheck_config`` fits in one chunk.
 
 The analytic path backpropagates through softmax in the product form
 w * (d_w - w.d_w), which is the Jacobian diag(w) - w w^T applied without
@@ -46,19 +47,22 @@ from .experts import (
     resample_tokens,
 )
 from .fusion import (
-    TAIL_PARAMS,
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
     _align,
     _align_steps,
-    _tail,
-    _tail_params,
+    _merge,
+    _route,
     gelu_grad,
+    mlp,
 )
 from .router import RouterParams, clip_encode
 
-CHECKED_PARAMS = TAIL_PARAMS
+# The parameters the check differentiates, by name.
+CHECKED_PARAMS = (
+    "router.weights", "router.bias", "projector.stage1.weights", "projector.stage2.weights"
+)
 
 
 @dataclass(frozen=True)
@@ -75,60 +79,13 @@ class GradCheckReport:
         return asdict(self)
 
 
-# Floats in the largest intermediate of one stacked loss call: 2 * chunk rows
+# Floats in the largest intermediate of one stacked forward: 2 * chunk rows
 # (+1 in the router stack's first chunk) of a (T, max(D, H)) activation, or
 # of the stacked point itself if larger.
 _STACK_FLOATS = 2**21
 
 # The check's stacked forwards, each over its parameters' concatenated values.
-_STACKS = (TAIL_PARAMS[:2], TAIL_PARAMS[2:3], TAIL_PARAMS[3:])
-
-
-class NonFiniteLoss(ValueError):
-    """The +eps or -eps loss at flat index ``coordinate`` is not finite."""
-
-    def __init__(self, coordinate: int):
-        super().__init__(f"non-finite loss while perturbing coordinate {coordinate}")
-        self.coordinate = coordinate
-
-
-def finite_diff_gradient(fn, point: np.ndarray, eps: float = 1e-5, coords=None, with_point=False):
-    """Central-difference gradient at ``point`` from one stacked call of ``fn``.
-
-    ``fn`` maps a stack of points shaped ``(B, *point.shape)`` to ``B``
-    losses.  For ``n`` differentiated coordinates the stack has ``2n`` rows:
-    row ``j`` is ``point`` with the ``j``-th of them raised by ``eps``, row
-    ``n + j`` the same coordinate lowered by ``eps``.  ``with_point`` puts
-    ``point`` itself first, as an extra row 0 whose loss goes unused, for an
-    ``fn`` that keeps its intermediates.  The stack holds ``2n * point.size``
-    floats, so callers with large points pass ``coords`` in chunks.
-
-    With ``coords`` (flat indices into ``point``, each in range) only those
-    coordinates are differentiated and the result is a vector in ``coords``
-    order; otherwise it is the full gradient, shaped like ``point``.  A
-    non-finite loss raises :class:`NonFiniteLoss` for the first coordinate,
-    in that order, whose +eps or -eps loss it is.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    flat = point.ravel()
-    indices = np.arange(flat.size) if coords is None else np.asarray(coords, dtype=np.intp)
-    outside = indices[(indices < 0) | (indices >= flat.size)]
-    if outside.size:
-        raise ValueError(f"coordinate {outside[0]} is out of range for a point of {flat.size}")
-    n, first = indices.size, int(with_point)
-    rows = np.arange(first, first + n)
-    stack = np.repeat(flat[None], first + 2 * n, axis=0)
-    stack[rows, indices] += eps
-    stack[n + rows, indices] -= eps
-    losses = np.asarray(fn(stack.reshape((first + 2 * n,) + point.shape)), dtype=np.float64)
-    f_plus, f_minus = losses[first : first + n], losses[first + n :]
-    bad = ~(np.isfinite(f_plus) & np.isfinite(f_minus))
-    if bad.any():
-        raise NonFiniteLoss(int(indices[np.argmax(bad)]))
-    grad = (f_plus - f_minus) / (2.0 * eps)
-    return grad.reshape(point.shape) if coords is None else grad
+_STACKS = (CHECKED_PARAMS[:2], CHECKED_PARAMS[2:3], CHECKED_PARAMS[3:])
 
 
 class _RoutedChain:
@@ -137,7 +94,7 @@ class _RoutedChain:
     Expert maps, patches, and cls are constants with respect to the checked
     parameters, so they are computed once by the pipeline's align path (the
     experts on one patch grid share its pixel-major copy); every loss runs
-    the pipeline's own tail (``fusion._tail``) on them.
+    the pipeline's own route, merge and project kernels on them.
     """
 
     def __init__(self, image: ImageGrid, config: PipelineConfig):
@@ -153,16 +110,27 @@ class _RoutedChain:
         clip = clip_encode(image, config.clip_params())
         self.patches, self.cls = clip.patches.values, clip.cls
         self.config = config
+        r, s1, s2 = config.router, config.projector.stage1, config.projector.stage2
+        self.params = dict(zip(CHECKED_PARAMS, (r.weights, r.bias, s1.weights, s2.weights)))
 
-    def maps(self, weights) -> list:
-        return self.z
+    def forward(self, params=None) -> tuple:
+        """``fusion._route`` -> ``_merge`` -> ``mlp`` over the precomputed
+        maps: ``(weights, merged, hidden, act, out)``.  ``params`` replaces
+        ``CHECKED_PARAMS`` by name; one stacked as ``(P, *shape)`` adds an
+        axis of P forwards, each equal to its unstacked forward bit for bit.
+        """
+        p = {**self.params, **(params or {})}
+        weights, _ = _route(self.cls, self.config, p["router.weights"], p["router.bias"])
+        merged = _merge(self.patches, self.z, weights, self.config)
+        s1, s2 = self.config.projector.stage1, self.config.projector.stage2
+        w1, w2 = p["projector.stage1.weights"], p["projector.stage2.weights"]
+        return (weights, merged, *mlp(merged, w1, s1.bias, w2, s2.bias))
 
-    def analytic_gradients(self, tail=None) -> dict:
-        """Backpropagated from ``tail``, one unstacked forward's intermediates
-        at the config's parameters (by default a new forward)."""
-        p = _tail_params(self.config)
-        tail = tail or _tail(self.cls, self.patches, self.maps, self.config)
-        w, _, _, merged, hidden, act, out = tail
+    def analytic_gradients(self, forward=None) -> dict:
+        """Backpropagated from ``forward``, one unstacked forward's
+        intermediates at the config's parameters (by default a new one)."""
+        p = self.params
+        w, merged, hidden, act, out = forward or self.forward()
         d_out = 2.0 * out
         d_stage2 = act.T @ d_out
         d_act = d_out @ p["projector.stage2.weights"].T
@@ -171,7 +139,7 @@ class _RoutedChain:
         d_merged = d_hidden @ p["projector.stage1.weights"].T
         d_w = np.array([(d_merged * z).sum() for z in self.z])
         d_logits = w * (d_w - float(w @ d_w))
-        return dict(zip(TAIL_PARAMS, (np.outer(self.cls, d_logits), d_logits, d_stage1, d_stage2)))
+        return dict(zip(CHECKED_PARAMS, (np.outer(self.cls, d_logits), d_logits, d_stage1, d_stage2)))
 
 
 def check_router_fusion_gradients(
@@ -187,14 +155,16 @@ def check_router_fusion_gradients(
 
     All coordinates are checked unless ``max_coords_per_param`` (>= 1) caps
     them, in which case a ``seed``-drawn subset is used.  The config must
-    route softly over all experts.  A non-finite loss raises ``ValueError``
-    naming the parameter and coordinate, router weights before bias.
+    route softly over all experts.  A non-finite +eps or -eps loss raises
+    ``ValueError`` naming the parameter and coordinate, the first in
+    ``CHECKED_PARAMS`` and coordinate order.
     """
     if max_coords_per_param is not None and max_coords_per_param < 1:
         raise ValueError(f"max_coords_per_param must be >= 1, got {max_coords_per_param}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    chain, base = _RoutedChain(image, config), _tail_params(config)
+    chain = _RoutedChain(image, config)
+    base = chain.params
     rng, picked = None, {}
     for name, size in ((n, base[n].size) for n in CHECKED_PARAMS):
         picked[name] = np.arange(size)
@@ -203,7 +173,7 @@ def check_router_fusion_gradients(
             picked[name] = np.sort(rng.choice(size, size=max_coords_per_param, replace=False))
     tokens, dim = chain.patches.shape
     activation = tokens * max(dim, config.projector.stage1.out_dim)
-    fd, row0 = {}, []
+    fd, row0 = {}, None
     for names in _STACKS:
         offsets = [0, *accumulate(base[n].size for n in names)]
         spans = list(zip(names, offsets, offsets[1:]))
@@ -211,25 +181,31 @@ def check_router_fusion_gradients(
         coords = np.concatenate([lo + picked[n] for n, lo, _ in spans])
         chunk = max(1, _STACK_FLOATS // (2 * max(activation, point.size)))
         grad = np.empty(coords.size)
-
-        def losses(stack):
-            params = {n: stack[:, a:b].reshape((-1,) + base[n].shape) for n, a, b in spans}
-            tail = _tail(chain.cls, chain.patches, chain.maps, config, params)
-            if not row0:  # the first call, whose row 0 is the unperturbed point
-                row0.extend(None if x is None else x[0] for x in tail)
-            return (tail[-1] ** 2).sum(axis=(-2, -1))
-
-        try:
-            for i in range(0, coords.size, chunk):
-                grad[i : i + chunk] = finite_diff_gradient(
-                    losses, point, eps, coords[i : i + chunk], with_point=not row0
-                )
-        except NonFiniteLoss as exc:
-            name, lo, _ = next(span for span in spans if exc.coordinate < span[2])
-            raise ValueError(f"{name}: {NonFiniteLoss(exc.coordinate - lo)}") from exc
+        for i in range(0, coords.size, chunk):
+            # Rows: the point itself in the first forward only (for the
+            # analytic pass), then each coordinate raised, then lowered, by eps.
+            part, first = coords[i : i + chunk], int(row0 is None)
+            n, rows = part.size, np.arange(first, first + part.size)
+            stack = np.repeat(point[None], first + 2 * n, axis=0)
+            stack[rows, part] += eps
+            stack[n + rows, part] -= eps
+            params = {m: stack[:, a:b].reshape((-1,) + base[m].shape) for m, a, b in spans}
+            with np.errstate(over="ignore", invalid="ignore"):
+                forward = chain.forward(params)
+                losses = (forward[-1] ** 2).sum(axis=(-2, -1))
+            if first:
+                row0 = tuple(x[0] for x in forward)
+            f_plus, f_minus = losses[first : first + n], losses[first + n :]
+            bad = ~(np.isfinite(f_plus) & np.isfinite(f_minus))
+            if bad.any():
+                c = int(part[np.argmax(bad)])
+                name, lo, _ = next(span for span in spans if c < span[2])
+                raise ValueError(f"{name}: non-finite loss while perturbing coordinate {c - lo}")
+            grad[i : i + n] = (f_plus - f_minus) / (2.0 * eps)
         ends = [0, *accumulate(picked[n].size for n in names)]
         fd.update((n, grad[a:b]) for n, a, b in zip(names, ends, ends[1:]))
-    analytic = chain.analytic_gradients(row0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        analytic = chain.analytic_gradients(row0)
     degenerate_router = not any(z.any() for z in chain.z)
     reports = []
     for name in CHECKED_PARAMS:

@@ -320,6 +320,13 @@ class TestGradcheck:
         assert stdout == ""
         assert flag in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_eps_not_positive_exits_two(self, capsys, value):
+        code, stdout, err = run_cli(capsys, ["gradcheck", "--eps", value])
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [f"ERROR --eps must be positive, got {float(value)}"]
+
 
 class TestReport:
     def make_judgements(self, capsys, tmp_path, name, favor=None):

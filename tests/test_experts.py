@@ -64,6 +64,23 @@ class TestImageGrid:
             ImageGrid(np.zeros((0, 4, 3)))
 
 
+class TestFeatureMap:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.ones(4), r"must be 2-D and non-empty, got shape \(4,\)$"),
+            (np.ones((2, 2, 2)), r"must be 2-D and non-empty, got shape \(2, 2, 2\)$"),
+            (np.ones((0, 3)), r"must be 2-D and non-empty, got shape \(0, 3\)$"),
+            (np.ones((3, 0)), r"must be 2-D and non-empty, got shape \(3, 0\)$"),
+            (np.array([[1.0, np.nan]]), "^feature map contains non-finite values$"),
+        ],
+        ids=["1-d", "3-d", "no-tokens", "no-features", "non-finite"],
+    )
+    def test_rejects(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureMap(values, source="0")
+
+
 class TestSpecValidation:
     def test_rejects_unknown_persona(self):
         with pytest.raises(ValueError, match="persona"):

@@ -398,6 +398,20 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="project: .*non-finite"):
             run_pipeline(self.random_image(3), small_config(FusionStrategy(kind="routed")))
 
+    def test_overflow_inside_the_projector_does_not_warn(self):
+        # GELU's cubic overflows to inf on these hidden values, yet every
+        # projected feature is finite; the suite turns any RuntimeWarning
+        # into an error.
+        config = toy_judging_config("color-histogram")
+        s1 = config.projector.stage1
+        stage1 = LinearAdapter(s1.weights * 1e200, s1.bias)
+        blown = dataclasses.replace(
+            config, projector=ProjectorParams(stage1, config.projector.stage2)
+        )
+        result = run_pipeline(image_of(1, 64), blown)
+        assert np.isfinite(result.features.values).all()
+        assert np.abs(result.features.values).max() > 1e190
+
     def test_stage_bugs_propagate_unwrapped(self, monkeypatch):
         from routebench import fusion
 
@@ -633,7 +647,7 @@ class TestStackedTail:
 
     @staticmethod
     def assert_rows_equal_single_runs(images, config):
-        weights, kept, out, failures = _run_stack(list(images), config)
+        weights, kept, out, failures, _ = _run_stack(list(images), config)
         assert failures == [None] * len(images)
         active_sets = []
         for b, image in enumerate(images):
@@ -680,7 +694,7 @@ class TestStackedTail:
         config = small_config(FusionStrategy(kind="routed"))
         images = [image_of(1, 16), ImageGrid(np.full((15, 15, 3), 0.5)), image_of(2, 16)]
         consumed = list(images)
-        weights, _, out, failures = _run_stack(consumed, config)
+        weights, _, out, failures, _ = _run_stack(consumed, config)
         # Encoded images are dropped from the list; the failed one is kept.
         assert consumed == [None, images[1], None]
         assert isinstance(failures[1], PipelineError)

@@ -17,111 +17,15 @@ from routebench.fusion import (
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
-    _tail,
-    _tail_params,
     run_pipeline,
 )
 from routebench.numerics import (
     CHECKED_PARAMS,
     check_router_fusion_gradients,
-    finite_diff_gradient,
     _RoutedChain,
     small_gradcheck_config,
 )
 from routebench.router import RouterParams
-
-
-def cubic_losses(stack):
-    """Stacked protocol: one sum of cubes per row of ``stack``."""
-    return (stack**3).reshape(len(stack), -1).sum(axis=1)
-
-
-class TestFiniteDiff:
-    def test_quadratic_gradient(self):
-        point = np.array([1.0, -2.0, 3.0])
-        grad = finite_diff_gradient(lambda x: (x**2).sum(axis=-1), point)
-        np.testing.assert_allclose(grad, 2 * point, rtol=0, atol=1e-8)
-
-    def test_matrix_shaped_point(self):
-        point = np.arange(6.0).reshape(2, 3)
-        grad = finite_diff_gradient(lambda x: (x**3).sum(axis=(-2, -1)), point)
-        np.testing.assert_allclose(grad, 3 * point**2, rtol=0, atol=1e-6)
-
-    def test_non_finite_loss_names_coordinate(self):
-        def fn(x):
-            return np.where(x[:, 1] > 0.5, np.inf, x.sum(axis=-1))
-
-        with pytest.raises(ValueError, match="coordinate 1"):
-            finite_diff_gradient(fn, np.array([0.0, 0.5, 0.0]))
-
-    def test_coordinate_subset_matches_full_gradient(self):
-        point = np.arange(6.0).reshape(2, 3)
-        full = finite_diff_gradient(cubic_losses, point).ravel()
-        coords = np.array([4, 0, 5])
-        np.testing.assert_array_equal(
-            finite_diff_gradient(cubic_losses, point, coords=coords), full[coords]
-        )
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            finite_diff_gradient(lambda x: np.zeros(len(x)), np.zeros(2), eps=0.0)
-
-    def test_one_call_with_plus_rows_then_minus_rows(self):
-        point = np.arange(6.0).reshape(2, 3)
-        coords = np.array([4, 0, 5])
-        calls = []
-
-        def fn(stack):
-            calls.append(stack.copy())
-            return cubic_losses(stack)
-
-        finite_diff_gradient(fn, point, eps=0.25, coords=coords)
-        assert len(calls) == 1
-        stack = calls[0]
-        assert stack.shape == (6, 2, 3)
-        for j, i in enumerate(coords):
-            for row, sign in ((j, 1.0), (3 + j, -1.0)):
-                want = point.ravel().copy()
-                want[i] += sign * 0.25
-                np.testing.assert_array_equal(stack[row].ravel(), want)
-
-    def test_with_point_puts_point_first(self):
-        point = np.arange(6.0).reshape(2, 3)
-        coords = np.array([4, 0, 5])
-        calls = []
-
-        def fn(stack):
-            calls.append(stack.copy())
-            return cubic_losses(stack)
-
-        grad = finite_diff_gradient(fn, point, 0.25, coords, with_point=True)
-        stack = calls[0]
-        assert stack.shape == (7, 2, 3)
-        np.testing.assert_array_equal(stack[0], point)
-        for j, i in enumerate(coords):
-            for row, sign in ((1 + j, 1.0), (4 + j, -1.0)):
-                want = point.ravel().copy()
-                want[i] += sign * 0.25
-                np.testing.assert_array_equal(stack[row].ravel(), want)
-        np.testing.assert_array_equal(grad, finite_diff_gradient(cubic_losses, point, 0.25, coords))
-
-    @pytest.mark.parametrize("coordinate", [-1, 3])
-    def test_out_of_range_coordinate_rejected(self, coordinate):
-        with pytest.raises(ValueError, match=f"coordinate {coordinate} is out of range"):
-            finite_diff_gradient(lambda s: (s**2).sum(axis=1), np.ones(3), 1e-5, [coordinate])
-
-    def test_non_finite_minus_half_names_first_coordinate_in_order(self):
-        # Only lowering coordinate 2 and raising coordinate 0 blow up; in
-        # ``coords`` order coordinate 2 comes first.
-        def fn(x):
-            bad = (x[:, 2] < -0.5) | (x[:, 0] > 0.5)
-            return np.where(bad, np.nan, x.sum(axis=-1))
-
-        point = np.array([0.5, 0.0, -0.5])
-        with pytest.raises(ValueError, match="coordinate 2$"):
-            finite_diff_gradient(fn, point, coords=[1, 2, 0])
-        with pytest.raises(ValueError, match="coordinate 0$"):
-            finite_diff_gradient(fn, point)
 
 
 class TestGradCheck:
@@ -181,7 +85,7 @@ class TestGradCheck:
         )
         image = ImageGrid(np.random.default_rng(4).random((16, 16, 3)))
         chain = _RoutedChain(image, config)
-        w, *_, out = _tail(chain.cls, chain.patches, chain.maps, config)
+        w, *_, out = chain.forward()
         result = run_pipeline(image, config)
         assert np.count_nonzero(w) == 3
         assert w.tobytes() == result.routing.weights.tobytes()
@@ -195,21 +99,25 @@ class TestGradCheck:
             errors[eps] = max(r.max_rel_error for r in reports)
         assert errors[1e-6] <= 10.0 * errors[1e-5]
 
-    def test_top_k_config_rejected(self):
+    @pytest.mark.parametrize(
+        "kind, k, message",
+        [
+            ("routed", 1, "requires soft routing over all experts"),
+            ("add", None, "requires routed fusion, config uses 'add'"),
+            ("concat", None, "requires routed fusion, config uses 'concat'"),
+        ],
+    )
+    def test_config_without_soft_routing_rejected(self, kind, k, message):
         config, image = small_gradcheck_config(2)
-        masked = PipelineConfig(
-            experts=config.experts,
-            router=config.router,
-            strategy=FusionStrategy(kind="routed", k=1),
-            projector=config.projector,
-            canonical_tokens=config.canonical_tokens,
-            canonical_dim=config.canonical_dim,
-            clip_seed=config.clip_seed,
+        projector = config.projector
+        if kind == "concat":
+            width = config.canonical_dim * len(config.experts)
+            projector = ProjectorParams(seeded_adapter(width, 4, seed=1), projector.stage2)
+        other = dataclasses.replace(
+            config, strategy=FusionStrategy(kind=kind, k=k), projector=projector
         )
-        if len(config.experts) == 1:
-            pytest.skip("needs at least 2 experts to mask")
-        with pytest.raises(ValueError, match="soft routing"):
-            check_router_fusion_gradients(masked, image)
+        with pytest.raises(ValueError, match=f"^gradient check {message}"):
+            check_router_fusion_gradients(other, image)
 
     def test_stacked_losses_equal_unbatched_forward(self):
         # Each parameter alone, and router weights and bias as the check
@@ -218,7 +126,7 @@ class TestGradCheck:
         for seed in range(40):
             config, image = small_gradcheck_config(seed)
             chain = _RoutedChain(image, config)
-            base = _tail_params(config)
+            base = chain.params
             for names in groups:
                 flat = np.concatenate([base[n].ravel() for n in names])
                 rng = np.random.default_rng(seed)
@@ -227,12 +135,12 @@ class TestGradCheck:
                 for n in names:
                     params[n] = stack[:, lo : lo + base[n].size].reshape((5,) + base[n].shape)
                     lo += base[n].size
-                stacked = _tail(chain.cls, chain.patches, chain.maps, config, params)[-1]
+                stacked = chain.forward(params)[-1]
                 losses = (stacked**2).sum(axis=(-2, -1))
                 assert losses.shape == (5,)
                 for b, loss in enumerate(losses):
                     row = {n: p[b] for n, p in params.items()}
-                    out = _tail(chain.cls, chain.patches, chain.maps, config, row)[-1]
+                    out = chain.forward(row)[-1]
                     assert loss == float((out**2).sum()), (seed, names)
 
     @pytest.mark.parametrize("max_coords", [None, 3])
@@ -251,26 +159,40 @@ class TestGradCheck:
             assert chunked == whole
 
     def test_small_configs_take_three_tail_forwards(self, monkeypatch):
-        calls = []
+        # One forward per stack.  The router stack's first row is the
+        # unperturbed point; then row j raises coordinate j by eps and row
+        # n + j lowers it.
+        forward, calls = _RoutedChain.forward, []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return _tail(*args, **kwargs)
+        def counted(chain, params=None):
+            calls.append({n: p.reshape(len(p), -1) for n, p in params.items()})
+            return forward(chain, params)
 
-        monkeypatch.setattr(numerics, "_tail", counted)
+        monkeypatch.setattr(_RoutedChain, "forward", counted)
         for seed in range(40):
             config, image = small_gradcheck_config(seed)
+            base = _RoutedChain(image, config).params
             calls.clear()
             check_router_fusion_gradients(config, image)
             assert len(calls) == 3, seed
+            for stack, (call, names) in enumerate(zip(calls, numerics._STACKS)):
+                assert list(call) == list(names)
+                point = np.concatenate([base[n].ravel() for n in names])
+                rows = np.concatenate([call[n] for n in names], axis=1)
+                if stack == 0:
+                    assert rows[0].tobytes() == point.tobytes()
+                    rows = rows[1:]
+                n = point.size
+                signs = np.sign(rows - point)
+                np.testing.assert_array_equal(signs, np.vstack([np.eye(n), -np.eye(n)]))
 
     def test_router_stack_first_row_gives_unstacked_analytic_gradients(self, monkeypatch):
         unstacked = _RoutedChain.analytic_gradients
         seen = []
 
-        def compared(chain, tail=None):
-            assert tail is not None  # read from the router stack, not a forward of its own
-            got = unstacked(chain, tail)
+        def compared(chain, forward=None):
+            assert forward is not None  # read from the router stack, not a forward of its own
+            got = unstacked(chain, forward)
             want = unstacked(chain)
             for name in CHECKED_PARAMS:
                 assert got[name].tobytes() == want[name].tobytes(), name
@@ -292,25 +214,31 @@ class TestGradCheck:
                 config.projector.stage1, LinearAdapter(s2.weights * 1e160, s2.bias)
             ),
         )
-        # The loss overflows to inf by design here, and the check must name it.
-        with np.errstate(over="ignore"), pytest.raises(
+        # The loss overflows to inf by design here: the check must name it,
+        # not warn first (the suite turns a RuntimeWarning into an error).
+        with pytest.raises(
             ValueError, match="^router.weights: non-finite loss while perturbing coordinate 0$"
         ):
             check_router_fusion_gradients(blown, image)
 
-    def test_non_finite_bias_row_names_router_bias_coordinate(self, monkeypatch):
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_non_finite_bias_row_names_router_bias_coordinate(self, monkeypatch, lowered):
         config, image = small_gradcheck_config(0)
-        bias = config.router.bias
+        bias, forward = config.router.bias, _RoutedChain.forward
 
-        def blown_bias(cls, patches, maps_for, config, params=None, **kwargs):
-            result = _tail(cls, patches, maps_for, config, params, **kwargs)
+        def blown_bias(chain, params=None):
+            result = forward(chain, params)
             stacked = (params or {}).get("router.bias")
             if stacked is not None and stacked.ndim == 2:
-                # Only the row that raises bias coordinate 1 blows up.
-                result[-1][stacked[:, 1] > bias[1]] = np.inf
+                # Only the row that moves bias coordinate 1 one way blows
+                # up, and the row that moves coordinate 3 the other way.
+                up = stacked > bias
+                down = stacked < bias
+                rows = down[:, 1] | up[:, 3] if lowered else up[:, 1] | down[:, 3]
+                result[-1][rows] = np.inf
             return result
 
-        monkeypatch.setattr(numerics, "_tail", blown_bias)
+        monkeypatch.setattr(_RoutedChain, "forward", blown_bias)
         with pytest.raises(
             ValueError, match="^router.bias: non-finite loss while perturbing coordinate 1$"
         ):
@@ -321,12 +249,13 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="^max_coords_per_param must be >= 1, got 0$"):
             check_router_fusion_gradients(config, image, max_coords_per_param=0)
 
-    def test_bad_eps_rejected_before_any_forward(self, monkeypatch):
+    @pytest.mark.parametrize("eps", [0, -1.0, float("nan")])
+    def test_bad_eps_rejected_before_any_forward(self, monkeypatch, eps):
         config, image = small_gradcheck_config(0)
         calls = []
-        monkeypatch.setattr(numerics, "_tail", lambda *a, **k: calls.append(1))
-        with pytest.raises(ValueError, match="^eps must be positive, got 0$"):
-            check_router_fusion_gradients(config, image, eps=0)
+        monkeypatch.setattr(_RoutedChain, "forward", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match=f"^eps must be positive, got {eps}$"):
+            check_router_fusion_gradients(config, image, eps=eps)
         assert calls == []
 
     def test_coordinate_subsampling(self):

@@ -78,9 +78,21 @@ class TestRoutingWeights:
         with pytest.raises(ValueError, match="non-zero weight"):
             RoutingWeights(np.array([0.5, 0.5]), frozenset({0}))
 
-    def test_validation_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            RoutingWeights(np.array([0.5, 0.4]), frozenset({0, 1}))
+    @pytest.mark.parametrize(
+        "weights, active, message",
+        [
+            ([0.5, 0.4], {0, 1}, "must sum to 1, got"),
+            ([[0.5, 0.5]], {0, 1}, "must be a non-empty vector"),
+            ([], set(), "must be a non-empty vector"),
+            ([0.5, np.nan], {0, 1}, "contain non-finite values"),
+            ([1.5, -0.5], {0, 1}, r"must lie in \[0, 1\]"),
+            ([0.5, 0.5], {0, 2}, r"^active set \[0, 2\] out of range for 2 experts$"),
+        ],
+        ids=["bad-sum", "not-a-vector", "empty", "non-finite", "outside-unit", "active-out-of-range"],
+    )
+    def test_validation_rejects(self, weights, active, message):
+        with pytest.raises(ValueError, match=message):
+            RoutingWeights(np.array(weights), frozenset(active))
 
 
 class TestTopK:
@@ -191,10 +203,18 @@ class TestRouteLogits:
         logits = route_logits(np.array([1.0, 0.0]), params)
         np.testing.assert_array_equal(logits, [2.5, -0.5])
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            (np.zeros(3), r"^cls has shape \(3,\), router expects \(4,\)$"),
+            (np.array([0.0, np.inf, 0.0, 0.0]), "^cls contains non-finite values$"),
+        ],
+        ids=["shape-mismatch", "non-finite"],
+    )
+    def test_bad_cls_rejected(self, cls, message):
         params = RouterParams(np.zeros((4, 2)), np.zeros(2))
-        with pytest.raises(ValueError, match="router expects"):
-            route_logits(np.zeros(3), params)
+        with pytest.raises(ValueError, match=message):
+            route_logits(cls, params)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(3)
