@@ -219,13 +219,16 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # A check over no configs or no coordinates would pass vacuously, and
-    # finite differences need a positive step.
+    # A check over no configs or no coordinates would pass vacuously, finite
+    # differences need a positive step, and only a finite, positive threshold
+    # can both pass some gradients and fail others.
     for flag, value in (("--configs", args.configs), ("--max-coords", args.max_coords)):
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     if not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
+    if not 0 < args.threshold < float("inf"):
+        raise UsageError(f"--threshold must be finite and positive, got {args.threshold}")
     runs = []
     all_passed = True
     for offset in range(args.configs):

@@ -99,12 +99,11 @@ class Judgement:
 
 def judge_sample(scorer, pipeline_output: FeatureMap, sample: BenchmarkSample) -> Judgement:
     """Score both captions against the same features in one ``score`` call
-    and apply the error rule."""
+    and apply the error rule.  Any scorer failure, ``EvaluationError``
+    included, raises ``EvaluationError("sample <id>: <message>")``."""
     try:
         nlls = scorer.score(pipeline_output, sample.real_caption, sample.hallucinated_caption)
         ppl_real, ppl_hall = map(perplexity, nlls)
-    except EvaluationError:
-        raise
     except Exception as exc:
         raise EvaluationError(f"sample {sample.id}: {exc}") from exc
     return Judgement(
@@ -263,12 +262,12 @@ def evaluate_dataset(
     first_failure = len(samples)
     failure_lock = threading.Lock()
 
-    def failed(index, exc):
+    def failed(index, message):
         nonlocal first_failure
         if failures is None:
             with failure_lock:
                 first_failure = min(first_failure, index)
-        return None, f"sample {samples[index].id}: {exc}"
+        return None, message
 
     def run_chunk(start):
         outcomes, images, indices = {}, [], []  # outcomes: index -> (judgement, failure)
@@ -279,20 +278,20 @@ def evaluate_dataset(
                 images.append(_resolve_image(samples[index].image, base_dir))
                 indices.append(index)
             except (ValueError, OSError) as exc:
-                outcomes[index] = failed(index, exc)
+                outcomes[index] = failed(index, f"sample {samples[index].id}: {exc}")
         if images:
             _, _, out, errors, _ = _run_stack(images, pipeline_config)
             for row, index in enumerate(indices):
                 if index > first_failure:
                     break
                 if errors[row] is not None:
-                    outcomes[index] = failed(index, errors[row])
+                    outcomes[index] = failed(index, f"sample {samples[index].id}: {errors[row]}")
                     continue
                 features = _unchecked(FeatureMap, values=out[row], source="fused")
                 try:
                     outcomes[index] = judge_sample(scorer, features, samples[index]), None
-                except EvaluationError as exc:
-                    outcomes[index] = failed(index, exc)
+                except EvaluationError as exc:  # judge_sample names the sample
+                    outcomes[index] = failed(index, str(exc))
         return [outcomes[index] for index in sorted(outcomes)]
 
     judgements = []

@@ -67,7 +67,6 @@ PIPELINE_STAGES = ("encode", "align", "route", "fuse", "project")
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh-approximated GELU, the projector nonlinearity."""
-    x = np.asarray(x, dtype=np.float64)
     # 0.5 * x * (1 + tanh(S * (x + C * (x * x * x)))) step by step in one
     # scratch array, in that order, so it rounds the same.  x * x * x, not
     # x**3: numpy sends a cube to libm pow, which is tens of times slower on
@@ -85,7 +84,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     u = _GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))
     th = np.tanh(u)
     du = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * x**2)
@@ -138,21 +136,15 @@ def weighted_sum(weights, arrays) -> np.ndarray:
     the weights' leading axes.  Weights with leading axes ``(..., N)`` give
     one sum per row, and a row scales the matching map of a stack; for
     finite arrays each row equals the 1-D sum of its weights bit for bit.
-    1-D ``weights`` skip (do not read) arrays whose weight is exactly 0;
-    None arrays are always skipped.
+    None arrays are skipped; a finite array weighted 0 adds exact zeros,
+    which change no byte (the sum starts at +0.0 and never holds -0.0).
     """
     weights = np.asarray(weights)
-    batch = weights.shape[:-1]
     shape = next(a.shape for a in arrays if a is not None)
-    acc = np.zeros(shape if len(shape) > 2 else batch + shape)
+    acc = np.zeros(shape if len(shape) > 2 else weights.shape[:-1] + shape)
     for i, values in enumerate(arrays):
-        if values is None:
-            continue
-        w = weights[..., i]
-        if batch:
-            acc += w.reshape(batch + (1, 1)) * values
-        elif w != 0.0:
-            acc += w * values
+        if values is not None:
+            acc += weights[..., i, None, None] * values
     return acc
 
 
@@ -170,9 +162,9 @@ def _check_same_shape(experts: list[FeatureMap]) -> None:
 def weighted_fuse(routing: RoutingWeights, experts: list[FeatureMap]) -> FeatureMap:
     """Weighted sum of aligned expert maps.
 
-    Experts whose weight is exactly zero are skipped entirely, so masked
-    experts cannot influence the result.  Accumulation runs in expert-id
-    order, which keeps the output byte-reproducible.
+    Experts whose weight is exactly zero add exact zeros, so masked experts
+    cannot influence the result.  Accumulation runs in expert-id order,
+    which keeps the output byte-reproducible.
     """
     if len(experts) != routing.n_experts:
         raise ValueError(
@@ -227,34 +219,27 @@ def mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.nd
     return hidden, act, out
 
 
-def _route(cls, config: PipelineConfig, weights=None, bias=None) -> tuple:
-    """Unvalidated routing of a stack of context vectors ``(..., D)``:
-    returns ``(weights, kept)`` with those axes, where ``kept`` is top-k's
-    mask (None: every expert kept).
+def _route(cls, weights, bias, k) -> tuple:
+    """Unvalidated routing of a stack of context vectors ``(..., D)`` by a
+    router's ``weights`` ``(D, N)`` and ``bias`` ``(N,)``: returns the
+    :func:`_top_k_rows` ``(weights, kept)`` of the softmax, with those axes.
 
-    ``weights`` and ``bias`` replace the router's; stacked as ``(P, D, N)``
-    and ``(P, N)`` they add an axis of P routings (gradcheck).  Each row
-    equals its own unstacked routing bit for bit: the logits are a
-    ``(1, D) @ W`` product per row, since a ``(B, D) @ W`` product rounds
-    differently.  Logits that are not finite give NaN weights.
+    Stacked as ``(P, D, N)`` and ``(P, N)``, ``weights`` and ``bias`` add
+    an axis of P routings (gradcheck).  Each row equals its own unstacked
+    routing bit for bit: the logits are a ``(1, D) @ W`` product per row,
+    since a ``(B, D) @ W`` product rounds differently.  Logits that are not
+    finite give NaN weights.
     """
-    router = config.router
-    w = router.weights if weights is None else weights
-    logits = (cls[..., None, :] @ w)[..., 0, :] + (router.bias if bias is None else bias)
-    weights, kept = softmax(logits), None
-    k = config.strategy.k
-    if config.strategy.kind == "routed" and k is not None and k < weights.shape[-1]:
-        weights, kept = _top_k_rows(weights, k)
-    return weights, kept
+    logits = (cls[..., None, :] @ weights)[..., 0, :] + bias
+    return _top_k_rows(softmax(logits), k)
 
 
-def _merge(patches, maps, weights, config: PipelineConfig) -> np.ndarray:
-    """Unvalidated fuse and merge over leading stack axes: ``patches`` plus
-    the :func:`weighted_sum` of the N expert ``maps`` (routed: by
-    ``weights``; add: unit weights), or under concat the maps concatenated
-    along the feature axis.  A map is ``(T, D)``, ``(..., T, D)`` or None
-    for an expert no row weighs."""
-    kind = config.strategy.kind
+def _merge(patches, maps, weights, kind: str) -> np.ndarray:
+    """Unvalidated fuse and merge over leading stack axes under the fusion
+    ``kind``: ``patches`` plus the :func:`weighted_sum` of the N expert
+    ``maps`` (routed: by ``weights``; add: unit weights), or under concat
+    the maps concatenated along the feature axis.  A map is ``(T, D)``,
+    ``(..., T, D)`` or None for an expert no row weighs."""
     if kind == "concat":
         return np.concatenate(maps, axis=-1)
     return patches + weighted_sum(weights if kind == "routed" else np.ones(len(maps)), maps)
@@ -543,7 +528,7 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
             failures[b].__cause__ = exc
     cls, patches = _stack(cls, shape[1:]), _stack(patches, shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights, kept = _route(cls, config)
+        weights, kept = _route(cls, config.router.weights, config.router.bias, config.strategy.k)
     lap("route")
     routed = config.strategy.kind == "routed"
     maps = [[None] * n for _ in config.experts]
@@ -579,7 +564,7 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
     unused = [routed and not weights[..., i].any() for i in range(len(maps))]
     maps = [None if skip else _stack(m, shape) for skip, m in zip(unused, maps)]
     with np.errstate(over="ignore", invalid="ignore"):
-        merged = _merge(patches, maps, weights, config)
+        merged = _merge(patches, maps, weights, config.strategy.kind)
         fused = np.isfinite(merged).all(axis=(-2, -1))
         lap("fuse")
         p = config.projector

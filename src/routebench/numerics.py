@@ -119,9 +119,9 @@ class _RoutedChain:
         ``CHECKED_PARAMS`` by name; one stacked as ``(P, *shape)`` adds an
         axis of P forwards, each equal to its unstacked forward bit for bit.
         """
-        p = {**self.params, **(params or {})}
-        weights, _ = _route(self.cls, self.config, p["router.weights"], p["router.bias"])
-        merged = _merge(self.patches, self.z, weights, self.config)
+        p, k = {**self.params, **(params or {})}, self.config.strategy.k
+        weights, _ = _route(self.cls, p["router.weights"], p["router.bias"], k)
+        merged = _merge(self.patches, self.z, weights, "routed")
         s1, s2 = self.config.projector.stage1, self.config.projector.stage2
         w1, w2 = p["projector.stage1.weights"], p["projector.stage2.weights"]
         return (weights, merged, *mlp(merged, w1, s1.bias, w2, s2.bias))

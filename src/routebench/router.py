@@ -184,10 +184,13 @@ def routing_weights(logits: np.ndarray) -> RoutingWeights:
     )
 
 
-def _top_k_rows(weights: np.ndarray, k: int) -> tuple:
+def _top_k_rows(weights: np.ndarray, k) -> tuple:
     """:func:`select_top_k` unvalidated, over the last axis of ``(..., N)``
     weights: the renormalized weights and the bool mask of kept experts.
-    Each row equals its own 1-D call bit for bit; k = 1 gives exactly 1."""
+    Each row equals its own 1-D call bit for bit; k = 1 gives exactly 1.
+    k None or >= N keeps every weight: ``(weights, None)``, the input itself."""
+    if k is None or k >= weights.shape[-1]:
+        return weights, None
     order = np.argsort(-weights, axis=-1, kind="stable")
     ids = np.sort(order[..., :k], axis=-1)
     kept = np.zeros(weights.shape, dtype=bool)
@@ -200,18 +203,15 @@ def _top_k_rows(weights: np.ndarray, k: int) -> tuple:
 def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:
     """Keep the k largest weights (ties broken by lower expert id), renormalize.
 
-    Masked experts get exactly 0 so downstream fusion can skip them.  The
+    Masked experts get exactly 0, so they add exact zeros in fusion.  The
     input already lies on the simplex, and renormalizing the kept weights
     (the largest is at least 1/n) keeps it there, so the result is built
-    without ``RoutingWeights``' checks.
+    without ``RoutingWeights``' checks.  It never shares the input's array.
     """
     n = routing.n_experts
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if k == n:
-        weights = routing.weights.copy()
-        return _unchecked(RoutingWeights, weights=weights, active=frozenset(range(n)))
-    weights, kept = _top_k_rows(routing.weights, k)
-    return _unchecked(
-        RoutingWeights, weights=weights, active=frozenset(np.flatnonzero(kept).tolist())
-    )
+    # A copy in, since at k = n the kernel hands its input back.
+    weights, kept = _top_k_rows(routing.weights.copy(), k)
+    active = range(n) if kept is None else np.flatnonzero(kept).tolist()
+    return _unchecked(RoutingWeights, weights=weights, active=frozenset(active))

@@ -46,8 +46,11 @@ from routebench.fusion import (
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
+    _merge,
+    _route,
     fuse_add,
     fuse_concat,
+    mlp,
     project,
     run_pipeline,
     weighted_fuse,
@@ -135,6 +138,26 @@ def test_criterion_02_routing_simplex_properties():
                 assert int(np.argmax(w)) == int(np.argmax(logits))
 
 
+# The checks named "stacked" test a criterion's property through the kernels
+# that eval, run_pipeline and gradcheck run (fusion._route, _merge and mlp)
+# over a stack of rows.  An identity router makes each row's logits the row
+# itself, exactly.
+
+
+def test_criterion_02_stacked_route_kernel():
+    rng = np.random.default_rng(20260816)
+    for n in range(2, 9):
+        logits = rng.normal(size=(1000, n)) * rng.uniform(0.5, 10.0, size=(1000, 1))
+        w, kept = _route(logits, np.eye(n), np.zeros(n), None)
+        assert kept is None
+        assert np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-9
+        assert w.min() >= 0.0 and w.max() <= 1.0
+        shift = np.repeat(rng.uniform(-500.0, 500.0, size=(1000, 1)), n, axis=1)
+        shifted, _ = _route(logits, np.eye(n), shift, None)
+        assert np.abs(shifted - w).max() <= 1e-12
+        np.testing.assert_array_equal(np.argmax(w, axis=-1), np.argmax(logits, axis=-1))
+
+
 def brute_force_top_k(weights: np.ndarray, k: int):
     n = weights.size
     if k == n:
@@ -169,6 +192,22 @@ def test_criterion_03_top_k_oracle_equivalence():
                     want, want_active = brute_force_top_k(routing.weights, k)
                     assert np.array_equal(got.weights, want), (n, k, logits)
                     assert got.active == want_active, (n, k, logits)
+
+
+def test_criterion_03_stacked_route_kernel():
+    rng = np.random.default_rng(31338)
+    for n in range(1, 9):
+        logits = rng.normal(scale=2.0, size=(200, n))
+        if n >= 2:  # exact weight ties in every third row
+            rows = np.arange(0, 200, 3)
+            logits[rows, rng.integers(1, n, size=rows.size)] = logits[rows, 0]
+        for k in [*range(1, n + 1), None]:
+            weights, kept = _route(logits, np.eye(n), np.zeros(n), k)
+            for i, row in enumerate(logits):
+                want, want_active = brute_force_top_k(routing_weights(row).weights, k or n)
+                active = range(n) if kept is None else np.flatnonzero(kept[i]).tolist()
+                assert weights[i].tobytes() == want.tobytes(), (n, k, row)
+                assert frozenset(active) == want_active, (n, k, row)
 
 
 ZERO_OUTPUT_PERSONAS = ("edge-shape", "text-stripe", "color-histogram")
@@ -221,6 +260,26 @@ def test_criterion_04_residual_identity_on_zero_experts():
             clip = clip_encode(image, config.clip_params())
             direct = project(clip.patches, config.projector)
             assert result.features.values.tobytes() == direct.values.tobytes(), case
+
+
+def test_criterion_04_stacked_merge_and_projector():
+    rng = np.random.default_rng(4100)
+    for case in range(20):
+        batch, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        tokens, dim = int(rng.choice([4, 16])), int(rng.choice([6, 8, 24]))
+        hidden = int(rng.choice([4, 8]))
+        k = rng.choice([None, *range(1, n + 1)])
+        cls, patches = rng.normal(size=(batch, dim)), rng.normal(size=(batch, tokens, dim))
+        router = rng.normal(size=(dim, n)), rng.normal(size=n)
+        weights, _ = _route(cls, *router, None if k is None else int(k))
+        # A stacked zero map per expert some row weighs; None for the rest.
+        zeros = [np.zeros(patches.shape) if weights[:, i].any() else None for i in range(n)]
+        s1, s2 = seeded_adapter(dim, hidden, seed=case), seeded_adapter(hidden, dim, seed=case + 1)
+        merged = _merge(patches, zeros, weights, "routed")
+        out = mlp(merged, s1.weights, s1.bias, s2.weights, s2.bias)[-1]
+        for row, values in zip(out, patches):
+            direct = project(FeatureMap(values, source="clip-patch"), ProjectorParams(s1, s2))
+            assert row.tobytes() == direct.values.tobytes(), case
 
 
 def test_criterion_05_gradient_verification():
@@ -324,6 +383,25 @@ def test_criterion_08_fusion_strategy_contracts():
         uniform = RoutingWeights(np.full(n, 1.0 / n), frozenset(range(n)))
         scaled = n * weighted_fuse(uniform, maps).values
         assert np.abs(added.values - scaled).max() <= 1e-9
+
+
+def test_criterion_08_stacked_merge_kernel():
+    rng = np.random.default_rng(80)
+    batch, tokens, dim, n = 3, 9, 5, 4
+    patches = rng.normal(size=(batch, tokens, dim))
+    maps = list(rng.normal(size=(n, batch, tokens, dim)))
+
+    added = _merge(patches, maps, None, "add")
+    assert added.shape == (batch, tokens, dim)
+    np.testing.assert_array_equal(added, patches + (maps[0] + maps[1] + maps[2] + maps[3]))
+
+    catted = _merge(patches, maps, None, "concat")
+    assert catted.shape == (batch, tokens, n * dim)
+    for i in range(n):
+        np.testing.assert_array_equal(catted[..., i * dim : (i + 1) * dim], maps[i])
+
+    scaled = n * (_merge(patches, maps, np.full((batch, n), 1.0 / n), "routed") - patches)
+    assert np.abs((added - patches) - scaled).max() <= 1e-9
 
 
 def test_criterion_09_dataset_round_trip_and_rejection():

@@ -327,6 +327,14 @@ class TestGradcheck:
         assert stdout == ""
         assert err.splitlines() == [f"ERROR --eps must be positive, got {float(value)}"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_threshold_not_finite_and_positive_exits_two(self, capsys, value):
+        code, stdout, err = run_cli(capsys, ["gradcheck", "--threshold", value])
+        assert code == 2
+        assert stdout == ""
+        want = f"ERROR --threshold must be finite and positive, got {float(value)}"
+        assert err.splitlines() == [want]
+
 
 class TestReport:
     def make_judgements(self, capsys, tmp_path, name, favor=None):

@@ -53,7 +53,14 @@ from routebench.evaluator import (
     _token_kind,
 )
 from routebench.experts import PERSONAS, FeatureMap, seeded_adapter
-from routebench.fusion import FusionStrategy, ProjectorParams, run_pipeline
+from routebench.fusion import (
+    FusionStrategy,
+    PipelineError,
+    ProjectorParams,
+    load_pipeline_config,
+    pipeline_config_to_json,
+    run_pipeline,
+)
 from routebench.router import RouterParams, clip_encode
 
 DUMMY_FEATURES = FeatureMap(np.zeros((4, 3)), source="fused")
@@ -72,8 +79,11 @@ class FixedScorer:
 
 
 class Boom:
+    def __init__(self, error=RuntimeError):
+        self.error = error
+
     def score(self, features, real, hallucinated):
-        raise RuntimeError("scorer exploded")
+        raise self.error("scorer exploded")
 
 
 def make_sample(sample_id="s-1", real="A red circle sits.", hall="A blue circle sits.",
@@ -141,9 +151,11 @@ class TestJudgement:
         assert judgement.ppl_real == judgement.ppl_hall
         assert judgement.is_error is False
 
-    def test_scorer_failure_names_sample(self):
-        with pytest.raises(EvaluationError, match="sample s-1.*scorer exploded"):
-            judge_sample(Boom(), DUMMY_FEATURES, make_sample())
+    @pytest.mark.parametrize("error", [RuntimeError, EvaluationError])
+    def test_scorer_failure_names_sample(self, error):
+        with pytest.raises(EvaluationError) as excinfo:
+            judge_sample(Boom(error), DUMMY_FEATURES, make_sample())
+        assert str(excinfo.value) == "sample s-1: scorer exploded"
 
     @pytest.mark.parametrize(
         "nlls, message",
@@ -524,13 +536,24 @@ class TestEvaluateDataset:
             )
         assert not failures
 
-    def test_lenient_mode_collects_scorer_failures(self):
+    @pytest.mark.parametrize("error", [RuntimeError, EvaluationError])
+    def test_lenient_mode_collects_scorer_failures(self, error):
         dataset = build_synthetic_dataset(1, seed=31)
-        failures = []
-        with pytest.raises(EvaluationError, match="no samples were judged"):
-            evaluate_dataset(Boom(), toy_judging_config(), dataset, failures=failures)
-        assert len(failures) == len(dataset)
-        assert all("scorer exploded" in f for f in failures)
+        for parallelism in (1, 2):
+            failures = []
+            with pytest.raises(EvaluationError, match="no samples were judged"):
+                evaluate_dataset(
+                    Boom(error), toy_judging_config(), dataset, parallelism, failures=failures
+                )
+            assert failures == [f"sample {s.id}: scorer exploded" for s in dataset]
+
+    @pytest.mark.parametrize("error", [RuntimeError, EvaluationError])
+    def test_strict_mode_names_the_failed_sample_once(self, error):
+        dataset = build_synthetic_dataset(1, seed=31)
+        for parallelism in (1, 2):
+            with pytest.raises(EvaluationError) as excinfo:
+                evaluate_dataset(Boom(error), toy_judging_config(), dataset, parallelism)
+            assert str(excinfo.value) == f"sample {dataset[0].id}: scorer exploded"
 
     def test_scorer_called_once_per_sample_with_the_pair(self):
         # As a tracer does: wrap ``score`` on the instance and count calls.
@@ -701,6 +724,39 @@ class TestChunkedEvaluation:
         assert failures == [f"sample {self.DATASET[i].id}: {message}" for i in bad]
         kept = [j for i, j in enumerate(want) if i not in bad]
         assert dumps_judgements(got) == dumps_judgements(kept)
+
+    def test_overflowing_logits_fail_only_their_own_samples(self, tmp_path):
+        # Expert 0's logit, bias[0] + 1e308 * cls[j], overflows to +inf for
+        # the scenes whose cls[j] lies above the chunk's median; their
+        # softmax is NaN, which fails the route stage of those images only.
+        base, chunk, j = toy_judging_config(), self.DATASET[:_CHUNK], 0
+        cls = [clip_encode(rasterize(s.image.scene), base.clip_params()).cls[j] for s in chunk]
+        cut = float(np.median(cls))
+        weights = np.zeros(base.router.weights.shape)
+        weights[j, 0] = scale = 1e308
+        bias = np.zeros(len(base.experts))
+        bias[0] = np.finfo(np.float64).max - scale * cut
+        overflowing = dataclasses.replace(base, router=RouterParams(weights, bias))
+        path = tmp_path / "overflowing.json"
+        path.write_text(json.dumps(pipeline_config_to_json(overflowing)))
+        config = load_pipeline_config(path)
+        bad = [i for i, c in enumerate(cls) if c > cut]
+        assert 0 < bad[0] and len(bad) < len(chunk)
+        message = "route: logits contain non-finite values"
+        for i in bad:
+            with pytest.raises(PipelineError, match=f"^{message}$"):
+                run_pipeline(rasterize(chunk[i].image.scene), config)
+        scorer = affinity_scorer(AffinityConfig())
+        kept = [s for i, s in enumerate(chunk) if i not in bad]
+        want = dumps_judgements(single_image_judgements(scorer, config, kept))
+        failures = []
+        got, _ = evaluate_dataset(scorer, config, chunk, failures=failures)
+        assert failures == [f"sample {chunk[i].id}: {message}" for i in bad]
+        assert dumps_judgements(got) == want
+        for parallelism in (1, 2):
+            with pytest.raises(EvaluationError) as excinfo:
+                evaluate_dataset(scorer, config, chunk, parallelism)
+            assert str(excinfo.value) == f"sample {chunk[bad[0]].id}: {message}"
 
 
 class TestJudgingConfig:
