@@ -108,6 +108,8 @@ def _persona(arg: str) -> str:
 
 def _image_from_args(args):
     if args.image is not None:
+        if args.scene_seed is not None:
+            raise UsageError("--image and --scene-seed are mutually exclusive")
         return load_raw_image(args.image)
     if args.scene_seed is None:
         raise UsageError("either --image or --scene-seed is required")
@@ -145,6 +147,8 @@ def cmd_route(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    if args.per_category < 1:
+        raise UsageError(f"--per-category must be >= 1, got {args.per_category}")
     dataset = build_synthetic_dataset(
         args.per_category, seed=args.seed, categories=args.categories
     )
@@ -182,6 +186,8 @@ def _build_scorer(args, dataset):
 
 
 def cmd_eval(args) -> int:
+    if args.parallelism < 1:
+        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
     dataset = load_dataset(args.dataset)
     config = _pipeline_from_args(args)
     scorer = _build_scorer(args, dataset)

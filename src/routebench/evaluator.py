@@ -237,13 +237,14 @@ def evaluate_dataset(
 
     Samples run in chunks of ``_CHUNK`` through ``fusion._run_stack``, one
     stacked route, fuse and project per chunk whose rows equal single-image
-    runs bit for bit; a pool of ``parallelism`` threads maps chunks.
-    Judgements come back in dataset order regardless of parallelism.  With
-    ``failures=None`` the first per-sample failure (in dataset order) raises
-    ``EvaluationError``, with the same message at any parallelism.  No chunk
-    or sample after a known failure starts, so a thread pool judges at most
-    the chunks already running when one fails.  With a list, failed samples
-    are skipped, the rest of their chunk judged, and their messages appended.
+    runs bit for bit; a pool of ``parallelism`` threads (one at parallelism
+    1) maps chunks.  Judgements come back in dataset order regardless of
+    parallelism.  With ``failures=None`` the first per-sample failure (in
+    dataset order) raises ``EvaluationError``, with the same message at any
+    parallelism.  No chunk or sample after a known failure starts, so the
+    pool judges at most the chunks already running when one fails.  With a
+    list, failed samples are skipped, the rest of their chunk judged, and
+    their messages appended.
 
     A per-sample failure is a domain error: ``ValueError`` or ``OSError``
     from resolving the image, ``PipelineError`` from a pipeline stage's bad
@@ -295,26 +296,19 @@ def evaluate_dataset(
         return [outcomes[index] for index in sorted(outcomes)]
 
     judgements = []
-
-    def collect(chunks):
-        for judgement, failure in (outcome for outcomes in chunks for outcome in outcomes):
-            if failure is None:
-                judgements.append(judgement)
-            elif failures is None:
-                raise EvaluationError(failure)
-            else:
-                failures.append(failure)
-
-    starts = range(0, len(samples), _CHUNK)
-    if parallelism == 1:
-        collect(map(run_chunk, starts))
-    else:
-        pool = ThreadPoolExecutor(max_workers=parallelism)
-        try:
-            collect(pool.map(run_chunk, starts))
-        finally:
-            # After a raise, chunks not yet started are dropped, not judged.
-            pool.shutdown(cancel_futures=True)
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+    try:
+        for outcomes in pool.map(run_chunk, range(0, len(samples), _CHUNK)):
+            for judgement, failure in outcomes:
+                if failure is None:
+                    judgements.append(judgement)
+                elif failures is None:
+                    raise EvaluationError(failure)
+                else:
+                    failures.append(failure)
+    finally:
+        # After a raise, chunks not yet started are dropped, not judged.
+        pool.shutdown(cancel_futures=True)
     if not judgements:
         raise EvaluationError("no samples were judged successfully")
     return judgements, error_rates(judgements)

@@ -478,8 +478,6 @@ def _pool_axis0(arr: np.ndarray, n_out: int) -> np.ndarray:
         total = 0.0
         for j in range(j0, j1):
             w = min(hi, j + 1.0) - max(lo, float(j))
-            if w <= 0.0:
-                continue
             total += w
             acc += w * (arr[j] - base)
         out[i] = base + acc / total

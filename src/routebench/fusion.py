@@ -37,7 +37,6 @@ from .experts import (
     descriptor_width,
     encode_toy_expert,
     fold_tiled_rows,
-    identity_adapter,
     json_field,
     resample_tokens,
     seeded_adapter,
@@ -136,15 +135,14 @@ def weighted_sum(weights, arrays) -> np.ndarray:
     the weights' leading axes.  Weights with leading axes ``(..., N)`` give
     one sum per row, and a row scales the matching map of a stack; for
     finite arrays each row equals the 1-D sum of its weights bit for bit.
-    None arrays are skipped; a finite array weighted 0 adds exact zeros,
-    which change no byte (the sum starts at +0.0 and never holds -0.0).
+    A finite array weighted 0 adds exact zeros, which change no byte (the
+    sum starts at +0.0 and never holds -0.0).
     """
     weights = np.asarray(weights)
-    shape = next(a.shape for a in arrays if a is not None)
+    shape = arrays[0].shape
     acc = np.zeros(shape if len(shape) > 2 else weights.shape[:-1] + shape)
     for i, values in enumerate(arrays):
-        if values is not None:
-            acc += weights[..., i, None, None] * values
+        acc += weights[..., i, None, None] * values
     return acc
 
 
@@ -238,8 +236,8 @@ def _merge(patches, maps, weights, kind: str) -> np.ndarray:
     """Unvalidated fuse and merge over leading stack axes under the fusion
     ``kind``: ``patches`` plus the :func:`weighted_sum` of the N expert
     ``maps`` (routed: by ``weights``; add: unit weights), or under concat
-    the maps concatenated along the feature axis.  A map is ``(T, D)``,
-    ``(..., T, D)`` or None for an expert no row weighs."""
+    the maps concatenated along the feature axis.  A map is ``(T, D)`` or
+    ``(..., T, D)``."""
     if kind == "concat":
         return np.concatenate(maps, axis=-1)
     return patches + weighted_sum(weights if kind == "routed" else np.ones(len(maps)), maps)
@@ -316,8 +314,6 @@ class PipelineConfig:
         )
 
     def expert_adapter(self, spec: ToyExpertSpec) -> LinearAdapter:
-        if spec.native_dim == self.canonical_dim:
-            return identity_adapter(self.canonical_dim)
         return seeded_adapter(spec.native_dim, self.canonical_dim, seed=spec.seed)
 
 
@@ -560,11 +556,11 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
         for i, fm in zip(used, aligned):
             maps[i][b] = fm.values
         images[b] = None  # encoded: the rest no longer needs the image
-    # Under routed fusion an expert no row uses is not stacked at all.
-    unused = [routed and not weights[..., i].any() for i in range(len(maps))]
-    maps = [None if skip else _stack(m, shape) for skip, m in zip(unused, maps)]
+    # Under routed fusion an expert no row weighs is left out of the merge.
+    ids = [i for i in range(len(maps)) if not routed or weights[..., i].any()]
+    maps = [_stack(maps[i], shape) for i in ids]
     with np.errstate(over="ignore", invalid="ignore"):
-        merged = _merge(patches, maps, weights, config.strategy.kind)
+        merged = _merge(patches, maps, weights[..., ids], config.strategy.kind)
         fused = np.isfinite(merged).all(axis=(-2, -1))
         lap("fuse")
         p = config.projector

@@ -126,11 +126,11 @@ class _RoutedChain:
         w1, w2 = p["projector.stage1.weights"], p["projector.stage2.weights"]
         return (weights, merged, *mlp(merged, w1, s1.bias, w2, s2.bias))
 
-    def analytic_gradients(self, forward=None) -> dict:
+    def analytic_gradients(self, forward) -> dict:
         """Backpropagated from ``forward``, one unstacked forward's
-        intermediates at the config's parameters (by default a new one)."""
+        intermediates at the config's parameters: the router stack's row 0."""
         p = self.params
-        w, merged, hidden, act, out = forward or self.forward()
+        w, merged, hidden, act, out = forward
         d_out = 2.0 * out
         d_stage2 = act.T @ d_out
         d_act = d_out @ p["projector.stage2.weights"].T

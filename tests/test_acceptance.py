@@ -272,10 +272,11 @@ def test_criterion_04_stacked_merge_and_projector():
         cls, patches = rng.normal(size=(batch, dim)), rng.normal(size=(batch, tokens, dim))
         router = rng.normal(size=(dim, n)), rng.normal(size=n)
         weights, _ = _route(cls, *router, None if k is None else int(k))
-        # A stacked zero map per expert some row weighs; None for the rest.
-        zeros = [np.zeros(patches.shape) if weights[:, i].any() else None for i in range(n)]
+        # A stacked zero map per expert some row weighs, as _run_stack merges.
+        ids = [i for i in range(n) if weights[:, i].any()]
+        zeros = [np.zeros(patches.shape) for _ in ids]
         s1, s2 = seeded_adapter(dim, hidden, seed=case), seeded_adapter(hidden, dim, seed=case + 1)
-        merged = _merge(patches, zeros, weights, "routed")
+        merged = _merge(patches, zeros, weights[:, ids], "routed")
         out = mlp(merged, s1.weights, s1.bias, s2.weights, s2.bias)[-1]
         for row, values in zip(out, patches):
             direct = project(FeatureMap(values, source="clip-patch"), ProjectorParams(s1, s2))

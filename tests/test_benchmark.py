@@ -26,6 +26,7 @@ from routebench.benchmark import (
     SceneObject,
     build_synthetic_dataset,
     caption_claims,
+    image_ref_from_json_dict,
     classify_pair,
     draw_scene,
     dumps_dataset,
@@ -170,6 +171,39 @@ class TestSceneDescriptor:
     def test_cell_must_be_two_integers(self, cell):
         with pytest.raises(ValueError, match=r"^cell must be two integers, got "):
             SceneObject("circle", "red", cell, 0)
+
+
+def _sample(**fields):
+    doc = {
+        "id": "s", "image": ImageRef(kind="file", path="a.raw"), "real_caption": "A red circle.",
+        "hallucinated_caption": "A blue circle.", "category": HallucinationCategory.COLOR,
+    }
+    return BenchmarkSample(**{**doc, **fields})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SceneObject("circle", "red", (0, 0), -1), "count_group must be non-negative"),
+        (lambda: ImageRef(kind="file"), "file image refs need a path and no scene"),
+        (lambda: ImageRef(kind="scene", path="a.raw"), "scene image refs need a scene and no path"),
+        (lambda: ImageRef(kind="url", path="a.raw"),
+         "unknown image kind 'url'; expected 'file' or 'scene'"),
+        (lambda: _sample(id=""), "sample id must be non-empty"),
+        (lambda: _sample(real_caption=""), "sample s: captions must be non-empty"),
+        (lambda: _sample(category="Color"), "sample s: category must be a HallucinationCategory"),
+        (lambda: image_ref_from_json_dict(["file", "a.raw"]),
+         "image must be a JSON object, got ['file', 'a.raw']"),
+    ],
+    ids=[
+        "negative-count-group", "file-without-path", "scene-without-scene", "unknown-kind",
+        "empty-id", "empty-caption", "category-not-enum", "image-not-object",
+    ],
+)
+def test_validation_names_the_fault(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 class TestRasterize:

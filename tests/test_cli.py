@@ -1,14 +1,16 @@
 """Tests for the command-line interface: exit codes, stream purity, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from routebench.benchmark import CATEGORY_NAMES, load_dataset
+from routebench.benchmark import CATEGORY_NAMES, load_dataset, synth_scene
 from routebench.cli import build_parser, main
-from routebench.datagen import CompletionResponse
+from routebench.datagen import CATEGORY_SPECS, DEFAULT_TEMPLATE_BODY, CompletionResponse
 from routebench.evaluator import toy_judging_config
-from routebench.fusion import pipeline_config_to_json
+from routebench.experts import load_raw_image, save_raw_image
+from routebench.fusion import pipeline_config_to_json, run_pipeline
 
 
 def run_cli(capsys, argv):
@@ -98,6 +100,12 @@ class TestGenSynth:
         assert len(docs) == 6
         assert {d["category"] for d in docs} == {"Color", "Counting"}
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_per_category_below_one_exits_two(self, capsys, value):
+        code, stdout, err = run_cli(capsys, ["gen-synth", "--per-category", value])
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"ERROR --per-category must be >= 1, got {value}"]
+
 
 class TestEval:
     @pytest.fixture()
@@ -160,6 +168,14 @@ class TestEval:
         )
         assert code == 2
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_exits_two(self, capsys, dataset_path, value):
+        code, stdout, err = run_cli(
+            capsys, ["eval", "--dataset", str(dataset_path), "--parallelism", value]
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"ERROR --parallelism must be >= 1, got {value}"]
 
     def test_lenient_mode_reports_failures(self, capsys, dataset_path):
         lines = dataset_path.read_text().splitlines()
@@ -252,6 +268,26 @@ class TestRoute:
         )
         assert (code, stdout) == (1, "")
         assert f"malformed pipeline config: missing field '{key}'" in err
+
+    @pytest.fixture()
+    def image_path(self, tmp_path):
+        path = tmp_path / "scene.raw"
+        save_raw_image(synth_scene(3)[1], path)
+        return path
+
+    def test_image_file_routes_its_pixels(self, capsys, image_path):
+        code, stdout, _ = run_cli(capsys, ["route", "--image", str(image_path)])
+        assert code == 0
+        features = run_pipeline(load_raw_image(image_path), toy_judging_config()).features
+        want = hashlib.sha256(features.values.tobytes()).hexdigest()
+        assert json.loads(stdout)["features"]["sha256"] == want
+
+    def test_image_and_scene_seed_conflict_exits_two(self, capsys, image_path):
+        code, stdout, err = run_cli(
+            capsys, ["route", "--image", str(image_path), "--scene-seed", "3"]
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["ERROR --image and --scene-seed are mutually exclusive"]
 
     def test_requires_an_image_source(self, capsys):
         code, _, err = run_cli(capsys, ["route"])
@@ -380,36 +416,78 @@ class TestReport:
         assert code == 2
         assert "name(s)" in err
 
+    def test_colliding_stems_exit_two(self, capsys, tmp_path):
+        uniform = self.make_judgements(capsys, tmp_path, "uniform")
+        other = tmp_path / "other" / uniform.name
+        other.parent.mkdir()
+        other.write_bytes(uniform.read_bytes())
+        code, stdout, err = run_cli(
+            capsys, ["report", "--judgements", str(uniform), str(other)]
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["ERROR judgement file stems collide; pass explicit --names"]
+
 
 class TestGenLlm:
-    def test_mocked_generation(self, capsys, tmp_path, monkeypatch):
+    class FakeClient:
+        """Answers every prompt with its caption plus " Altered."; records
+        the prompts."""
+
+        prompts: list = []
+
+        def __init__(self, config):
+            self.config = config
+
+        def complete(self, request):
+            self.prompts.append(request.prompt)
+            caption = request.prompt.rstrip("\n").splitlines()[-1]
+            caption = caption[len("Caption: "):]
+            return CompletionResponse(text=caption + " Altered.")
+
+    @pytest.fixture()
+    def gen_llm(self, capsys, tmp_path, monkeypatch):
+        """Runs gen-llm on one item through FakeClient; returns the exit
+        code, the generated documents and the prompts sent."""
         import routebench.cli as cli_module
 
-        class FakeClient:
-            def __init__(self, config):
-                self.config = config
-
-            def complete(self, request):
-                caption = request.prompt.rstrip("\n").splitlines()[-1]
-                caption = caption[len("Caption: "):]
-                return CompletionResponse(text=caption + " Altered.")
-
-        monkeypatch.setattr(cli_module, "HttpChatClient", FakeClient)
+        monkeypatch.setattr(self.FakeClient, "prompts", [])
+        monkeypatch.setattr(cli_module, "HttpChatClient", self.FakeClient)
         items = tmp_path / "items.jsonl"
         items.write_text(
             '{"image": {"kind": "file", "path": "imgs/1.raw"}, "caption": "A red circle sits."}\n'
         )
         config = tmp_path / "datagen.json"
         config.write_text(json.dumps({"endpoint": "https://api.test.invalid", "model": "m"}))
-        code, stdout, _ = run_cli(
-            capsys,
-            ["gen-llm", "--items", str(items), "--config", str(config),
-             "--categories", "Color,Action"],
-        )
+
+        def run(*flags):
+            code, stdout, _ = run_cli(
+                capsys, ["gen-llm", "--items", str(items), "--config", str(config), *flags]
+            )
+            docs = [json.loads(line) for line in stdout.splitlines()]
+            return code, docs, self.FakeClient.prompts
+
+        return run
+
+    def test_mocked_generation(self, gen_llm):
+        code, docs, _ = gen_llm("--categories", "Color,Action")
         assert code == 0
-        docs = [json.loads(line) for line in stdout.splitlines()]
         assert [d["category"] for d in docs] == ["Color", "Action"]
         assert all(d["hallucinated"].endswith("Altered.") for d in docs)
+
+    def test_all_categories_by_default(self, gen_llm):
+        code, docs, prompts = gen_llm()
+        assert code == 0
+        assert len(CATEGORY_SPECS) == len(CATEGORY_NAMES) == 10
+        assert [d["category"] for d in docs] == [s.category.value for s in CATEGORY_SPECS]
+        assert len(prompts) == 10
+
+    def test_template_file_replaces_the_default(self, gen_llm, tmp_path):
+        template = tmp_path / "template.txt"
+        template.write_text("CUSTOM PREAMBLE\n" + DEFAULT_TEMPLATE_BODY, encoding="utf-8")
+        code, docs, prompts = gen_llm("--template", str(template), "--categories", "Color")
+        assert code == 0
+        assert [d["category"] for d in docs] == ["Color"]
+        assert len(prompts) == 1 and prompts[0].startswith("CUSTOM PREAMBLE\nYou edit")
 
     def test_mistyped_config_exits_one(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"

@@ -24,6 +24,7 @@ from routebench.datagen import (
     CATEGORY_SPECS,
     DEFAULT_TEMPLATE,
     DEFAULT_TEMPLATE_BODY,
+    CategorySpec,
     ClientShape,
     CompletionRequest,
     CompletionResponse,
@@ -785,6 +786,54 @@ class TestHttpChatClient:
             client.complete(self.make_request())
         assert len(adapter.calls) == 10
         assert len(prepared) <= 1
+
+
+def _load_config_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return load_datagen_config(path)
+
+
+def _complete_with_reply(doc):
+    client = HttpChatClient(DEFAULT_CONFIG, session=stub_session(doc)[0])
+    return client.complete(CompletionRequest(prompt="p", model="m", temperature=0.5, max_tokens=8))
+
+
+def _config(**fields):
+    return DatagenConfig(**{"endpoint": "https://x.invalid", "model": "m", **fields})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda path: generate_dataset(
+            ScriptedClient("NO"), [ITEM], specs=[], config=DEFAULT_CONFIG, sleep=no_sleep
+        ), ValueError, "specs must be non-empty"),
+        (lambda path: CategorySpec(HallucinationCategory.COLOR, "a", " ", "c", "d"),
+         ValueError, "existence_condition must be non-empty"),
+        (lambda path: ClientShape(prompt_mode="chat"),
+         ValueError, "prompt_mode must be 'messages' or 'text', got 'chat'"),
+        (lambda path: ClientShape(response_path=()), ValueError, "response_path must be non-empty"),
+        (lambda path: _config(model=""), ValueError, "model must be non-empty"),
+        (lambda path: _config(max_tokens=0), ValueError, "max_tokens must be >= 1"),
+        (lambda path: _config(max_retries=-1), ValueError, "max_retries must be >= 0"),
+        (lambda path: _config(backoff_base_ms=-1), ValueError, "backoff_base_ms must be >= 0"),
+        (lambda path: _config(timeout_seconds=0.0), ValueError, "timeout_seconds must be positive"),
+        (lambda path: _load_config_text(path, "not json"),
+         DatagenError, "{path}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (lambda path: _complete_with_reply({"choices": [{"message": {"content": 5}}]}),
+         DatagenError, "response text at path ['choices', 0, 'message', 'content'] is not a string"),
+    ],
+    ids=[
+        "no-specs", "blank-spec-text", "prompt-mode", "empty-response-path", "empty-model",
+        "max-tokens-zero", "negative-retries", "negative-backoff", "timeout-zero",
+        "config-not-json", "response-text-not-string",
+    ],
+)
+def test_validation_names_the_fault(tmp_path, build, error, message):
+    path = tmp_path / "config.json"
+    with pytest.raises(error) as excinfo:
+        build(path)
+    assert str(excinfo.value) == message.format(path=path)
 
 
 class TestCaptionItems:

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,20 @@ class TestRadarCsv:
         with pytest.raises(ValueError, match="run name"):
             radar_csv({"a,b": self.report_with_rates(0.2)})
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ((), "radar_csv needs at least one report"),
+            (("",), "run name '' must be non-empty without commas/newlines"),
+            (("a\nb",), "run name 'a\\nb' must be non-empty without commas/newlines"),
+        ],
+        ids=["no-reports", "empty-name", "newline-name"],
+    )
+    def test_rejects_with_the_exact_message(self, names, message):
+        with pytest.raises(ValueError) as excinfo:
+            radar_csv({name: self.report_with_rates(0.2) for name in names})
+        assert str(excinfo.value) == message
+
 
 class TestJudgementIO:
     def test_round_trip(self):
@@ -394,6 +409,24 @@ class TestAffinityScorer:
         caption = "A blue square sits at row 0 column 0. two left EXIT touching"
         nlls_real, nlls_hall = scorer.score(result.features, caption, "two EXIT")
         assert all(_NLL_MIN <= v <= _NLL_MAX for v in nlls_real + nlls_hall)
+
+    @pytest.mark.parametrize(
+        "dim, want",
+        # Colour bins sit at columns 7, 15 and 23 of each 24-wide histogram
+        # block: 4 columns hold none of them, 12 only red's.  Token 0 is 1.0
+        # everywhere and the rest 0.0, so a bin column's centred positive
+        # part is (0.75, 0, 0, 0): red's affinity 0.1875 gives NLL 3 - 8 * 0.1875.
+        [(4, [_BASE_NLL] * 4), (12, [1.5, _BASE_NLL, _BASE_NLL, _BASE_NLL])],
+    )
+    def test_maps_narrower_than_a_histogram_block(self, dim, want):
+        values = np.zeros((4, dim))
+        values[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nlls, _ = affinity_scorer(AffinityConfig()).score(
+                FeatureMap(values, source="fused"), "red green blue yellow", "circle"
+            )
+        assert nlls == want
 
 
 @pytest.mark.parametrize(

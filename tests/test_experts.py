@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,28 @@ class TestFeatureMap:
     def test_rejects(self, values, message):
         with pytest.raises(ValueError, match=message):
             FeatureMap(values, source="0")
+
+
+def _load_zero_wide_image(path):
+    path.write_bytes(struct.pack("<III", 0, 2, 3))  # width 0, height 2, 3 channels
+    return load_raw_image(path)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda path: ToyExpertSpec(
+            id=0, persona="edge-shape", seed=0, native_tokens=16, native_dim=0
+        ), "native_dim must be positive, got 0"),
+        (_load_zero_wide_image, "{path}: invalid dimensions 0x2"),
+    ],
+    ids=["spec-native-dim-zero", "raw-image-zero-wide"],
+)
+def test_validation_names_the_fault(tmp_path, build, message):
+    path = tmp_path / "image.raw"
+    with pytest.raises(ValueError) as excinfo:
+        build(path)
+    assert str(excinfo.value) == message.format(path=path)
 
 
 class TestSpecValidation:

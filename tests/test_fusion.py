@@ -502,7 +502,8 @@ def mixed_config(strategy, seed_offset=0):
 
 def reference_pipeline(image, config):
     """Unoptimised composition of the public stages: every expert encoded,
-    resampled and passed through its full width adapter."""
+    resampled and passed through its full width adapter.  test_golden checks
+    the paper geometry against it too."""
     aligned = []
     for spec in config.experts:
         fm = resample_tokens(encode_toy_expert(image, spec), config.canonical_tokens)
@@ -863,6 +864,25 @@ class TestConfigValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fusion kind"):
             FusionStrategy(kind="mean")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda config: FusionStrategy(kind="routed", k=0), "k must be positive, got 0"),
+            (lambda config: dataclasses.replace(config, experts=()),
+             "pipeline needs at least one expert"),
+            (lambda config: dataclasses.replace(
+                config, router=RouterParams(np.zeros((8, 6)), np.zeros(6))
+            ), "router dim_in 8 does not match canonical_dim 24"),
+            (lambda config: dataclasses.replace(config, strategy=FusionStrategy("routed", k=7)),
+             "top-k 7 exceeds expert count 6"),
+        ],
+        ids=["k-zero", "no-experts", "router-dim-in", "top-k-above-n"],
+    )
+    def test_validation_names_the_fault(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build(toy_judging_config())
+        assert str(excinfo.value) == message
 
 
 class TestConfigJson:

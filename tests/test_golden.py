@@ -42,34 +42,21 @@ from routebench.experts import (
     ImageGrid,
     LinearAdapter,
     ToyExpertSpec,
-    adapt_dim,
-    encode_toy_expert,
     identity_adapter,
-    resample_tokens,
     seeded_adapter,
 )
 from routebench.fusion import (
     FusionStrategy,
     PipelineConfig,
     ProjectorParams,
-    fuse_add,
-    fuse_concat,
     pipeline_config_from_json,
     pipeline_config_to_json,
-    project,
-    residual_merge,
     run_pipeline,
-    weighted_fuse,
 )
 from routebench.metrics import BinaryOutcome, pope_metrics
 from routebench.numerics import check_router_fusion_gradients, small_gradcheck_config
-from routebench.router import (
-    RouterParams,
-    clip_encode,
-    route_logits,
-    routing_weights,
-    select_top_k,
-)
+from routebench.router import RouterParams
+from test_fusion import reference_pipeline
 
 REL = 1e-9
 
@@ -483,34 +470,12 @@ def test_paper_geometry_pipeline_bytes(golden_blas, kind, k):
     assert sha256_of(result.features.values, result.routing.weights) == PAPER_SHA256[(kind, k)]
 
 
-def staged_paper_composition(image, config):
-    """perfbench's stage-by-stage reference: every expert resampled first,
-    then passed through its full width adapter."""
-    aligned = []
-    for spec in config.experts:
-        fm = resample_tokens(encode_toy_expert(image, spec), config.canonical_tokens)
-        if spec.native_dim != config.canonical_dim:
-            fm = adapt_dim(fm, config.expert_adapter(spec))
-        aligned.append(fm)
-    clip = clip_encode(image, config.clip_params())
-    routing = routing_weights(route_logits(clip.cls, config.router))
-    if config.strategy.k is not None:
-        routing = select_top_k(routing, config.strategy.k)
-    if config.strategy.kind == "routed":
-        fused = residual_merge(clip.patches, weighted_fuse(routing, aligned))
-    elif config.strategy.kind == "add":
-        fused = residual_merge(clip.patches, fuse_add(aligned))
-    else:
-        fused = fuse_concat(aligned)
-    return routing, project(fused, config.projector)
-
-
 @pytest.mark.parametrize("kind, k", sorted(PAPER_SHA256, key=str))
 def test_paper_geometry_matches_the_staged_composition(kind, k):
     image = ImageGrid(np.random.default_rng([0, 0]).random((384, 384, 3)))
     config = paper_config(kind, k)
     result = run_pipeline(image, config)
-    routing, features = staged_paper_composition(image, config)
+    routing, features = reference_pipeline(image, config)
     assert result.routing.weights.tobytes() == routing.weights.tobytes()
     assert result.routing.active == routing.active
     want = features.values

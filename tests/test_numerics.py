@@ -57,7 +57,7 @@ class TestGradCheck:
         )
         image = ImageGrid(np.full((8, 8, 3), 0.7))
         chain = _RoutedChain(image, config)
-        grads = chain.analytic_gradients()
+        grads = chain.analytic_gradients(chain.forward())
         assert np.all(grads["router.weights"] == 0.0)
         assert np.all(grads["router.bias"] == 0.0)
         reports = {r.parameter_name: r for r in check_router_fusion_gradients(config, image)}
@@ -190,10 +190,10 @@ class TestGradCheck:
         unstacked = _RoutedChain.analytic_gradients
         seen = []
 
-        def compared(chain, forward=None):
+        def compared(chain, forward):
             assert forward is not None  # read from the router stack, not a forward of its own
             got = unstacked(chain, forward)
-            want = unstacked(chain)
+            want = unstacked(chain, chain.forward())
             for name in CHECKED_PARAMS:
                 assert got[name].tobytes() == want[name].tobytes(), name
             seen.append(1)

@@ -323,6 +323,12 @@ class TestClipEncode:
         with pytest.raises(ValueError, match=f"^tokens must be {message}$"):
             ToyClipParams(seed=0, tokens=tokens, dim=4)
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_params_reject_nonpositive_dim(self, dim):
+        with pytest.raises(ValueError) as excinfo:
+            ToyClipParams(seed=0, tokens=4, dim=dim)
+        assert str(excinfo.value) == f"dim must be positive, got {dim}"
+
     def test_params_have_no_default_geometry(self):
         with pytest.raises(TypeError):
             ToyClipParams(seed=0)
