@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -188,6 +189,8 @@ def _build_scorer(args, dataset):
 def cmd_eval(args) -> int:
     if args.parallelism < 1:
         raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
+    if not math.isfinite(args.alpha):
+        raise UsageError(f"--alpha must be finite, got {args.alpha}")
     dataset = load_dataset(args.dataset)
     config = _pipeline_from_args(args)
     scorer = _build_scorer(args, dataset)
@@ -275,6 +278,8 @@ def cmd_report(args) -> int:
             raise UsageError(
                 f"--names lists {len(names)} name(s) for {len(paths)} judgement file(s)"
             )
+        if len(set(names)) != len(names) or not all(n and "\n" not in n for n in names):
+            raise UsageError(f"--names must be distinct, non-empty and without newlines: {names}")
     else:
         names = [p.stem for p in paths]
         if len(set(names)) != len(names):

@@ -247,10 +247,10 @@ def evaluate_dataset(
     their messages appended.
 
     A per-sample failure is a domain error: ``ValueError`` or ``OSError``
-    from resolving the image, ``PipelineError`` from a pipeline stage's bad
-    input, or ``EvaluationError`` from the scorer (``judge_sample`` wraps
-    whatever a pluggable scorer raises).  Any other exception is a bug and
-    propagates unwrapped either way.
+    from resolving the image, ``PipelineError`` from a pipeline stage (as
+    in ``run_pipeline``), or ``EvaluationError`` from the scorer
+    (``judge_sample`` wraps whatever a pluggable scorer raises).  Any other
+    exception is a bug and propagates unwrapped either way.
     """
     samples = list(dataset)
     if not samples:
@@ -415,6 +415,15 @@ def _bin_columns(dim: int, offset: int) -> np.ndarray:
     return cols
 
 
+def _bin_column(positive: np.ndarray, offset: int) -> np.ndarray:
+    """Per-token mean of the map's columns at ``offset`` in every histogram
+    block; zeros when the map is too narrow to have any."""
+    cols = _bin_columns(positive.shape[1], offset)
+    if not cols.size:
+        return np.zeros(positive.shape[0])
+    return _mean(positive[:, cols], 1)
+
+
 @functools.lru_cache(maxsize=4096)
 def _token_kind(token: str) -> Optional[str]:
     """The statistic a caption token is scored by: its lowercase color word,
@@ -464,43 +473,28 @@ class AffinityScorer:
     def __init__(self, config: AffinityConfig):
         self.config = config
 
-    @staticmethod
-    def _bin_column(positive: np.ndarray, offset: int) -> np.ndarray:
-        cols = _bin_columns(positive.shape[1], offset)
-        if not cols.size:
-            return np.zeros(positive.shape[0])
-        return _mean(positive[:, cols], 1)
-
-    def _color_affinity(self, positive: np.ndarray, word: str) -> float:
-        red = self._bin_column(positive, _RED_BIN)
-        green = self._bin_column(positive, _GREEN_BIN)
-        if word == "red":
-            per_token = np.maximum(red - green, 0.0)
-        elif word == "green":
-            per_token = np.maximum(green - red, 0.0)
-        elif word == "blue":
-            per_token = self._bin_column(positive, _BLUE_BIN)
-        else:  # yellow: red/green coincidence within the same region
-            per_token = np.minimum(red, green)
-        return float(per_token.sum() / positive.shape[0])
-
-    def _nll(self, positive: np.ndarray, kind: Optional[str]) -> float:
-        affinity = 0.0
-        if kind == _ENERGY:
-            affinity = float(_mean(positive, None))
-        elif kind is not None:
-            affinity = self._color_affinity(positive, kind)
-        nll = _BASE_NLL - self.config.alpha * affinity
-        return min(max(nll, _NLL_MIN), _NLL_MAX)
-
     def score(self, features: FeatureMap, real: str, hallucinated: str) -> tuple:
-        """Both captions' NLLs from one centered map and one NLL table."""
+        """Both captions' NLLs from one centered map: its bin columns are
+        taken once, every affinity is derived once from them, and each token
+        kind's NLL is clamped once, whatever the captions name."""
         kinds = [[_token_kind(token) for token in _tokens(c)] for c in (real, hallucinated)]
         values = features.values
         positive = np.maximum(values - _mean(values, 0), 0.0)
-        # One NLL per token kind, so the energy and each color's affinity are
-        # computed at most once per map.
-        table = {kind: self._nll(positive, kind) for kind in dict.fromkeys(kinds[0] + kinds[1])}
+        tokens = positive.shape[0]
+        red, green, blue = (_bin_column(positive, b) for b in (_RED_BIN, _GREEN_BIN, _BLUE_BIN))
+        affinities = {
+            None: 0.0,
+            _ENERGY: float(_mean(positive, None)),
+            "red": float(np.maximum(red - green, 0.0).sum() / tokens),
+            "green": float(np.maximum(green - red, 0.0).sum() / tokens),
+            "blue": float(blue.sum() / tokens),
+            "yellow": float(np.minimum(red, green).sum() / tokens),
+        }
+        alpha = self.config.alpha
+        table = {
+            kind: min(max(_BASE_NLL - alpha * affinity, _NLL_MIN), _NLL_MAX)
+            for kind, affinity in affinities.items()
+        }
         return [table[kind] for kind in kinds[0]], [table[kind] for kind in kinds[1]]
 
 

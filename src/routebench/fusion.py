@@ -500,11 +500,12 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
     image ``b`` and equals its single-image run bit for bit.
 
     Returns ``(weights, kept, out)``, per image a :class:`PipelineError` or
-    None, and the seconds spent in each of ``PIPELINE_STAGES``.  A failed
-    image runs on with zero maps and only fails its own row.  Route, merge
-    and project run with numpy's overflow and invalid-value warnings off: a
-    non-finite row fails its image under the stage's name instead.  The
-    ``images`` list is consumed: each image is dropped once encoded.
+    None, and the seconds spent in each of ``PIPELINE_STAGES``.  An image
+    fails as in :func:`run_pipeline`, in its own row only, and runs on with
+    zero expert maps.  Route, merge and project run with numpy's overflow
+    and invalid-value warnings off: a non-finite row fails its image under
+    the stage's name instead.  The ``images`` list is consumed: each image
+    is dropped once encoded.
     """
     n, shape = len(images), (config.canonical_tokens, config.canonical_dim)
     seconds, last = dict.fromkeys(PIPELINE_STAGES, 0.0), [time.perf_counter()]
@@ -514,47 +515,39 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
         seconds[stage] += now - last[0]
         last[0] = now
 
-    failures, cls, patches = [None] * n, [None] * n, [None] * n
-    for b, image in enumerate(images):
-        try:
-            clip = clip_encode(image, config.clip_params())
-            cls[b], patches[b] = clip.cls, clip.patches.values
-        except ValueError as exc:
-            failures[b] = PipelineError(f"route: {exc}")
-            failures[b].__cause__ = exc
-    cls, patches = _stack(cls, shape[1:]), _stack(patches, shape)
+    params = config.clip_params()
+    clips = [clip_encode(image, params) for image in images]
+    cls = _stack([clip.cls for clip in clips], shape[1:])
+    patches = _stack([clip.patches.values for clip in clips], shape)
+    del clips  # the stacks replace them
     with np.errstate(over="ignore", invalid="ignore"):
         weights, kept = _route(cls, config.router.weights, config.router.bias, config.strategy.k)
     lap("route")
     routed = config.strategy.kind == "routed"
-    maps = [[None] * n for _ in config.experts]
+    failures, maps = [None] * n, [[None] * n for _ in config.experts]
     unrouted = np.isnan(weights).any(axis=-1)
     for b, (image, row) in enumerate(zip(images, weights.tolist())):
-        if failures[b] is None and unrouted[b]:
+        if unrouted[b]:
             failures[b] = PipelineError("route: logits contain non-finite values")
-        if failures[b] is not None:
             continue
         used = [i for i, w in enumerate(row) if not routed or w != 0.0]
         pixels: dict = {}  # one pixel-major copy per patch side, for this image only
-        stage = "encode"
         try:
             native = [encode_toy_expert(image, config.experts[i], pixels) for i in used]
-            lap(stage)
-            stage = "align"
-            # Fetched after the encode, not up front: a first run then
-            # allocates the long-lived folded adapters above the image's own
-            # arrays, where they keep the heap from being trimmed between
-            # images; at paper geometry that saves about 1,100 page faults
-            # per image (glibc malloc).
-            steps = _align_steps(config)
-            aligned = [_align(fm, steps[i], config) for i, fm in zip(used, native)]
-            lap(stage)
-        except ValueError as exc:
-            failures[b] = PipelineError(f"{stage}: {exc}")
+        except ValueError as exc:  # the image does not divide an expert's patch grid
+            failures[b] = PipelineError(f"encode: {exc}")
             failures[b].__cause__ = exc
             continue
-        for i, fm in zip(used, aligned):
-            maps[i][b] = fm.values
+        lap("encode")
+        # Fetched after the encode, not up front: a first run then allocates
+        # the long-lived folded adapters above the image's own arrays, where
+        # they keep the heap from being trimmed between images; at paper
+        # geometry that saves about 1,100 page faults per image (glibc
+        # malloc).
+        steps = _align_steps(config)
+        for i, fm in zip(used, native):
+            maps[i][b] = _align(fm, steps[i], config).values
+        lap("align")
         images[b] = None  # encoded: the rest no longer needs the image
     # Under routed fusion an expert no row weighs is left out of the merge.
     ids = [i for i in range(len(maps)) if not routed or weights[..., i].any()]
@@ -586,10 +579,13 @@ def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
     encode every expert.  Config-only state (the align steps, the Gaussian
     projections) is derived once, not per image.
 
-    A stage's ``ValueError`` and a non-finite merged or projected map raise
-    :class:`PipelineError` with the stage name prefixed; any other exception
-    is a bug and propagates as is.  Expert maps are combined in expert-id
-    order, so results are deterministic for a fixed (image, config) pair.
+    Non-finite routing logits, an active expert whose patch grid does not
+    divide the image (``encode_toy_expert``'s ``ValueError``) and a
+    non-finite merged or projected map raise :class:`PipelineError` with the
+    stage name prefixed.  Any other exception, a clip-encode or align
+    ``ValueError`` included, is a bug and propagates as is.  Expert maps are
+    combined in expert-id order, so results are deterministic for a fixed
+    (image, config) pair.
     """
     weights, kept, out, failures, seconds = _run_stack([image], config)
     if failures[0] is not None:

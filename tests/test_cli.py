@@ -206,13 +206,17 @@ class TestEval:
         assert (code, stdout) == (1, "")
         assert err.splitlines() == ["ERROR line 1: path must be a JSON string, got 5"]
 
-    def test_nonfinite_alpha_exits_one(self, capsys, dataset_path):
+    @pytest.mark.parametrize("scorer", ["affinity", "oracle"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_nonfinite_alpha_exits_two(self, capsys, tmp_path, scorer, alpha):
+        # A bad flag value is a usage error whatever the scorer, found before
+        # the dataset is read: this one does not exist.
+        missing = tmp_path / "missing.jsonl"
         code, stdout, err = run_cli(
-            capsys, ["eval", "--dataset", str(dataset_path), "--alpha", "nan"]
+            capsys, ["eval", "--dataset", str(missing), "--scorer", scorer, f"--alpha={alpha}"]
         )
-        assert code == 1
-        assert stdout == ""
-        assert "alpha must be finite" in err
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"ERROR --alpha must be finite, got {alpha}"]
 
 
 class TestRoute:
@@ -415,6 +419,28 @@ class TestReport:
         )
         assert code == 2
         assert "name(s)" in err
+
+    @pytest.mark.parametrize(
+        "names, parsed",
+        [
+            ("a,a", "['a', 'a']"),
+            (" a ,a", "['a', 'a']"),
+            ("a,", "['a', '']"),
+            (",a", "['', 'a']"),
+            ("a\nb,c", "['a\\nb', 'c']"),
+        ],
+        ids=["repeated", "repeated-after-strip", "empty-last", "empty-first", "newline"],
+    )
+    def test_bad_names_exit_two(self, capsys, tmp_path, names, parsed):
+        # Two distinct non-empty names are needed for two runs: a repeated
+        # name would overwrite the first run's rows.
+        uniform = self.make_judgements(capsys, tmp_path, "uniform")
+        code, stdout, err = run_cli(
+            capsys, ["report", "--judgements", str(uniform), str(uniform), "--names", names]
+        )
+        assert (code, stdout) == (2, "")
+        message = f"--names must be distinct, non-empty and without newlines: {parsed}"
+        assert err.splitlines() == [f"ERROR {message}"]
 
     def test_colliding_stems_exit_two(self, capsys, tmp_path):
         uniform = self.make_judgements(capsys, tmp_path, "uniform")

@@ -976,9 +976,9 @@ class _ReferenceAffinityScorer:
 
 
 class TestAffinityScorerOracle:
-    # The default strength, and strengths that drive keyword NLLs into the
-    # lower and the upper clamp.
-    ALPHAS = (8.0, 500.0, -500.0)
+    # The default strength, strengths that drive keyword NLLs into the lower
+    # and the upper clamp, and none at all.
+    ALPHAS = (8.0, 500.0, -500.0, 0.0)
     EXTRA_CAPTIONS = (
         "Red RED. red, green Yellow blue yellow. red",
         "EXIT exit 3 two left above touching circle. sits a",
@@ -1011,8 +1011,9 @@ class TestAffinityScorerOracle:
         self._assert_equal_to_reference(features, self.EXTRA_CAPTIONS)
 
     def test_wide_feature_map_nlls_equal_reference(self):
-        # 1024 columns: 43 per histogram bin, gathered from many blocks.
-        values = np.random.default_rng(7).normal(size=(64, 1024))
-        features = FeatureMap(values, source="fused")
+        # 1024 columns: 43 per histogram bin, gathered from many blocks.  12
+        # columns: one red column, and no green or blue one.
         captions = self._captions(build_synthetic_dataset(5, seed=0)) + list(self.EXTRA_CAPTIONS)
-        self._assert_equal_to_reference(features, captions)
+        for dim in (1024, 12):
+            values = np.random.default_rng(7).normal(size=(64, dim))
+            self._assert_equal_to_reference(FeatureMap(values, source="fused"), captions)

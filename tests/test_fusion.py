@@ -591,6 +591,16 @@ class TestPlannedPipeline:
         with pytest.raises(PipelineError, match="encode: "):
             run_pipeline(image, config([0.0, 1.0], k=1))
 
+    def test_align_errors_propagate_unwrapped(self, monkeypatch):
+        # Align cannot fail on a valid image, so a ValueError from it is a
+        # bug and reaches the caller as is, not as PipelineError("align: ...").
+        def broken(*args):
+            raise ValueError("adapter bug")
+
+        monkeypatch.setattr(fusion_module, "adapt_dim", broken)
+        with pytest.raises(ValueError, match="^adapter bug$"):
+            run_pipeline(image_of(1, 16), mixed_config(FusionStrategy(kind="add")))
+
     def test_align_state_built_once_per_config(self, adapter_builds):
         config = mixed_config(FusionStrategy(kind="routed"))
         run_pipeline(image_of(1, 16), config)

@@ -8,7 +8,6 @@ import pytest
 
 from routebench.experts import ImageGrid, LinearAdapter
 from routebench.router import (
-    ClipOutput,
     RouterParams,
     RoutingWeights,
     ToyClipParams,
@@ -286,6 +285,23 @@ class TestClipEncode:
         assert out.patches.tokens == 576
         assert out.patches.dim == 16
 
+    # The judging geometry, and test_fusion's mixed_config geometry.
+    @pytest.mark.parametrize(
+        "params",
+        [ToyClipParams(seed=0, tokens=64, dim=24), ToyClipParams(seed=7, tokens=16, dim=16)],
+        ids=["judging", "mixed"],
+    )
+    @pytest.mark.parametrize("height, width", [(1, 1), (7, 5), (13, 13), (64, 48), (96, 96)])
+    def test_any_valid_image_encodes(self, params, height, width):
+        # The pipeline runs clip-encode without a failure branch: every
+        # image size gets a dividing patch grid and finite patches, and cls
+        # is their column mean bit for bit.
+        image = ImageGrid(np.random.default_rng(height * width).random((height, width, 3)))
+        out = clip_encode(image, params)
+        assert out.patches.values.shape == (params.tokens, params.dim)
+        assert np.isfinite(out.patches.values).all()
+        assert out.cls.tobytes() == out.patches.values.mean(axis=0).tobytes()
+
     def test_native_grid_is_largest_gcd_divisor_within_canonical_side(self):
         # The parent's loop over every integer up to the gcd, as reference.
         for height, width in ((36, 60), (64, 64), (7, 7), (384, 384), (12, 18), (1, 5)):
@@ -333,8 +349,3 @@ class TestClipEncode:
         with pytest.raises(TypeError):
             ToyClipParams(seed=0)
 
-    def test_cls_shape_validation(self):
-        from routebench.experts import FeatureMap
-
-        with pytest.raises(ValueError, match="cls shape"):
-            ClipOutput(cls=np.zeros(3), patches=FeatureMap(np.ones((4, 2)), source="clip-patch"))
