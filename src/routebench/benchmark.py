@@ -521,11 +521,14 @@ def build_synthetic_dataset(
 
     Scenes that cannot support a category are skipped and regenerated, so all
     categories end up with exactly ``n_per_category`` samples.  Fully
-    deterministic for a given (n_per_category, seed, categories).
+    deterministic for a given (n_per_category, seed, categories); the
+    categories must be distinct, since a sample's id comes from its category.
     """
     if n_per_category < 1:
         raise ValueError(f"n_per_category must be positive, got {n_per_category}")
     categories = tuple(categories) if categories is not None else tuple(HallucinationCategory)
+    if len(set(categories)) != len(categories):
+        raise ValueError("categories must be distinct")
     samples = []
     for category in categories:
         rng = random.Random(f"{seed}:{category.value}")

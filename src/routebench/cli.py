@@ -50,6 +50,7 @@ from .evaluator import (
     dumps_judgements,
     error_rates,
     evaluate_dataset,
+    is_run_name,
     loads_judgements,
     oracle_scorer,
     radar_csv,
@@ -95,6 +96,8 @@ def _category_list(arg: str):
             raise argparse.ArgumentTypeError(
                 f"unknown category {name!r}; valid: {', '.join(CATEGORY_NAMES)}"
             )
+        if HallucinationCategory(name) in categories:
+            raise argparse.ArgumentTypeError(f"category {name!r} is listed more than once")
         categories.append(HallucinationCategory(name))
     return tuple(categories)
 
@@ -239,7 +242,6 @@ def cmd_gradcheck(args) -> int:
     if not 0 < args.threshold < float("inf"):
         raise UsageError(f"--threshold must be finite and positive, got {args.threshold}")
     runs = []
-    all_passed = True
     for offset in range(args.configs):
         seed = args.seed + offset
         config, image = small_gradcheck_config(seed)
@@ -252,7 +254,6 @@ def cmd_gradcheck(args) -> int:
             max_coords_per_param=args.max_coords,
         )
         passed = all(r.passed for r in reports)
-        all_passed = all_passed and passed
         runs.append(
             {
                 "seed": seed,
@@ -260,6 +261,7 @@ def cmd_gradcheck(args) -> int:
                 "parameters": [r.to_json_dict() for r in reports],
             }
         )
+    all_passed = all(run["passed"] for run in runs)
     doc = {
         "eps": args.eps,
         "threshold": args.threshold,
@@ -278,10 +280,16 @@ def cmd_report(args) -> int:
             raise UsageError(
                 f"--names lists {len(names)} name(s) for {len(paths)} judgement file(s)"
             )
-        if len(set(names)) != len(names) or not all(n and "\n" not in n for n in names):
+        if len(set(names)) != len(names) or not all(map(is_run_name, names)):
             raise UsageError(f"--names must be distinct, non-empty and without newlines: {names}")
     else:
         names = [p.stem for p in paths]
+        for name in names:
+            if not is_run_name(name):
+                raise UsageError(
+                    f"judgement file stem {name!r} cannot be a run name (empty, or with a "
+                    "comma or newline); pass explicit --names"
+                )
         if len(set(names)) != len(names):
             raise UsageError("judgement file stems collide; pass explicit --names")
     reports = {}
@@ -300,7 +308,12 @@ def _add_pipeline_flags(sub):
         default=None,
         help="route the built-in toy pipeline top-1 to one persona (default: uniform)",
     )
-    sub.add_argument("--seed", type=int, default=0, help="seed for the built-in toy pipeline")
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed for the built-in toy pipeline and, in eval, the coinflip scorer",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -259,9 +259,19 @@ class ClientShape:
     def __post_init__(self):
         if self.prompt_mode not in ("messages", "text"):
             raise ValueError(f"prompt_mode must be 'messages' or 'text', got {self.prompt_mode!r}")
-        if not self.response_path:
+        for key in ("model_key", "temperature_key", "max_tokens_key", "prompt_key",
+                    "auth_header", "auth_scheme"):
+            json_field(vars(self), key, str)
+        path = self.response_path
+        if not isinstance(path, (list, tuple)) or not all(
+            type(step) in (str, int) for step in path
+        ):
+            raise ValueError(
+                f"response_path must be a JSON array of strings and integers, got {path!r}"
+            )
+        if not path:
             raise ValueError("response_path must be non-empty")
-        object.__setattr__(self, "response_path", tuple(self.response_path))
+        object.__setattr__(self, "response_path", tuple(path))
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "response_path": list(self.response_path)}

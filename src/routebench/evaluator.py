@@ -135,11 +135,10 @@ class CategoryStats:
 class CategoryReport:
     per_category: dict
     overall: CategoryStats
-    mode: str = "raw"
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "raw",
             "overall": self.overall.to_json_dict(),
             "categories": {
                 category.value: stats.to_json_dict()
@@ -167,7 +166,12 @@ def error_rates(judgements) -> CategoryReport:
         category: _stats([j for j in items if j.category is category])
         for category in HallucinationCategory
     }
-    return CategoryReport(per_category=per_category, overall=_stats(items), mode="raw")
+    return CategoryReport(per_category=per_category, overall=_stats(items))
+
+
+def is_run_name(name: str) -> bool:
+    """A run name is a CSV field: non-empty, without commas or newlines."""
+    return bool(name) and "," not in name and "\n" not in name
 
 
 def radar_csv(reports: dict) -> str:
@@ -180,7 +184,7 @@ def radar_csv(reports: dict) -> str:
     if not reports:
         raise ValueError("radar_csv needs at least one report")
     for name in reports:
-        if "," in name or "\n" in name or not name:
+        if not is_run_name(name):
             raise ValueError(f"run name {name!r} must be non-empty without commas/newlines")
     lines = ["category,run,error_rate,normalized"]
     runs = list(reports.items())

@@ -15,6 +15,7 @@ Wire formats, one JSON object per line: ``{"pred": "yes"|"no", "label":
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,7 +40,9 @@ class BinaryOutcome:
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """Percentages in [0, 100]; ``degenerate`` lists metrics that were 0/0."""
+    """One ``pope_metrics`` result: percentages in [0, 100], and in
+    ``degenerate`` the metrics that were 0/0 (reported as 0.0), as a tuple
+    in the order precision, recall, f1."""
 
     accuracy: float
     precision: float
@@ -47,66 +50,34 @@ class MetricsRow:
     f1: float
     degenerate: tuple = ()
 
-    def __post_init__(self):
-        for name in ("accuracy", "precision", "recall", "f1"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 100.0:
-                raise ValueError(f"{name} must be in [0, 100], got {value}")
-        unknown = set(self.degenerate) - {"precision", "recall", "f1"}
-        if unknown:
-            raise ValueError(f"unknown degenerate flags: {sorted(unknown)}")
-        object.__setattr__(self, "degenerate", tuple(self.degenerate))
-
     def to_json_dict(self) -> dict:
         return {**asdict(self), "degenerate": list(self.degenerate)}
 
 
 def confusion_counts(outcomes) -> tuple:
     """(tp, fp, fn, tn) with "yes" as the positive class."""
-    tp = fp = fn = tn = 0
-    for outcome in outcomes:
-        if outcome.pred == YES:
-            if outcome.label == YES:
-                tp += 1
-            else:
-                fp += 1
-        elif outcome.label == YES:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+    counts = Counter((outcome.pred == YES, outcome.label == YES) for outcome in outcomes)
+    return counts[True, True], counts[True, False], counts[False, True], counts[False, False]
 
 
 def pope_metrics(outcomes) -> MetricsRow:
-    """Confusion-matrix metrics over yes/no outcomes, as percentages."""
+    """Confusion-matrix metrics over yes/no outcomes, as percentages.
+
+    Precision, recall and F1 are each 0.0 when their denominator (tp + fp,
+    tp + fn, precision + recall) is not positive, and are then named in
+    ``degenerate``.
+    """
     items = list(outcomes)
     if not items:
         raise ValueError("pope_metrics needs at least one outcome")
     tp, fp, fn, tn = confusion_counts(items)
     accuracy = 100.0 * (tp + tn) / len(items)
-    degenerate = []
-    if tp + fp > 0:
-        precision = 100.0 * tp / (tp + fp)
-    else:
-        precision = 0.0
-        degenerate.append("precision")
-    if tp + fn > 0:
-        recall = 100.0 * tp / (tp + fn)
-    else:
-        recall = 0.0
-        degenerate.append("recall")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.append("f1")
-    return MetricsRow(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        degenerate=tuple(degenerate),
-    )
+    precision = 100.0 * tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = 100.0 * tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    denominators = (("precision", tp + fp), ("recall", tp + fn), ("f1", precision + recall))
+    degenerate = tuple(name for name, denominator in denominators if not denominator > 0)
+    return MetricsRow(accuracy, precision, recall, f1, degenerate)
 
 
 def autohallusion_aggregate(results, scenario_mean: bool = False) -> dict:
@@ -120,14 +91,13 @@ def autohallusion_aggregate(results, scenario_mean: bool = False) -> dict:
     items = list(results)
     if not items:
         raise ValueError("autohallusion_aggregate needs at least one result")
+    for scenario, _ in items:
+        if scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}; expected 'synthetic' or 'real'")
     per_scenario = {}
     for scenario in SCENARIOS:
         sub = [correct for s, correct in items if s == scenario]
         per_scenario[scenario] = 100.0 * sum(sub) / len(sub) if sub else None
-    known = sum(1 for s, _ in items if s in SCENARIOS)
-    if known != len(items):
-        bad = next(s for s, _ in items if s not in SCENARIOS)
-        raise ValueError(f"unknown scenario {bad!r}; expected 'synthetic' or 'real'")
     if scenario_mean:
         present = [v for v in per_scenario.values() if v is not None]
         overall = sum(present) / len(present)

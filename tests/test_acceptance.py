@@ -6,7 +6,6 @@ pytest shows them in the captured-output section of any failure.
 
 import contextlib
 import json
-import threading
 import time
 
 import numpy as np
@@ -22,7 +21,6 @@ from routebench.benchmark import (
 )
 from routebench.datagen import (
     CATEGORY_SPECS,
-    CompletionResponse,
     DatagenConfig,
     category_spec,
     generate_dataset,
@@ -73,6 +71,7 @@ from routebench.router import (
     routing_weights,
     select_top_k,
 )
+from test_datagen import FlakyClient, InstrumentedClient, ScriptedClient
 
 
 @contextlib.contextmanager
@@ -481,45 +480,6 @@ def test_criterion_10_pope_confusion_oracle():
                 assert row.f1 == 0.0 and "f1" in row.degenerate
 
 
-class _FlakyClient:
-    def __init__(self, fail_times):
-        self.fail_times = fail_times
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.calls += 1
-            if self.calls <= self.fail_times:
-                raise ConnectionError("transient network failure")
-        return CompletionResponse(text="An entirely different caption.")
-
-
-class _ScriptedClient:
-    def __init__(self, reply):
-        self.reply = reply
-
-    def complete(self, request):
-        text = self.reply(request) if callable(self.reply) else self.reply
-        return CompletionResponse(text=text)
-
-
-class _InstrumentedClient:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.current = 0
-        self.peak = 0
-
-    def complete(self, request):
-        with self._lock:
-            self.current += 1
-            self.peak = max(self.peak, self.current)
-        time.sleep(0.004)
-        with self._lock:
-            self.current -= 1
-        return CompletionResponse(text="Something new and different.")
-
-
 def _echo_of_input(request):
     last = request.prompt.rstrip("\n").splitlines()[-1]
     assert last.startswith("Caption: ")
@@ -542,7 +502,7 @@ def test_criterion_11_datagen_robustness():
         one_spec = [category_spec(HallucinationCategory.COLOR)]
         sleeps = []
 
-        flaky = _FlakyClient(fail_times=2)
+        flaky = FlakyClient(fail_times=2)
         result = generate_dataset(
             flaky,
             make_items(1),
@@ -557,18 +517,18 @@ def test_criterion_11_datagen_robustness():
         assert sleeps == [0.5, 1.0]
 
         refusal = generate_dataset(
-            _ScriptedClient("NO"), make_items(2), config=DatagenConfig(**base)
+            ScriptedClient("NO"), make_items(2), config=DatagenConfig(**base)
         )
         assert refusal.samples == []
         assert refusal.stats.skipped_no == 2 * len(CATEGORY_SPECS)
 
         echo = generate_dataset(
-            _ScriptedClient(_echo_of_input), make_items(2), config=DatagenConfig(**base)
+            ScriptedClient(_echo_of_input), make_items(2), config=DatagenConfig(**base)
         )
         assert echo.samples == []
         assert echo.stats.skipped_echo == 2 * len(CATEGORY_SPECS)
 
-        instrumented = _InstrumentedClient()
+        instrumented = InstrumentedClient()
         bounded = generate_dataset(
             instrumented,
             make_items(3),

@@ -570,6 +570,13 @@ class TestDatasetBuild:
             got = classify_pair(sample.real_caption, sample.hallucinated_caption)
             assert got is sample.category
 
+    def test_rejects_repeated_categories(self):
+        # A repeated category would repeat its samples' ids.
+        cats = (HallucinationCategory.COLOR, HallucinationCategory.COUNTING,
+                HallucinationCategory.COLOR)
+        with pytest.raises(ValueError, match="^categories must be distinct$"):
+            build_synthetic_dataset(2, seed=0, categories=cats)
+
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError, match="positive"):
             build_synthetic_dataset(0, seed=1)

@@ -45,12 +45,23 @@ class TestParsing:
         assert code == 2
         assert "--dataset" in err
 
-    def test_bad_category_name_exits_two(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["gen-synth", "--per-category", "1", "--categories", "Sizes"]
-        )
-        assert code == 2
-        assert "Sizes" in err
+    @pytest.mark.parametrize("command", ["gen-synth", "gen-llm"])
+    @pytest.mark.parametrize(
+        "categories, message",
+        [
+            ("Sizes", "unknown category 'Sizes'"),
+            # A repeated category would give two samples the same id.
+            ("Color,Counting, Color", "category 'Color' is listed more than once"),
+        ],
+        ids=["unknown", "repeated"],
+    )
+    def test_bad_category_name_exits_two(self, capsys, command, categories, message):
+        # Rejected while parsing, before any file is read.
+        argv = {"gen-synth": ["--per-category", "2"],
+                "gen-llm": ["--items", "absent.jsonl", "--config", "absent.json"]}[command]
+        code, stdout, err = run_cli(capsys, [command, *argv, "--categories", categories])
+        assert (code, stdout) == (2, "")
+        assert f"argument --categories: {message}" in err.splitlines()[-1]
 
     def test_parser_builds_eval_invocation(self):
         parser = build_parser()
@@ -453,6 +464,17 @@ class TestReport:
         assert (code, stdout) == (2, "")
         assert err.splitlines() == ["ERROR judgement file stems collide; pass explicit --names"]
 
+    @pytest.mark.parametrize("stem", ["a,b", "a\nb"], ids=["comma", "newline"])
+    def test_stem_that_cannot_be_a_run_name_exits_two(self, capsys, tmp_path, stem):
+        # Checked before any file is read, so the file need not exist.
+        path = tmp_path / f"{stem}.jsonl"
+        code, stdout, err = run_cli(capsys, ["report", "--judgements", str(path)])
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [
+            f"ERROR judgement file stem {stem!r} cannot be a run name (empty, or with a "
+            "comma or newline); pass explicit --names"
+        ]
+
 
 class TestGenLlm:
     class FakeClient:
@@ -515,18 +537,34 @@ class TestGenLlm:
         assert [d["category"] for d in docs] == ["Color"]
         assert len(prompts) == 1 and prompts[0].startswith("CUSTOM PREAMBLE\nYou edit")
 
-    def test_mistyped_config_exits_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"endpoint": 5, "model": "m"}, "endpoint must be a JSON string, got 5"),
+            ({"endpoint": "https://api.test.invalid", "model": "m",
+              "shape": {"response_path": "text"}},
+             "response_path must be a JSON array of strings and integers, got 'text'"),
+        ],
+        ids=["endpoint", "response-path"],
+    )
+    def test_mistyped_config_exits_one(self, capsys, tmp_path, monkeypatch, doc, message):
+        import routebench.cli as cli_module
+
+        def no_client(config):
+            raise AssertionError("a client was built from a rejected config")
+
+        monkeypatch.setattr(cli_module, "HttpChatClient", no_client)
         items = tmp_path / "items.jsonl"
         items.write_text(
             '{"image": {"kind": "file", "path": "imgs/1.raw"}, "caption": "A red circle sits."}\n'
         )
         config = tmp_path / "datagen.json"
-        config.write_text(json.dumps({"endpoint": 5, "model": "m"}))
+        config.write_text(json.dumps(doc))
         code, stdout, err = run_cli(
             capsys, ["gen-llm", "--items", str(items), "--config", str(config)]
         )
         assert (code, stdout) == (1, "")
-        assert err.splitlines() == [f"ERROR {config}: endpoint must be a JSON string, got 5"]
+        assert err.splitlines() == [f"ERROR {config}: {message}"]
 
     def test_missing_config_exits_one(self, capsys, tmp_path):
         items = tmp_path / "items.jsonl"

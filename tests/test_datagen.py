@@ -802,6 +802,12 @@ def _config(**fields):
     return DatagenConfig(**{"endpoint": "https://x.invalid", "model": "m", **fields})
 
 
+def _shape_doc(**shape):
+    return DatagenConfig.from_json_dict(
+        {"endpoint": "https://x.invalid", "model": "m", "shape": shape}
+    )
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -813,6 +819,21 @@ def _config(**fields):
         (lambda path: ClientShape(prompt_mode="chat"),
          ValueError, "prompt_mode must be 'messages' or 'text', got 'chat'"),
         (lambda path: ClientShape(response_path=()), ValueError, "response_path must be non-empty"),
+        (lambda path: _shape_doc(response_path="text"), ValueError,
+         "response_path must be a JSON array of strings and integers, got 'text'"),
+        (lambda path: _shape_doc(response_path=["output", True]), ValueError,
+         "response_path must be a JSON array of strings and integers, got ['output', True]"),
+        (lambda path: _shape_doc(response_path=["output", 0.0]), ValueError,
+         "response_path must be a JSON array of strings and integers, got ['output', 0.0]"),
+        (lambda path: _shape_doc(response_path=None), ValueError,
+         "response_path must be a JSON array of strings and integers, got None"),
+        (lambda path: _shape_doc(model_key=5), ValueError, "model_key must be a JSON string, got 5"),
+        (lambda path: _shape_doc(prompt_key=["p"]), ValueError,
+         "prompt_key must be a JSON string, got ['p']"),
+        (lambda path: _shape_doc(auth_header=None), ValueError,
+         "auth_header must be a JSON string, got None"),
+        (lambda path: _shape_doc(auth_scheme=False), ValueError,
+         "auth_scheme must be a JSON string, got False"),
         (lambda path: _config(model=""), ValueError, "model must be non-empty"),
         (lambda path: _config(max_tokens=0), ValueError, "max_tokens must be >= 1"),
         (lambda path: _config(max_retries=-1), ValueError, "max_retries must be >= 0"),
@@ -824,7 +845,10 @@ def _config(**fields):
          DatagenError, "response text at path ['choices', 0, 'message', 'content'] is not a string"),
     ],
     ids=[
-        "no-specs", "blank-spec-text", "prompt-mode", "empty-response-path", "empty-model",
+        "no-specs", "blank-spec-text", "prompt-mode", "empty-response-path",
+        "response-path-string", "response-path-bool", "response-path-float",
+        "response-path-null", "model-key-int", "prompt-key-array", "auth-header-null",
+        "auth-scheme-bool", "empty-model",
         "max-tokens-zero", "negative-retries", "negative-backoff", "timeout-zero",
         "config-not-json", "response-text-not-string",
     ],

@@ -203,7 +203,7 @@ class TestErrorRates:
         assert (color.n, color.errors) == (10, 3)
         assert color.error_rate == pytest.approx(0.30, abs=1e-12)
         assert report.overall.error_rate == pytest.approx(0.30, abs=1e-12)
-        assert report.mode == "raw"
+        assert report.to_json_dict()["mode"] == "raw"
 
     def test_all_correct(self):
         js = [self.judgement(i, c, False) for i, c in enumerate(HallucinationCategory)]

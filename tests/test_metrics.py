@@ -1,5 +1,7 @@
 """Tests for confusion-matrix metrics, scenario aggregation, and the composite average."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -106,11 +108,41 @@ class TestPopeMetrics:
         with pytest.raises(ValueError, match="label"):
             BinaryOutcome(pred="yes", label="1")
 
-    def test_metrics_row_validation(self):
-        with pytest.raises(ValueError, match="accuracy"):
-            MetricsRow(accuracy=101.0, precision=0, recall=0, f1=0)
-        with pytest.raises(ValueError, match="degenerate"):
-            MetricsRow(accuracy=50, precision=50, recall=50, f1=50, degenerate=("accuracy",))
+    def test_equals_if_else_reference(self):
+        # Every field equal bit for bit, flags in order, against the metrics
+        # written as one if/else block per 0/0 case.
+        def reference(tp, fp, fn, tn):
+            degenerate = []
+            if tp + fp > 0:
+                precision = 100.0 * tp / (tp + fp)
+            else:
+                precision = 0.0
+                degenerate.append("precision")
+            if tp + fn > 0:
+                recall = 100.0 * tp / (tp + fn)
+            else:
+                recall = 0.0
+                degenerate.append("recall")
+            if precision + recall > 0:
+                f1 = 2.0 * precision * recall / (precision + recall)
+            else:
+                f1 = 0.0
+                degenerate.append("f1")
+            accuracy = 100.0 * (tp + tn) / (tp + fp + fn + tn)
+            return MetricsRow(accuracy, precision, recall, f1, tuple(degenerate))
+
+        for counts in itertools.product(range(5), repeat=4):
+            if not any(counts):
+                continue
+            tp, fp, fn, tn = counts
+            items = outcomes(
+                [("yes", "yes")] * tp + [("yes", "no")] * fp
+                + [("no", "yes")] * fn + [("no", "no")] * tn
+            )
+            assert confusion_counts(items) == counts
+            row, expected = pope_metrics(items), reference(*counts)
+            assert row == expected and repr(row) == repr(expected), counts
+            assert json.dumps(row.to_json_dict()) == json.dumps(expected.to_json_dict())
 
 
 class TestAutohallusion:
