@@ -110,6 +110,13 @@ def _persona(arg: str) -> str:
     return arg
 
 
+def _check_seed(seed: int) -> None:
+    # The numpy generators route, eval and gradcheck seed take no negative
+    # seed; gen-synth seeds from a string and takes any integer.
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def _image_from_args(args):
     if args.image is not None:
         if args.scene_seed is not None:
@@ -130,6 +137,7 @@ def _pipeline_from_args(args):
 
 
 def cmd_route(args) -> int:
+    _check_seed(args.seed)
     image = _image_from_args(args)
     config = _pipeline_from_args(args)
     result = run_pipeline(image, config)
@@ -194,6 +202,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
     if not math.isfinite(args.alpha):
         raise UsageError(f"--alpha must be finite, got {args.alpha}")
+    _check_seed(args.seed)
     dataset = load_dataset(args.dataset)
     config = _pipeline_from_args(args)
     scorer = _build_scorer(args, dataset)
@@ -237,6 +246,7 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--configs", args.configs), ("--max-coords", args.max_coords)):
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    _check_seed(args.seed)
     if not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
     if not 0 < args.threshold < float("inf"):

@@ -22,11 +22,12 @@ verbatim, so braces in a caption pass through.
 Generation fans out over (item, category) units with a bounded number of
 in-flight requests; each unit ends as one ``GenerationStats`` counter.  Network
 failures and HTTP error statuses (``OSError``, which every ``requests`` error
-is) are retried with exponential backoff.  A ``DatagenError`` (no token, no
-text at the response path) comes from the config and fails the unit at once;
-any other client exception is a bug and propagates.  The run aborts when the
-failed fraction exceeds the configured budget.  Results merge
-deterministically in (item, category) order.
+is) are retried with exponential backoff.  A ``DatagenError`` (no token, a
+token that is not a valid header, no text at the response path) comes from
+the config and fails the unit at once; any other client exception is a bug
+and propagates.  The run aborts when the failed fraction exceeds the
+configured budget.  Results merge deterministically in (item, category)
+order.
 """
 
 from __future__ import annotations
@@ -420,6 +421,14 @@ class HttpChatClient:
                 )
             shape = config.shape
             value = f"{shape.auth_scheme} {token}" if shape.auth_scheme else token
+            try:
+                check_header_validity((shape.auth_header, value))
+            except requests.exceptions.InvalidHeader as exc:
+                # Its message quotes the token, and as an OSError it would be retried.
+                raise DatagenError(
+                    f"auth environment variable {config.auth_env!r} does not give a "
+                    f"valid {shape.auth_header!r} header"
+                ) from exc
             headers[shape.auth_header] = value
         return headers
 
@@ -430,9 +439,7 @@ class HttpChatClient:
         prepared = requests.PreparedRequest()
         prepared.method, prepared.url = template.method, template.url
         prepared.headers = template.headers.copy()
-        for name, value in self._headers().items():
-            check_header_validity((name, value))
-            prepared.headers[name] = value
+        prepared.headers.update(self._headers())
         prepared.prepare_cookies(merge_cookies(RequestsCookieJar(), self._session.cookies))
         prepared.prepare_body(None, None, body)
         # Auth comes after the body, so it can override headers and sign the body.

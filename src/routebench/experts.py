@@ -140,6 +140,8 @@ class ToyExpertSpec:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"expert id must be non-negative, got {self.id}")
+        if self.seed < 0:
+            raise ValueError(f"expert seed must be non-negative, got {self.seed}")
         if self.persona not in PERSONAS:
             raise ValueError(
                 f"unknown persona {self.persona!r}; valid personas: {', '.join(PERSONAS)}"

@@ -61,7 +61,7 @@ FUSION_KINDS = ("routed", "add", "concat")
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 
-PIPELINE_STAGES = ("encode", "align", "route", "fuse", "project")
+PIPELINE_STAGES = ("clip", "route", "encode", "align", "fuse", "project")
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -283,6 +283,8 @@ class PipelineConfig:
                     f"expert ids must be 0..{len(experts) - 1} in order; position {i} has id {spec.id}"
                 )
         _grid_side(self.canonical_tokens, "canonical_tokens")
+        if self.clip_seed < 0:
+            raise ValueError(f"clip_seed must be non-negative, got {self.clip_seed}")
         if self.router.dim_in != self.canonical_dim:
             raise ValueError(
                 f"router dim_in {self.router.dim_in} does not match canonical_dim {self.canonical_dim}"
@@ -520,6 +522,7 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
     cls = _stack([clip.cls for clip in clips], shape[1:])
     patches = _stack([clip.patches.values for clip in clips], shape)
     del clips  # the stacks replace them
+    lap("clip")
     with np.errstate(over="ignore", invalid="ignore"):
         weights, kept = _route(cls, config.router.weights, config.router.bias, config.strategy.k)
     lap("route")
@@ -568,16 +571,17 @@ def _run_stack(images, config: PipelineConfig) -> tuple:
 
 
 def run_pipeline(image: ImageGrid, config: PipelineConfig) -> PipelineResult:
-    """Run route -> encode -> align -> fuse -> project and report timings.
+    """Run clip -> route -> encode -> align -> fuse -> project and report
+    the seconds of each stage.
 
     This is :func:`_run_stack` on a stack of one image.  The image is
-    clip-encoded and routed first (the ``"route"`` timing covers both).
-    Under ``routed`` fusion only experts with a non-zero weight are then
-    encoded and aligned: an expert that top-k masking or softmax underflow
-    leaves at exactly 0 is never run, so an expert that cannot encode the
-    image fails the run only when it is active.  ``add`` and ``concat``
-    encode every expert.  Config-only state (the align steps, the Gaussian
-    projections) is derived once, not per image.
+    clip-encoded (the ``"clip"`` timing) and routed first.  Under ``routed``
+    fusion only experts with a non-zero weight are then encoded and aligned:
+    an expert that top-k masking or softmax underflow leaves at exactly 0 is
+    never run, so an expert that cannot encode the image fails the run only
+    when it is active.  ``add`` and ``concat`` encode every expert.
+    Config-only state (the align steps, the Gaussian projections) is derived
+    once, not per image.
 
     Non-finite routing logits, an active expert whose patch grid does not
     divide the image (``encode_toy_expert``'s ``ValueError``) and a

@@ -111,6 +111,11 @@ class TestGenSynth:
         assert len(docs) == 6
         assert {d["category"] for d in docs} == {"Color", "Counting"}
 
+    def test_negative_seed_is_accepted(self, capsys):
+        code, stdout, _ = run_cli(capsys, ["gen-synth", "--per-category", "1", "--seed", "-1"])
+        assert code == 0
+        assert len(stdout.splitlines()) == 10
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_per_category_below_one_exits_two(self, capsys, value):
         code, stdout, err = run_cli(capsys, ["gen-synth", "--per-category", value])
@@ -229,6 +234,29 @@ class TestEval:
         assert (code, stdout) == (2, "")
         assert err.splitlines() == [f"ERROR --alpha must be finite, got {alpha}"]
 
+    @pytest.mark.parametrize("scorer", ["affinity", "coinflip"])
+    def test_negative_seed_exits_two(self, capsys, tmp_path, scorer):
+        missing = tmp_path / "missing.jsonl"
+        code, stdout, err = run_cli(
+            capsys, ["eval", "--dataset", str(missing), "--scorer", scorer, "--seed", "-1"]
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["ERROR --seed must be >= 0, got -1"]
+
+    def test_negative_expert_seed_fails_before_judging(self, capsys, dataset_path, tmp_path):
+        # Rejected when the config is read, not as a failure of every sample.
+        doc = pipeline_config_to_json(toy_judging_config())
+        doc["experts"][0]["seed"] = -3
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            capsys,
+            ["eval", "--dataset", str(dataset_path), "--pipeline", str(path), "--lenient"],
+        )
+        assert (code, stdout) == (1, "")
+        want = "ERROR malformed pipeline config: expert seed must be non-negative, got -3"
+        assert err.splitlines() == [want]
+
 
 class TestRoute:
     def test_scene_route_deterministic(self, capsys):
@@ -309,6 +337,11 @@ class TestRoute:
         assert code == 2
         assert "--image or --scene-seed" in err
 
+    def test_negative_seed_exits_two(self, capsys):
+        code, stdout, err = run_cli(capsys, ["route", "--scene-seed", "1", "--seed", "-1"])
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["ERROR --seed must be >= 0, got -1"]
+
     def test_unknown_persona_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["route", "--scene-seed", "1", "--favor", "bogus"])
         assert code == 2
@@ -370,6 +403,11 @@ class TestGradcheck:
         assert code == 2
         assert stdout == ""
         assert flag in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, stdout, err = run_cli(capsys, ["gradcheck", "--seed", "-1"])
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == ["ERROR --seed must be >= 0, got -1"]
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_eps_not_positive_exits_two(self, capsys, value):

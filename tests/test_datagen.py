@@ -396,6 +396,26 @@ class TestGenerateDataset:
         assert (stats.failed, stats.retries, stats.retries_by_key) == (10, 0, {})
         assert all("ABSENT_TOKEN" in f for f in stats.failures)
 
+    def test_invalid_token_header_fails_without_retry(self, monkeypatch):
+        monkeypatch.setenv("NEWLINE_TOKEN", "tok\n")
+        config = DatagenConfig(
+            endpoint="https://x.invalid",
+            model="m",
+            auth_env="NEWLINE_TOKEN",
+            max_in_flight=2,
+            max_failure_fraction=1.0,
+        )
+        session, adapter = stub_session({})
+        sleeps = []
+        result = generate_dataset(
+            HttpChatClient(config, session=session), [ITEM], config=config, sleep=sleeps.append
+        )
+        assert sleeps == [] and adapter.calls == []
+        stats = result.stats
+        assert (stats.requested, stats.failed, stats.retries) == (10, 10, 0)
+        assert stats.retries_by_key == {}
+        assert all("NEWLINE_TOKEN" in f and "tok\n" not in f for f in stats.failures)
+
     def test_client_datagen_error_still_aborts_on_budget(self, monkeypatch):
         monkeypatch.delenv("ABSENT_TOKEN", raising=False)
         config = DatagenConfig(endpoint="https://x.invalid", model="m", auth_env="ABSENT_TOKEN")
@@ -766,8 +786,14 @@ class TestHttpChatClient:
         monkeypatch.setenv("DEMO_TOKEN", "tok-123\n")
         session, adapter = stub_session(CHAT_REPLY)
         client = HttpChatClient(self.chat_config(), session=session)
-        with pytest.raises(requests.exceptions.InvalidHeader):
+        message = (
+            "^auth environment variable 'DEMO_TOKEN' does not give a valid "
+            "'Authorization' header$"
+        )
+        with pytest.raises(DatagenError, match=message) as info:
             client.complete(self.make_request())
+        assert isinstance(info.value.__cause__, requests.exceptions.InvalidHeader)
+        assert "tok-123" not in str(info.value)
         assert adapter.calls == []
 
     def test_session_prepares_at_most_once_per_client(self, monkeypatch):

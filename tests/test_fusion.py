@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -419,8 +420,21 @@ class TestPipeline:
     def test_stage_timings_present(self):
         config = small_config(FusionStrategy(kind="add"))
         result = run_pipeline(self.random_image(4), config)
-        assert set(result.stage_seconds) == {"encode", "align", "route", "fuse", "project"}
+        stages = ("clip", "route", "encode", "align", "fuse", "project")
+        assert tuple(result.stage_seconds) == stages
         assert all(v >= 0.0 for v in result.stage_seconds.values())
+
+    def test_clip_encode_has_its_own_lap(self, monkeypatch):
+        clip_encode = fusion_module.clip_encode
+
+        def slow(image, params):
+            time.sleep(0.05)
+            return clip_encode(image, params)
+
+        monkeypatch.setattr(fusion_module, "clip_encode", slow)
+        result = run_pipeline(self.random_image(4), small_config(FusionStrategy(kind="add")))
+        assert result.stage_seconds["clip"] >= 0.05
+        assert result.stage_seconds["route"] < 0.05
 
     def test_mixed_native_geometry_aligns(self):
         # one expert needs resampling and a width adapter, one is native
@@ -940,6 +954,22 @@ class TestConfigJson:
         del doc[key]
         with pytest.raises(ValueError, match=f"^malformed pipeline config: missing field '{key}'$"):
             pipeline_config_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (lambda doc: doc["experts"][1].update(seed=-3),
+             "expert seed must be non-negative, got -3"),
+            (lambda doc: doc.update(clip_seed=-1), "clip_seed must be non-negative, got -1"),
+        ],
+        ids=["expert-seed", "clip-seed"],
+    )
+    def test_negative_seed_rejected(self, breakage, message):
+        doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
+        breakage(doc)
+        with pytest.raises(ValueError) as excinfo:
+            pipeline_config_from_json(doc)
+        assert str(excinfo.value) == f"malformed pipeline config: {message}"
 
     @pytest.mark.parametrize(
         "breakage",
