@@ -29,6 +29,7 @@ Sample wire format, one JSON object per line::
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -213,23 +214,36 @@ class BenchmarkSample:
             raise ValueError(f"sample {self.id}: category must be a HallucinationCategory")
 
 
-def _cell_shape_masks() -> dict:
+def _cell_tiles() -> dict:
+    """The read-only picture of a cell holding each possible object, keyed by
+    ``(shape, color, labelled, occluded)``: the shape's pixels in the palette
+    color on the background, then the label's 1-pixel vertical stripes along
+    the cell bottom, then the occluder gray over the top half."""
     yy, xx = np.mgrid[0:CELL_PIXELS, 0:CELL_PIXELS]
     masks = {
         "circle": (yy - 7.5) ** 2 + (xx - 7.5) ** 2 <= 5.5**2,
         "square": (yy >= 2) & (yy <= 13) & (xx >= 2) & (xx <= 13),
         "triangle": (yy >= 2) & (yy <= 13) & (np.abs(xx - 7.5) <= 0.5 * (yy - 2) + 0.5),
     }
-    for mask in masks.values():
-        mask.setflags(write=False)
-    return masks
+    stripes = np.where(np.arange(CELL_PIXELS) % 2 == 0, STRIPE_LIGHT, STRIPE_DARK)
+    tiles = {}
+    for shape, color, labelled, occluded in itertools.product(
+        SHAPES, COLORS, (False, True), (False, True)
+    ):
+        tile = np.full((CELL_PIXELS, CELL_PIXELS, 3), BACKGROUND_VALUE)
+        tile[masks[shape]] = PALETTE[color]
+        if labelled:
+            tile[12:16, :, :] = stripes[None, :, None]
+        if occluded:
+            tile[0 : CELL_PIXELS // 2, :, :] = OCCLUDER_VALUE
+        tile.setflags(write=False)
+        tiles[shape, color, labelled, occluded] = tile
+    return tiles
 
 
-# Fixed per-cell drawing geometry, shared read-only by every rasterize call:
-# the pixels each shape covers, and the 1-pixel stripe row of a text label.
-_SHAPE_MASKS = _cell_shape_masks()
-_LABEL_STRIPES = np.where(np.arange(CELL_PIXELS) % 2 == 0, STRIPE_LIGHT, STRIPE_DARK)
-_LABEL_STRIPES.setflags(write=False)
+# Shared read-only by every rasterize call.  A scene holds at most one object
+# per cell, so each cell of a canvas is the background or one of these tiles.
+_CELL_TILES = _cell_tiles()
 
 
 def rasterize(desc: SceneDescriptor) -> ImageGrid:
@@ -244,12 +258,9 @@ def rasterize(desc: SceneDescriptor) -> ImageGrid:
     for obj in desc.objects:
         r0 = obj.cell[0] * CELL_PIXELS
         c0 = obj.cell[1] * CELL_PIXELS
-        cell = canvas[r0 : r0 + CELL_PIXELS, c0 : c0 + CELL_PIXELS]
-        cell[_SHAPE_MASKS[obj.shape]] = PALETTE[obj.color]
-        if obj.label_text is not None:
-            cell[12:16, :, :] = _LABEL_STRIPES[None, :, None]
-        if obj.occluded:
-            cell[0 : CELL_PIXELS // 2, :, :] = OCCLUDER_VALUE
+        canvas[r0 : r0 + CELL_PIXELS, c0 : c0 + CELL_PIXELS] = _CELL_TILES[
+            obj.shape, obj.color, obj.label_text is not None, obj.occluded
+        ]
     # Palette constants only: the canvas is in [0, 1] by construction.
     return _unchecked(ImageGrid, data=canvas)
 

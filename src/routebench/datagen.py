@@ -49,7 +49,7 @@ import requests
 from requests.cookies import RequestsCookieJar, merge_cookies
 from requests.sessions import merge_setting
 from requests.structures import CaseInsensitiveDict
-from requests.utils import check_header_validity, get_netrc_auth
+from requests.utils import check_header_validity, get_auth_from_url, get_netrc_auth
 
 from .benchmark import (
     BenchmarkSample,
@@ -378,11 +378,12 @@ class HttpChatClient:
     the netrc entry for the endpoint), the session's hooks, and its
     environment settings (proxies, ``verify``, ``cert``, ``stream``, with the
     environment's proxy and CA-bundle variables merged in).  A caller who
-    changes any of them must build a new client.  Read on every request: the
-    body, the auth token header (from the environment) and the session's
-    cookies.  Each request is then prepared in ``PreparedRequest.prepare``'s
-    order (headers, cookies, body, auth, hooks), so it is what ``session.post``
-    would send.
+    changes any of them must build a new client.  Without session or netrc
+    auth, the endpoint URL's userinfo is the auth, as ``prepare_auth`` would
+    find it.  Read on every request: the body, the auth token header (from
+    the environment) and the session's cookies.  Each request is then
+    prepared in ``PreparedRequest.prepare``'s order (headers, cookies, body,
+    auth, hooks), so it is what ``session.post`` would send.
     """
 
     def __init__(self, config: DatagenConfig, session=None):
@@ -403,6 +404,9 @@ class HttpChatClient:
         auth = session.auth
         if session.trust_env and not auth:
             auth = get_netrc_auth(config.endpoint) or auth
+        if auth is None:
+            url_auth = get_auth_from_url(template.url)
+            auth = url_auth if any(url_auth) else None
         self._auth = auth
         self._hooks = {event: list(hooks) for event, hooks in session.hooks.items()}
         self._send_settings = session.merge_environment_settings(
@@ -440,10 +444,17 @@ class HttpChatClient:
         prepared.method, prepared.url = template.method, template.url
         prepared.headers = template.headers.copy()
         prepared.headers.update(self._headers())
-        prepared.prepare_cookies(merge_cookies(RequestsCookieJar(), self._session.cookies))
+        cookies = self._session.cookies
+        if len(cookies):
+            prepared.prepare_cookies(merge_cookies(RequestsCookieJar(), cookies))
+        else:
+            # No cookie to send, so no policy to run; redirect handling still
+            # merges the session's cookies into the request's own jar.
+            prepared._cookies = RequestsCookieJar()
         prepared.prepare_body(None, None, body)
         # Auth comes after the body, so it can override headers and sign the body.
-        prepared.prepare_auth(self._auth)
+        if self._auth:
+            prepared.prepare_auth(self._auth)
         prepared.prepare_hooks(self._hooks)
         return prepared
 

@@ -486,14 +486,18 @@ class AffinityScorer:
         positive = np.maximum(values - _mean(values, 0), 0.0)
         tokens = positive.shape[0]
         red, green, blue = (_bin_column(positive, b) for b in (_RED_BIN, _GREEN_BIN, _BLUE_BIN))
-        affinities = {
-            None: 0.0,
-            _ENERGY: float(_mean(positive, None)),
-            "red": float(np.maximum(red - green, 0.0).sum() / tokens),
-            "green": float(np.maximum(green - red, 0.0).sum() / tokens),
-            "blue": float(blue.sum() / tokens),
-            "yellow": float(np.minimum(red, green).sum() / tokens),
-        }
+        # One row per colour word.  Each row is contiguous, so its sum rounds
+        # as the row's own 1-D sum would.
+        per_token = np.empty((4, tokens))
+        np.subtract(red, green, out=per_token[0])
+        np.subtract(green, red, out=per_token[1])
+        np.maximum(per_token[:2], 0.0, out=per_token[:2])
+        per_token[2] = blue
+        np.minimum(red, green, out=per_token[3])
+        sums = (np.add.reduce(per_token, 1) / tokens).tolist()
+        affinities = dict(zip(("red", "green", "blue", "yellow"), sums))
+        affinities[None] = 0.0
+        affinities[_ENERGY] = float(_mean(positive, None))
         alpha = self.config.alpha
         table = {
             kind: min(max(_BASE_NLL - alpha * affinity, _NLL_MIN), _NLL_MAX)

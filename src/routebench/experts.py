@@ -394,7 +394,13 @@ _RAW_PERSONAS = {
 
 
 def tile_columns(raw: np.ndarray, dim: int) -> np.ndarray:
-    """Repeat the columns of ``raw`` cyclically out to ``dim`` columns."""
+    """Repeat the columns of ``raw`` cyclically out to ``dim`` columns.
+
+    ``raw`` itself, not a copy, comes back when it already has ``dim``
+    columns.
+    """
+    if raw.shape[1] == dim:
+        return raw
     return raw[:, np.arange(dim) % raw.shape[1]]
 
 

@@ -43,6 +43,8 @@ class ToyClipParams:
     dim: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         _grid_side(self.tokens, "tokens")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")

@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from routebench import benchmark
 from routebench.benchmark import (
     CATEGORY_NAMES,
     COLORS,
@@ -206,7 +207,55 @@ def test_validation_names_the_fault(build, message):
     assert str(excinfo.value) == message
 
 
+def paint_scene(desc):
+    """Reference painter: each object drawn mask by mask onto the canvas, the
+    steps rasterize's cell tiles are painted with, in the same order."""
+    cp = benchmark.CELL_PIXELS
+    yy, xx = np.mgrid[0:cp, 0:cp]
+    masks = {
+        "circle": (yy - 7.5) ** 2 + (xx - 7.5) ** 2 <= 5.5**2,
+        "square": (yy >= 2) & (yy <= 13) & (xx >= 2) & (xx <= 13),
+        "triangle": (yy >= 2) & (yy <= 13) & (np.abs(xx - 7.5) <= 0.5 * (yy - 2) + 0.5),
+    }
+    stripes = np.where(np.arange(cp) % 2 == 0, benchmark.STRIPE_LIGHT, benchmark.STRIPE_DARK)
+    canvas = np.full((benchmark.SCENE_PIXELS, benchmark.SCENE_PIXELS, 3), benchmark.BACKGROUND_VALUE)
+    for obj in desc.objects:
+        r0, c0 = obj.cell[0] * cp, obj.cell[1] * cp
+        cell = canvas[r0 : r0 + cp, c0 : c0 + cp]
+        cell[masks[obj.shape]] = benchmark.PALETTE[obj.color]
+        if obj.label_text is not None:
+            cell[12:16, :, :] = stripes[None, :, None]
+        if obj.occluded:
+            cell[0 : cp // 2, :, :] = benchmark.OCCLUDER_VALUE
+    return canvas
+
+
 class TestRasterize:
+    def test_every_object_in_every_cell_matches_the_painter(self):
+        combos = itertools.product(SHAPES, COLORS, (None,) + LABEL_WORDS, (False, True))
+        cells = itertools.product(range(SCENE_GRID), repeat=2)
+        for (shape, color, label, occluded), cell in itertools.product(combos, cells):
+            obj = SceneObject(shape, color, cell, 0, occluded=occluded, label_text=label)
+            desc = SceneDescriptor(seed=0, objects=(obj,))
+            got = rasterize(desc).data
+            assert got.tobytes() == paint_scene(desc).tobytes(), obj
+
+    def test_drawn_scenes_match_the_painter(self):
+        for seed in range(20000):
+            desc = draw_scene(seed)
+            assert rasterize(desc).data.tobytes() == paint_scene(desc).tobytes(), seed
+
+    def test_cell_tiles_are_read_only(self):
+        tiles = benchmark._CELL_TILES
+        assert len(tiles) == len(SHAPES) * len(COLORS) * 2 * 2
+        for key, tile in tiles.items():
+            assert not tile.flags.writeable, key
+            with pytest.raises(ValueError):
+                tile[0, 0, 0] = 0.0
+        canvas = rasterize(SCENE_FULL).data
+        canvas[:] = 0.0
+        assert rasterize(SCENE_FULL).data.tobytes() == paint_scene(SCENE_FULL).tobytes()
+
     def test_empty_scene_is_uniform_background(self):
         img = rasterize(SceneDescriptor(seed=0, objects=()))
         assert img.data.shape == (64, 64, 3)
@@ -582,8 +631,6 @@ class TestDatasetBuild:
             build_synthetic_dataset(0, seed=1)
 
     def test_build_draws_scenes_without_rasterizing(self, monkeypatch):
-        import routebench.benchmark as benchmark
-
         def fail(desc):
             raise AssertionError("build_synthetic_dataset rasterized a scene")
 

@@ -336,6 +336,12 @@ class TestAdapt:
             got = raw[:, :lead] @ fold_tiled_rows(weights, lead)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    def test_tile_columns_repeats_cyclically_and_returns_equal_width_input(self):
+        raw = np.arange(12.0).reshape(2, 6)
+        assert tile_columns(raw, 6) is raw
+        np.testing.assert_array_equal(tile_columns(raw, 4), raw[:, :4])
+        np.testing.assert_array_equal(tile_columns(raw, 14), np.hstack([raw, raw, raw[:, :2]]))
+
     def test_dim_mismatch_rejected(self):
         fm = FeatureMap(np.ones((2, 3)), source="0")
         with pytest.raises(ValueError, match="3"):

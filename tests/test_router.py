@@ -345,6 +345,11 @@ class TestClipEncode:
             ToyClipParams(seed=0, tokens=4, dim=dim)
         assert str(excinfo.value) == f"dim must be positive, got {dim}"
 
+    def test_params_reject_negative_seed(self):
+        with pytest.raises(ValueError) as excinfo:
+            ToyClipParams(seed=-1, tokens=4, dim=4)
+        assert str(excinfo.value) == "seed must be non-negative, got -1"
+
     def test_params_have_no_default_geometry(self):
         with pytest.raises(TypeError):
             ToyClipParams(seed=0)
