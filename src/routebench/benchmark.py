@@ -54,6 +54,7 @@ class HallucinationCategory(enum.Enum):
     RELATIVE_INTERACTION = "RelativeInteraction"
 
 CATEGORY_NAMES = tuple(c.value for c in HallucinationCategory)
+_CATEGORY_BY_NAME = {c.value: c for c in HallucinationCategory}
 
 SHAPES = ("circle", "square", "triangle")
 COLORS = ("red", "green", "blue", "yellow")
@@ -601,18 +602,25 @@ def _sample_from_json_dict(doc: dict) -> BenchmarkSample:
     sample_id = json_field(doc, "id", str)
     image = image_ref_from_json_dict(doc["image"])
     real, hallucinated = json_field(doc, "real", str), json_field(doc, "hallucinated", str)
-    category = json_field(doc, "category", str)
-    if category not in CATEGORY_NAMES:
-        raise ValueError(
-            f"unknown category {category!r}; valid categories: " + ", ".join(CATEGORY_NAMES)
-        )
     return BenchmarkSample(
         id=sample_id,
         image=image,
         real_caption=real,
         hallucinated_caption=hallucinated,
-        category=HallucinationCategory(category),
+        category=category_field(doc),
     )
+
+
+def category_field(doc: dict) -> HallucinationCategory:
+    """``doc["category"]`` as a category; ``ValueError`` listing the valid
+    names for any other string."""
+    name = json_field(doc, "category", str)
+    category = _CATEGORY_BY_NAME.get(name)
+    if category is None:
+        raise ValueError(
+            f"unknown category {name!r}; valid categories: " + ", ".join(CATEGORY_NAMES)
+        )
+    return category
 
 
 def parse_jsonl(text: str, parse, empty_message: str) -> list:
@@ -645,17 +653,24 @@ def dumps_jsonl(docs) -> str:
     return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs)
 
 
+def unique_by(parse, key: str):
+    """``parse``, rejecting a record whose ``key`` attribute an earlier
+    record of the same file already had."""
+    seen = set()
+
+    def checked(doc):
+        record = parse(doc)
+        value = getattr(record, key)
+        if value in seen:
+            raise ValueError(f"duplicate {key} {value!r}")
+        seen.add(value)
+        return record
+
+    return checked
+
+
 def loads_dataset(text: str) -> list:
-    seen_ids = set()
-
-    def parse(doc):
-        sample = _sample_from_json_dict(doc)
-        if sample.id in seen_ids:
-            raise ValueError(f"duplicate id {sample.id!r}")
-        seen_ids.add(sample.id)
-        return sample
-
-    return parse_jsonl(text, parse, "dataset contains no samples")
+    return parse_jsonl(text, unique_by(_sample_from_json_dict, "id"), "dataset contains no samples")
 
 
 def load_dataset(path) -> list:

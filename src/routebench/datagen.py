@@ -11,7 +11,7 @@ The HTTP client is a generic JSON-over-HTTPS adapter: request body keys, the
 prompt shape, the auth header, and the response text path are all
 configurable, so any chat-completion provider works without provider-specific
 code.  Auth tokens are read from an environment variable named in the config
-on every request and never stored or serialized; the session's cookies are
+on every request and never stored; the session's cookies are
 also read per request.  What else the session fixes for the endpoint (URL and
 params, headers, auth, hooks, proxies, CA bundle) is resolved once, when the
 client is built.
@@ -57,7 +57,7 @@ from .benchmark import (
     image_ref_from_json_dict,
     parse_jsonl,
 )
-from .experts import json_field
+from .experts import check_known_keys, json_field
 
 logger = logging.getLogger(__name__)
 
@@ -238,12 +238,6 @@ def parse_generation(raw: str):
     return stripped
 
 
-def _check_known_keys(cls, doc: dict, what: str) -> None:
-    unknown = set(doc) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
 class ClientShape:
     """How to shape requests and unpack responses for a specific provider."""
@@ -274,12 +268,9 @@ class ClientShape:
             raise ValueError("response_path must be non-empty")
         object.__setattr__(self, "response_path", tuple(path))
 
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "response_path": list(self.response_path)}
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClientShape":
-        _check_known_keys(cls, doc, "client shape")
+        check_known_keys(cls, doc, "client shape")
         return cls(**doc)
 
 
@@ -329,15 +320,14 @@ class DatagenConfig:
             raise ValueError("max_in_flight must be >= 1")
         if not 0.0 <= self.max_failure_fraction <= 1.0:
             raise ValueError("max_failure_fraction must be in [0, 1]")
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "shape": self.shape.to_json_dict()}
+        if not 0.0 < self.timeout_seconds < math.inf:
+            raise ValueError(
+                f"timeout_seconds must be finite and positive, got {self.timeout_seconds}"
+            )
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DatagenConfig":
-        _check_known_keys(cls, doc, "config")
+        check_known_keys(cls, doc, "config")
         doc = dict(doc)
         shape_doc = doc.pop("shape", None)
         if shape_doc is not None:
@@ -358,15 +348,9 @@ def load_datagen_config(path) -> DatagenConfig:
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """What ``complete`` sends: the rendered prompt."""
+
     prompt: str
-    model: str
-    temperature: float
-    max_tokens: int
-
-
-@dataclass(frozen=True)
-class CompletionResponse:
-    text: str
 
 
 class HttpChatClient:
@@ -458,12 +442,15 @@ class HttpChatClient:
         prepared.prepare_hooks(self._hooks)
         return prepared
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        shape = self.config.shape
+    def complete(self, request: CompletionRequest) -> str:
+        """The text at the shape's response path; model and sampling settings
+        come from the config."""
+        config = self.config
+        shape = config.shape
         body = {
-            shape.model_key: request.model,
-            shape.temperature_key: request.temperature,
-            shape.max_tokens_key: request.max_tokens,
+            shape.model_key: config.model,
+            shape.temperature_key: config.temperature,
+            shape.max_tokens_key: config.max_tokens,
         }
         if shape.prompt_mode == "messages":
             body[shape.prompt_key] = [{"role": "user", "content": request.prompt}]
@@ -471,7 +458,7 @@ class HttpChatClient:
             body[shape.prompt_key] = request.prompt
         # Explicit proxies also keep ``send`` from scanning the environment.
         response = self._session.send(
-            self._prepare(body), timeout=self.config.timeout_seconds, **self._send_settings
+            self._prepare(body), timeout=config.timeout_seconds, **self._send_settings
         )
         response.raise_for_status()
         node = response.json()
@@ -486,7 +473,7 @@ class HttpChatClient:
             raise DatagenError(
                 f"response text at path {list(shape.response_path)} is not a string"
             )
-        return CompletionResponse(text=node)
+        return node
 
 
 @dataclass
@@ -524,7 +511,8 @@ def generate_dataset(
     """Fan (item x category) units out to the client and assemble samples.
 
     ``items`` holds (ImageRef, real caption) pairs; ``template`` was checked
-    when it was built.  Each unit ends as one ``GenerationStats`` counter:
+    when it was built.  ``client.complete(CompletionRequest(prompt))``
+    returns the reply text.  Each unit ends as one ``GenerationStats`` counter:
     ``produced``, ``skipped_no`` ("NO"), ``skipped_echo`` (the input back),
     ``skipped_invalid`` (no valid sample) or ``failed``.  An ``OSError`` from
     the client (a network error, an HTTP error status) is retried with
@@ -559,10 +547,10 @@ def generate_dataset(
             return None  # never read: the client bug is raised from pool.map
         item_index, image, caption, spec, prompt = unit
         where = f"item {item_index} {spec.category.value}"
-        request = CompletionRequest(prompt, config.model, config.temperature, config.max_tokens)
+        request = CompletionRequest(prompt)
         for retries in range(config.max_retries + 1):
             try:
-                response = client.complete(request)
+                reply = client.complete(request)
                 break
             except (OSError, DatagenError) as exc:
                 # A DatagenError comes from the config; waiting cannot fix it.
@@ -574,7 +562,7 @@ def generate_dataset(
                 client_bug.set()
                 raise
         try:
-            text = parse_generation(response.text)
+            text = parse_generation(reply)
             if text is None:
                 return "skipped_no", retries, None
             if text == caption.strip():

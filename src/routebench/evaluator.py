@@ -35,9 +35,11 @@ from .benchmark import (
     BenchmarkSample,
     HallucinationCategory,
     ImageRef,
+    category_field,
     dumps_jsonl,
     parse_jsonl,
     rasterize,
+    unique_by,
 )
 from .experts import (
     CHANNELS,
@@ -201,18 +203,28 @@ def dumps_judgements(judgements) -> str:
     return dumps_jsonl(j.to_json_dict() for j in judgements)
 
 
+def _perplexity_field(doc: dict, key: str) -> float:
+    value = json_field(doc, key, float)
+    if not 1.0 <= value < math.inf:  # a NaN fails the comparison too
+        raise ValueError(f"{key} must be finite and >= 1, got {value}")
+    return value
+
+
 def _judgement_from_json_dict(doc: dict) -> Judgement:
     return Judgement(
         sample_id=json_field(doc, "sample_id", str),
-        ppl_real=json_field(doc, "ppl_real", float),
-        ppl_hall=json_field(doc, "ppl_hall", float),
+        ppl_real=_perplexity_field(doc, "ppl_real"),
+        ppl_hall=_perplexity_field(doc, "ppl_hall"),
         is_error=json_field(doc, "is_error", bool),
-        category=HallucinationCategory(json_field(doc, "category", str)),
+        category=category_field(doc),
     )
 
 
 def loads_judgements(text: str) -> list:
-    return parse_jsonl(text, _judgement_from_json_dict, "judgement file contains no entries")
+    """Judgements of a JSONL file, with the dataset file's rules: one line
+    per sample id and a known category; each perplexity finite and >= 1."""
+    parse = unique_by(_judgement_from_json_dict, "sample_id")
+    return parse_jsonl(text, parse, "judgement file contains no entries")
 
 
 def _resolve_image(ref: ImageRef, base_dir) -> ImageGrid:

@@ -169,6 +169,16 @@ def json_field(doc, key: str, kind: type):
     raise ValueError(f"{key} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
 
 
+def check_known_keys(cls, doc: dict, what: str) -> None:
+    """``ValueError`` unless ``doc`` is a JSON object whose keys are all
+    fields of the dataclass ``cls``; the message names the other keys."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearAdapter:
     """A dense affine map applied per token: ``row @ weights + bias``."""

@@ -36,6 +36,7 @@ from .experts import (
     adapt_dim,
     descriptor_width,
     encode_toy_expert,
+    check_known_keys,
     fold_tiled_rows,
     json_field,
     resample_tokens,
@@ -330,28 +331,31 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     """Build a PipelineConfig from the document ``pipeline_config_to_json``
     writes, with explicit router and projector weights.
 
-    Any missing, mistyped or rejected field raises ``ValueError("malformed
-    pipeline config: ...")``.
+    Any missing, unknown, mistyped or rejected field raises
+    ``ValueError("malformed pipeline config: ...")``.
     """
     try:
-        experts = tuple(
-            ToyExpertSpec(
+        check_known_keys(PipelineConfig, doc, "top-level")
+        experts = []
+        for e in doc["experts"]:
+            check_known_keys(ToyExpertSpec, e, "expert")
+            experts.append(ToyExpertSpec(
                 id=json_field(e, "id", int),
                 persona=json_field(e, "persona", str),
                 seed=json_field(e, "seed", int),
                 native_tokens=json_field(e, "native_tokens", int),
                 native_dim=json_field(e, "native_dim", int),
-            )
-            for e in doc["experts"]
-        )
+            ))
         strategy_doc = doc["strategy"]
+        check_known_keys(FusionStrategy, strategy_doc, "strategy")
         strategy = FusionStrategy(
             kind=json_field(strategy_doc, "kind", str),
             k=None if strategy_doc.get("k") is None else json_field(strategy_doc, "k", int),
         )
         projector_doc = doc["projector"]
+        check_known_keys(ProjectorParams, projector_doc, "projector")
         return PipelineConfig(
-            experts=experts,
+            experts=tuple(experts),
             router=RouterParams.from_json_dict(doc["router"]),
             strategy=strategy,
             projector=ProjectorParams(

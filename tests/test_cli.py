@@ -7,7 +7,7 @@ import pytest
 
 from routebench.benchmark import CATEGORY_NAMES, load_dataset, synth_scene
 from routebench.cli import build_parser, main
-from routebench.datagen import CATEGORY_SPECS, DEFAULT_TEMPLATE_BODY, CompletionResponse
+from routebench.datagen import CATEGORY_SPECS, DEFAULT_TEMPLATE_BODY
 from routebench.evaluator import toy_judging_config
 from routebench.experts import load_raw_image, save_raw_image
 from routebench.fusion import pipeline_config_to_json, run_pipeline
@@ -528,7 +528,7 @@ class TestGenLlm:
             self.prompts.append(request.prompt)
             caption = request.prompt.rstrip("\n").splitlines()[-1]
             caption = caption[len("Caption: "):]
-            return CompletionResponse(text=caption + " Altered.")
+            return caption + " Altered."
 
     @pytest.fixture()
     def gen_llm(self, capsys, tmp_path, monkeypatch):

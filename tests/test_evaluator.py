@@ -299,6 +299,36 @@ class TestJudgementIO:
         with pytest.raises(DatasetError, match="line 2"):
             loads_judgements(good + "{bad\n")
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ppl_real", "NaN", "ppl_real must be finite and >= 1, got nan"),
+            ("ppl_real", "Infinity", "ppl_real must be finite and >= 1, got inf"),
+            ("ppl_real", "0.5", "ppl_real must be finite and >= 1, got 0.5"),
+            ("ppl_hall", "-3.0", "ppl_hall must be finite and >= 1, got -3.0"),
+            ("category", '"Colour"',
+             "unknown category 'Colour'; valid categories: Category, Counting, Occlusion, "
+             "Text, Shape, AbsolutePosition, RelativePosition, Color, Action, "
+             "RelativeInteraction"),
+        ],
+        ids=["ppl-nan", "ppl-infinity", "ppl-below-one", "ppl-negative", "unknown-category"],
+    )
+    def test_rejected_field_named_on_load(self, key, value, message):
+        # JSON text, since NaN and Infinity have no strict JSON form.
+        doc = {"category": '"Color"', "is_error": "false", "ppl_hall": "5.0",
+               "ppl_real": "4.0", "sample_id": '"a"'}
+        doc[key] = value
+        line = "{" + ",".join(f'"{k}":{v}' for k, v in doc.items()) + "}\n"
+        with pytest.raises(DatasetError) as excinfo:
+            loads_judgements(line)
+        assert str(excinfo.value) == f"line 1: {message}"
+
+    def test_repeated_sample_id_rejected(self):
+        line = dumps_judgements([Judgement("a", 4.0, 5.0, False, HallucinationCategory.COLOR)])
+        with pytest.raises(DatasetError) as excinfo:
+            loads_judgements(line + line)
+        assert str(excinfo.value) == "line 2: duplicate sample_id 'a'"
+
     def test_inconsistent_flag_rejected_on_load(self):
         blob = (
             '{"category":"Color","is_error":true,"ppl_hall":5.0,'

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -920,8 +921,6 @@ class TestConfigJson:
         assert rebuilt.strategy == config.strategy
         assert rebuilt.clip_seed == config.clip_seed
 
-        import json
-
         path = tmp_path / "pipeline.json"
         path.write_text(json.dumps(doc))
         loaded = load_pipeline_config(path)
@@ -938,6 +937,10 @@ class TestConfigJson:
     def test_malformed_config_rejected(self):
         with pytest.raises(ValueError, match="malformed pipeline config"):
             pipeline_config_from_json({"experts": []})
+        with pytest.raises(ValueError) as excinfo:
+            pipeline_config_from_json(["experts"])
+        message = "malformed pipeline config: top-level must be a JSON object, got ['experts']"
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2"])
     @pytest.mark.parametrize("key, entry", [("weights", "1.0"), ("weights", True), ("bias", None)])
@@ -970,6 +973,40 @@ class TestConfigJson:
         with pytest.raises(ValueError) as excinfo:
             pipeline_config_from_json(doc)
         assert str(excinfo.value) == f"malformed pipeline config: {message}"
+
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (lambda doc: doc.update(strategy={"kind": "routed", "K": 1}),
+             "unknown strategy keys: ['K']"),
+            (lambda doc: doc.update(comment="top-2"), "unknown top-level keys: ['comment']"),
+            (lambda doc: doc["experts"][1].update(dim=4), "unknown expert keys: ['dim']"),
+            (lambda doc: doc["projector"].update(stage3={}), "unknown projector keys: ['stage3']"),
+            (lambda doc: doc["experts"].append("id"), "expert must be a JSON object, got 'id'"),
+            (lambda doc: doc.update(strategy="routed"),
+             "strategy must be a JSON object, got 'routed'"),
+        ],
+        ids=["strategy-K", "top-level", "expert", "projector", "expert-string", "strategy-string"],
+    )
+    def test_unknown_key_rejected(self, breakage, message):
+        doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
+        breakage(doc)
+        with pytest.raises(ValueError) as excinfo:
+            pipeline_config_from_json(doc)
+        assert str(excinfo.value) == f"malformed pipeline config: {message}"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            toy_judging_config,
+            lambda: small_gradcheck_config(0)[0],
+            lambda: mixed_config(FusionStrategy(kind="routed", k=2)),
+        ],
+        ids=["toy-judging", "small-gradcheck", "mixed"],
+    )
+    def test_written_document_loads(self, make):
+        doc = json.loads(json.dumps(pipeline_config_to_json(make())))
+        assert pipeline_config_to_json(pipeline_config_from_json(doc)) == doc
 
     @pytest.mark.parametrize(
         "breakage",
