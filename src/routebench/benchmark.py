@@ -648,9 +648,12 @@ def parse_jsonl(text: str, parse, empty_message: str) -> list:
     return records
 
 
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_jsonl(docs) -> str:
     """Canonical JSONL: one compact, key-sorted JSON object per line."""
-    return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs)
+    return "".join(_JSONL_ENCODER.encode(doc) + "\n" for doc in docs)
 
 
 def unique_by(parse, key: str):

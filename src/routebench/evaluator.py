@@ -62,16 +62,28 @@ class EvaluationError(RuntimeError):
     """A sample could not be judged; messages carry the sample id."""
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
 def perplexity(nlls) -> float:
-    """exp(mean NLL); 1.0 for perfectly-certain captions, >= 1 always."""
-    arr = np.asarray(list(nlls), dtype=np.float64)
-    if arr.size == 0:
+    """exp(mean NLL); 1.0 for perfectly-certain captions, >= 1 always.
+
+    ``ValueError`` unless there is an NLL and every NLL is finite, then
+    non-negative, then their mean at most log(float max).  An NLL above n
+    times that bound fails before the sum, so the sum cannot overflow or warn."""
+    arr = np.fromiter(nlls, dtype=np.float64)
+    n = arr.size
+    if n == 0:
         raise ValueError("perplexity needs at least one NLL")
+    if 0.0 <= np.minimum.reduce(arr) and np.maximum.reduce(arr) <= n * _LOG_FLOAT_MAX:
+        mean = float(np.add.reduce(arr)) / n
+        if mean <= _LOG_FLOAT_MAX:  # a NaN fails the comparison too
+            return float(np.exp(mean))
     if not np.isfinite(arr).all():
         raise ValueError("NLLs must be finite")
     if (arr < 0).any():
         raise ValueError("NLLs must be non-negative")
-    return float(np.exp(_mean(arr, None)))
+    raise ValueError(f"mean NLL exceeds log(float max) = {_LOG_FLOAT_MAX:.2f}: perplexity overflows")
 
 
 @dataclass(frozen=True)
@@ -419,25 +431,27 @@ _NLL_MAX = 6.0
 
 
 @functools.lru_cache(maxsize=64)
-def _bin_columns(dim: int, offset: int) -> np.ndarray:
-    """Indices of the feature columns ``j < dim`` with ``j % _HISTOGRAM_WIDTH
-    == offset``; read-only, since callers share it.
-
-    Gathering them by index array copies the same columns as a list would, so
-    their mean rounds the same; a strided slice would not.
-    """
-    cols = np.arange(offset, dim, _HISTOGRAM_WIDTH)
-    cols.setflags(write=False)
+def _bin_columns(dim: int) -> tuple:
+    """The red, green and blue bins' feature columns ``j < dim`` (``j %
+    _HISTOGRAM_WIDTH`` is the bin's offset), read-only since callers share
+    them: one (3, k) array when the three have one length k >= 1 (any ``dim
+    >= 24`` that is 0-7 mod 24), else three 1-D arrays.  An index gather adds
+    each bin's columns in order, a (T, 3, k) one as the bin's own (T, k) one
+    does, so their means round the same; a strided slice would not."""
+    cols = [np.arange(b, dim, _HISTOGRAM_WIDTH) for b in (_RED_BIN, _GREEN_BIN, _BLUE_BIN)]
+    cols = (np.stack(cols),) if cols[0].size == cols[2].size > 0 else tuple(cols)
+    for c in cols:
+        c.setflags(write=False)
     return cols
 
 
-def _bin_column(positive: np.ndarray, offset: int) -> np.ndarray:
-    """Per-token mean of the map's columns at ``offset`` in every histogram
-    block; zeros when the map is too narrow to have any."""
-    cols = _bin_columns(positive.shape[1], offset)
-    if not cols.size:
-        return np.zeros(positive.shape[0])
-    return _mean(positive[:, cols], 1)
+def _bin_means(positive: np.ndarray):
+    """Per-token means of the map's red, green and blue bin columns, each
+    zeros when the map is too narrow to have any."""
+    cols = _bin_columns(positive.shape[1])
+    if len(cols) == 1:  # one gather and one reduction for all three
+        return _mean(positive[:, cols[0]], 2).T
+    return [_mean(positive[:, c], 1) if c.size else np.zeros(positive.shape[0]) for c in cols]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -493,11 +507,12 @@ class AffinityScorer:
         """Both captions' NLLs from one centered map: its bin columns are
         taken once, every affinity is derived once from them, and each token
         kind's NLL is clamped once, whatever the captions name."""
-        kinds = [[_token_kind(token) for token in _tokens(c)] for c in (real, hallucinated)]
+        kinds = [list(map(_token_kind, _tokens(c))) for c in (real, hallucinated)]
         values = features.values
-        positive = np.maximum(values - _mean(values, 0), 0.0)
+        positive = values - _mean(values, 0)
+        np.maximum(positive, 0.0, out=positive)
         tokens = positive.shape[0]
-        red, green, blue = (_bin_column(positive, b) for b in (_RED_BIN, _GREEN_BIN, _BLUE_BIN))
+        red, green, blue = _bin_means(positive)
         # One row per colour word.  Each row is contiguous, so its sum rounds
         # as the row's own 1-D sum would.
         per_token = np.empty((4, tokens))
@@ -515,7 +530,7 @@ class AffinityScorer:
             kind: min(max(_BASE_NLL - alpha * affinity, _NLL_MIN), _NLL_MAX)
             for kind, affinity in affinities.items()
         }
-        return [table[kind] for kind in kinds[0]], [table[kind] for kind in kinds[1]]
+        return list(map(table.__getitem__, kinds[0])), list(map(table.__getitem__, kinds[1]))
 
 
 def affinity_scorer(config: AffinityConfig) -> AffinityScorer:

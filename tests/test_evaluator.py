@@ -33,9 +33,17 @@ from routebench.benchmark import (
 )
 from routebench.evaluator import (
     _BASE_NLL,
+    _BLUE_BIN,
+    _ENERGY,
+    _GREEN_BIN,
+    _LOG_FLOAT_MAX,
+    _RED_BIN,
+    _bin_columns,
+    _bin_means,
     _NLL_MAX,
     _NLL_MIN,
     AffinityConfig,
+    AffinityScorer,
     CoinFlipScorer,
     EvaluationError,
     Judgement,
@@ -53,7 +61,7 @@ from routebench.evaluator import (
     _CHUNK,
     _token_kind,
 )
-from routebench.experts import PERSONAS, FeatureMap, seeded_adapter
+from routebench.experts import PERSONAS, FeatureMap, _mean, seeded_adapter
 from routebench.fusion import (
     FusionStrategy,
     PipelineError,
@@ -98,6 +106,9 @@ def make_sample(sample_id="s-1", real="A red circle sits.", hall="A blue circle 
     )
 
 
+OVERFLOW = "mean NLL exceeds log(float max) = 709.78: perplexity overflows"
+
+
 class TestPerplexity:
     def test_uniform_vocabulary(self):
         assert perplexity([math.log(4.0)] * 3) == pytest.approx(4.0, rel=1e-12)
@@ -115,6 +126,61 @@ class TestPerplexity:
             perplexity([0.5, -0.1])
         with pytest.raises(ValueError, match="finite"):
             perplexity([0.5, float("inf")])
+
+    @pytest.mark.parametrize(
+        "nlls, message",
+        [
+            ([], "perplexity needs at least one NLL"),
+            ([0.5, math.nan], "NLLs must be finite"),
+            ([math.nan, 0.5], "NLLs must be finite"),
+            ([0.5, math.inf], "NLLs must be finite"),
+            ([0.5, -math.inf], "NLLs must be finite"),
+            ([math.inf, -math.inf], "NLLs must be finite"),
+            ([-1.0, math.nan], "NLLs must be finite"),
+            ([1e308, 1e308, math.inf], "NLLs must be finite"),
+            ([0.5, -0.1], "NLLs must be non-negative"),
+            ([1e308, 1e308, -0.1], "NLLs must be non-negative"),
+            ([800.0], OVERFLOW),
+            ([1e308, 1e308], OVERFLOW),
+            ([700.0, 720.0], OVERFLOW),
+            ([math.nextafter(_LOG_FLOAT_MAX, math.inf)], OVERFLOW),
+        ],
+        ids=[
+            "empty", "nan-last", "nan-first", "inf", "-inf", "inf-and--inf",
+            "finite-before-non-negative", "finite-before-overflow", "negative",
+            "non-negative-before-overflow", "mean-800", "sum-overflows", "mean-710",
+            "mean-just-above-bound",
+        ],
+    )
+    def test_rejection_messages(self, nlls, message):
+        # No RuntimeWarning either: the checks run before any reduction that
+        # could overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as excinfo:
+                perplexity(nlls)
+        assert str(excinfo.value) == message
+
+    def test_largest_mean_below_overflow(self):
+        assert perplexity([_LOG_FLOAT_MAX]) == float(np.exp(_LOG_FLOAT_MAX))
+        assert math.isfinite(perplexity([_LOG_FLOAT_MAX] * 3))
+
+    def test_accepts_any_iterable_of_numbers(self):
+        nlls = [0.25, 1.5, 3.0]
+        want = perplexity(nlls)
+        assert perplexity(tuple(nlls)) == want
+        assert perplexity(x for x in nlls) == want
+        assert perplexity(np.array(nlls)) == want
+        assert perplexity([0, 1, 2]) == perplexity([0.0, 1.0, 2.0])
+
+    def test_bit_equal_to_exp_of_numpy_mean(self):
+        # Lengths past 8 and 128 reach numpy's unrolled and blocked sums.
+        rng = np.random.default_rng(11)
+        for length in (1, 2, 7, 8, 9, 16, 17, 129, 300):
+            for scale in (0.01, 6.0, 700.0):
+                nlls = (rng.random(length) * scale).tolist()
+                want = float(np.exp(np.asarray(nlls).mean()))
+                assert perplexity(nlls) == want, (length, scale)
 
     def test_permutation_invariant_and_monotone(self):
         rng = random.Random(0)
@@ -610,6 +676,36 @@ class TestEvaluateDataset:
                 )
             assert failures == [f"sample {s.id}: scorer exploded" for s in dataset]
 
+    class Overflowing:
+        """Scores one real caption ``[800.0]``, a mean NLL whose perplexity
+        overflows; every other caption as the affinity scorer does."""
+
+        def __init__(self, caption):
+            self.caption = caption
+            self.inner = affinity_scorer(AffinityConfig())
+
+        def score(self, features, real, hallucinated):
+            if real == self.caption:
+                return [800.0], [1.0]
+            return self.inner.score(features, real, hallucinated)
+
+    def test_overflowing_perplexity_fails_its_own_sample(self):
+        dataset = build_synthetic_dataset(1, seed=31)
+        bad = dataset[3]
+        assert [s.real_caption for s in dataset].count(bad.real_caption) == 1
+        scorer, config = self.Overflowing(bad.real_caption), toy_judging_config()
+        message = f"sample {bad.id}: {OVERFLOW}"
+        for parallelism in (1, 2):
+            with pytest.raises(EvaluationError) as excinfo:
+                evaluate_dataset(scorer, config, dataset, parallelism)
+            assert str(excinfo.value) == message
+            failures = []
+            judgements, _ = evaluate_dataset(scorer, config, dataset, parallelism, failures=failures)
+            assert failures == [message]
+            assert [j.sample_id for j in judgements] == [s.id for s in dataset if s is not bad]
+            # Every perplexity written is finite, so the file reads back.
+            assert loads_judgements(dumps_judgements(judgements)) == judgements
+
     @pytest.mark.parametrize("error", [RuntimeError, EvaluationError])
     def test_strict_mode_names_the_failed_sample_once(self, error):
         dataset = build_synthetic_dataset(1, seed=31)
@@ -1003,6 +1099,80 @@ class _ReferenceAffinityScorer:
             nll = _BASE_NLL - self.alpha * affinity
             nlls.append(min(max(nll, _NLL_MIN), _NLL_MAX))
         return nlls
+
+
+def _per_bin_means(positive):
+    """The scorer's bin means with one gather per colour bin, as it took them
+    before the one-gather path."""
+    means = []
+    for offset in (_RED_BIN, _GREEN_BIN, _BLUE_BIN):
+        cols = np.arange(offset, positive.shape[1], 24)
+        means.append(_mean(positive[:, cols], 1) if cols.size else np.zeros(positive.shape[0]))
+    return means
+
+
+def _per_bin_affinity_score(alpha, features, real, hallucinated):
+    """``AffinityScorer.score`` with a gather per colour bin and the tokens
+    classified and looked up one at a time, as it was before the one-gather
+    path; its NLL lists are the reference for the scorer's bytes."""
+    kinds = [[_token_kind(token) for token in c.split()] for c in (real, hallucinated)]
+    values = features.values
+    positive = np.maximum(values - _mean(values, 0), 0.0)
+    tokens = positive.shape[0]
+    red, green, blue = _per_bin_means(positive)
+    per_token = np.empty((4, tokens))
+    np.subtract(red, green, out=per_token[0])
+    np.subtract(green, red, out=per_token[1])
+    np.maximum(per_token[:2], 0.0, out=per_token[:2])
+    per_token[2] = blue
+    np.minimum(red, green, out=per_token[3])
+    sums = (np.add.reduce(per_token, 1) / tokens).tolist()
+    affinities = dict(zip(("red", "green", "blue", "yellow"), sums))
+    affinities[None] = 0.0
+    affinities[_ENERGY] = float(_mean(positive, None))
+    table = {
+        kind: min(max(_BASE_NLL - alpha * affinity, _NLL_MIN), _NLL_MAX)
+        for kind, affinity in affinities.items()
+    }
+    return [table[kind] for kind in kinds[0]], [table[kind] for kind in kinds[1]]
+
+
+class TestAffinityScorerGather:
+    CAPTIONS = (
+        "A red circle sits left of a green square.",
+        "Yellow blue RED. 3 exit touching above",
+        "two",
+    )
+
+    def test_one_gather_exactly_when_the_bins_have_equal_width(self):
+        for dim in list(range(1, 100)) + [1023, 1024, 1031]:
+            cols = _bin_columns(dim)
+            assert len(cols) == (1 if dim >= 24 and dim % 24 < 8 else 3), dim
+            assert all(not c.flags.writeable for c in cols)
+            flat = [c.tolist() for c in (cols[0] if len(cols) == 1 else cols)]
+            assert flat == [list(range(b, dim, 24)) for b in (_RED_BIN, _GREEN_BIN, _BLUE_BIN)]
+
+    # Widths with no bin column, ragged bins (10, 12, 1024: 43/43/42
+    # columns) and equal bins (24, 30, 48; 240 and 1032 sum 10 and 43
+    # columns, so a changed summation order would show).
+    @pytest.mark.parametrize("dim", [4, 10, 12, 24, 30, 48, 240, 1024, 1032])
+    @pytest.mark.parametrize("tokens", [1, 16, 64, 576])
+    def test_bit_equal_to_per_bin_gathers(self, dim, tokens):
+        rng = np.random.default_rng(dim * 1000 + tokens)
+        features = FeatureMap(rng.normal(size=(tokens, dim)), source="fused")
+        values = features.values
+        before = values.copy()
+        positive = np.maximum(values - _mean(values, 0), 0.0)
+        for got, want in zip(_bin_means(positive), _per_bin_means(positive)):
+            assert np.asarray(got).tobytes() == want.tobytes()
+        pairs = list(zip(self.CAPTIONS, self.CAPTIONS[1:] + self.CAPTIONS[:1]))
+        for alpha in (8.0, 0.1, 500.0):
+            scorer = AffinityScorer(AffinityConfig(alpha))
+            for real, hall in pairs:
+                got = scorer.score(features, real, hall)
+                want = _per_bin_affinity_score(alpha, features, real, hall)
+                assert [np.array(g).tobytes() for g in got] == [np.array(w).tobytes() for w in want]
+        assert values.tobytes() == before.tobytes()  # the map is not centred in place
 
 
 class TestAffinityScorerOracle:

@@ -17,6 +17,7 @@ from routebench.experts import (
     _histogram_offsets,
     _mean,
     _pixel_major,
+    _raw_color_histogram,
     adapt_dim,
     descriptor_width,
     encode_toy_expert,
@@ -557,7 +558,47 @@ def _pixel_major_color_histogram(pixels):
     return out - _mean(out, 0)
 
 
+def _intp_color_histogram(image, side):
+    """The color histogram binned from the image in intp, as it was before
+    the bins took the narrowest dtype that holds every slot; the reference
+    for the int16 bins."""
+    h, w = image.height, image.width
+    ph, pw, t = h // side, w // side, side * side
+    bins = (image.data * HISTOGRAM_BINS).astype(np.intp)
+    np.minimum(bins, HISTOGRAM_BINS - 1, out=bins)
+    token = np.arange(side)[:, None] * side + np.arange(side * pw) // pw
+    offsets = (token[:, :, None] * CHANNELS + np.arange(CHANNELS)) * HISTOGRAM_BINS
+    bands = bins.reshape(side, ph, -1)
+    bands += offsets.reshape(side, 1, -1)
+    counts = np.bincount(bins.ravel(), minlength=t * CHANNELS * HISTOGRAM_BINS)
+    out = counts.reshape(t, CHANNELS * HISTOGRAM_BINS) / (ph * pw)
+    return out - _mean(out, 0)
+
+
 class TestColorHistogramFromImage:
+    @pytest.mark.parametrize(
+        "height, width, side",
+        [(64, 64, 8), (384, 384, 24), (12, 12, 12), (36, 60, 6), (72, 72, 36), (76, 76, 38)],
+        ids=["64-side8", "384-side24", "one-pixel-patches", "36x60-side6", "side36", "side38"],
+    )
+    def test_equals_the_intp_bins_bit_for_bit(self, height, width, side):
+        # Side 36 holds 31,104 slots, the most that int16 indexes on a square
+        # grid; side 38 holds 34,656 and bins in intp.
+        images = [random_image(height, width, seed) for seed in range(2)]
+        images += [constant_image(height, width, value) for value in (0.0, 1.0)]
+        # Exact bin edges, 0 and 1 included.
+        edges = np.arange(height * width * CHANNELS) % (HISTOGRAM_BINS + 1) / HISTOGRAM_BINS
+        images.append(ImageGrid(edges.reshape(height, width, CHANNELS)))
+        for image in images:
+            got = _raw_color_histogram(image, side)
+            assert got.tobytes() == _intp_color_histogram(image, side).tobytes()
+
+    @pytest.mark.parametrize("side, dtype", [(8, np.int16), (36, np.int16), (37, np.intp)])
+    def test_offsets_take_the_narrowest_dtype_that_holds_every_slot(self, side, dtype):
+        offsets = _histogram_offsets(2, side)
+        assert offsets.dtype == dtype
+        assert offsets.max() + HISTOGRAM_BINS - 1 == side * side * CHANNELS * HISTOGRAM_BINS - 1
+
     @pytest.mark.parametrize(
         "height, width, side",
         [(64, 64, 8), (384, 384, 16), (12, 12, 12), (36, 60, 6), (64, 128, 1)],

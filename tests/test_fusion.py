@@ -985,8 +985,15 @@ class TestConfigJson:
             (lambda doc: doc["experts"].append("id"), "expert must be a JSON object, got 'id'"),
             (lambda doc: doc.update(strategy="routed"),
              "strategy must be a JSON object, got 'routed'"),
+            (lambda doc: doc["router"].update(init="seeded"),
+             "unknown router document keys: ['init']"),
+            (lambda doc: doc["projector"]["stage1"].update(Bias=[0]),
+             "unknown projector stage1 keys: ['Bias']"),
         ],
-        ids=["strategy-K", "top-level", "expert", "projector", "expert-string", "strategy-string"],
+        ids=[
+            "strategy-K", "top-level", "expert", "projector", "expert-string", "strategy-string",
+            "router", "projector-stage1",
+        ],
     )
     def test_unknown_key_rejected(self, breakage, message):
         doc = pipeline_config_to_json(small_config(FusionStrategy(kind="routed")))
