@@ -11,7 +11,8 @@ One executable with seven subcommands covering the full surface:
 * ``report``     — convert judgement files into the radar CSV
 
 Exit codes: 0 success, 1 operational failure (bad data, endpoint down,
-failed checks), 2 usage error.  Data goes to --out or stdout; diagnostics
+failed checks), 2 usage error; every usage error, argparse's own included,
+prints one ``ERROR`` line.  Data goes to --out or stdout; diagnostics
 always go to stderr, so stdout stays a single machine-readable document.
 """
 
@@ -73,7 +74,14 @@ SCORER_CHOICES = ("oracle", "negated-oracle", "coinflip", "affinity")
 
 
 class UsageError(Exception):
-    """Flag combinations argparse cannot express; exits with code 2."""
+    """A usage error: main prints it as one ``ERROR`` line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors as :class:`UsageError`; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _emit(text: str, out) -> None:
@@ -102,45 +110,41 @@ def _category_list(arg: str):
     return tuple(categories)
 
 
-def _persona(arg: str) -> str:
-    if arg not in PERSONAS:
-        raise argparse.ArgumentTypeError(
-            f"unknown persona {arg!r}; valid: {', '.join(PERSONAS)}"
-        )
-    return arg
+def _checked(kind, ok, rule: str):
+    """An argparse type: ``kind(arg)``, rejected as ``must be <rule>, got
+    <value>`` unless ``ok(value)``."""
+
+    def check(arg: str):
+        value = kind(arg)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    check.__name__ = kind.__name__  # argparse's "invalid int value: 'abc'"
+    return check
 
 
-def _check_seed(seed: int) -> None:
-    # The numpy generators route, eval and gradcheck seed take no negative
-    # seed; gen-synth seeds from a string and takes any integer.
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
-
-
-def _image_from_args(args):
-    if args.image is not None:
-        if args.scene_seed is not None:
-            raise UsageError("--image and --scene-seed are mutually exclusive")
-        return load_raw_image(args.image)
-    if args.scene_seed is None:
-        raise UsageError("either --image or --scene-seed is required")
-    _, image = synth_scene(args.scene_seed)
-    return image
+# A count of 0 would make a dataset, a pool or a check vacuous.  The numpy
+# generators route, eval and gradcheck seed take no negative seed
+# (gen-synth seeds from a string and takes any integer).  Finite
+# differences need a positive step, and only a finite, positive threshold
+# can both pass some gradients and fail others.
+_count = _checked(int, lambda n: n >= 1, ">= 1")
+_seed = _checked(int, lambda n: n >= 0, ">= 0")
+_finite = _checked(float, math.isfinite, "finite")
+_step = _checked(float, lambda e: e > 0, "positive")
+_threshold = _checked(float, lambda t: 0 < t < math.inf, "finite and positive")
 
 
 def _pipeline_from_args(args):
     if args.pipeline is not None:
-        if args.favor is not None:
-            raise UsageError("--pipeline and --favor are mutually exclusive")
         return load_pipeline_config(args.pipeline)
     return toy_judging_config(favored_persona=args.favor, seed=args.seed)
 
 
 def cmd_route(args) -> int:
-    _check_seed(args.seed)
-    image = _image_from_args(args)
-    config = _pipeline_from_args(args)
-    result = run_pipeline(image, config)
+    image = synth_scene(args.scene_seed)[1] if args.image is None else load_raw_image(args.image)
+    result = run_pipeline(image, _pipeline_from_args(args))
     features = result.features
     doc = {
         "routing": {
@@ -159,8 +163,6 @@ def cmd_route(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    if args.per_category < 1:
-        raise UsageError(f"--per-category must be >= 1, got {args.per_category}")
     dataset = build_synthetic_dataset(
         args.per_category, seed=args.seed, categories=args.categories
     )
@@ -198,11 +200,6 @@ def _build_scorer(args, dataset):
 
 
 def cmd_eval(args) -> int:
-    if args.parallelism < 1:
-        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
-    if not math.isfinite(args.alpha):
-        raise UsageError(f"--alpha must be finite, got {args.alpha}")
-    _check_seed(args.seed)
     dataset = load_dataset(args.dataset)
     config = _pipeline_from_args(args)
     scorer = _build_scorer(args, dataset)
@@ -240,17 +237,6 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # A check over no configs or no coordinates would pass vacuously, finite
-    # differences need a positive step, and only a finite, positive threshold
-    # can both pass some gradients and fail others.
-    for flag, value in (("--configs", args.configs), ("--max-coords", args.max_coords)):
-        if value is not None and value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
-    _check_seed(args.seed)
-    if not args.eps > 0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
-    if not 0 < args.threshold < float("inf"):
-        raise UsageError(f"--threshold must be finite and positive, got {args.threshold}")
     runs = []
     for offset in range(args.configs):
         seed = args.seed + offset
@@ -311,31 +297,32 @@ def cmd_report(args) -> int:
 
 
 def _add_pipeline_flags(sub):
-    sub.add_argument("--pipeline", help="pipeline config JSON file")
-    sub.add_argument(
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--pipeline", help="pipeline config JSON file")
+    source.add_argument(
         "--favor",
-        type=_persona,
-        default=None,
+        choices=PERSONAS,
         help="route the built-in toy pipeline top-1 to one persona (default: uniform)",
     )
     sub.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=0,
         help="seed for the built-in toy pipeline and, in eval, the coinflip scorer",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="routebench",
         description="Multi-expert visual routing pipeline and hallucination benchmark tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     route = sub.add_parser("route", help="run the routing pipeline on one image")
-    route.add_argument("--image", help="raw image file (binary grid format)")
-    route.add_argument(
+    image = route.add_mutually_exclusive_group(required=True)
+    image.add_argument("--image", help="raw image file (binary grid format)")
+    image.add_argument(
         "--scene-seed",
         type=int,
         help="render a synthetic scene with this seed instead of reading --image",
@@ -345,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.set_defaults(func=cmd_route)
 
     gen_synth = sub.add_parser("gen-synth", help="build a synthetic benchmark dataset")
-    gen_synth.add_argument("--per-category", type=int, required=True)
+    gen_synth.add_argument("--per-category", type=_count, required=True)
     gen_synth.add_argument("--seed", type=int, default=0)
     gen_synth.add_argument(
         "--categories", type=_category_list, default=None, help="comma-separated category names"
@@ -365,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--dataset", required=True)
     _add_pipeline_flags(evaluate)
     evaluate.add_argument("--scorer", choices=SCORER_CHOICES, default="affinity")
-    evaluate.add_argument("--alpha", type=float, default=8.0, help="affinity scorer strength")
-    evaluate.add_argument("--parallelism", type=int, default=1)
+    evaluate.add_argument("--alpha", type=_finite, default=8.0, help="affinity scorer strength")
+    evaluate.add_argument("--parallelism", type=_count, default=1)
     evaluate.add_argument("--lenient", action="store_true", help="skip failing samples")
     evaluate.add_argument("--base-dir", default=None, help="directory for file image refs")
     evaluate.add_argument("--judgements", help="also write per-sample judgements here")
@@ -381,11 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=cmd_metrics)
 
     gradcheck = sub.add_parser("gradcheck", help="verify gradients on seeded small configs")
-    gradcheck.add_argument("--configs", type=int, default=5)
-    gradcheck.add_argument("--seed", type=int, default=0)
-    gradcheck.add_argument("--eps", type=float, default=1e-5)
-    gradcheck.add_argument("--threshold", type=float, default=1e-6)
-    gradcheck.add_argument("--max-coords", type=int, default=None)
+    gradcheck.add_argument("--configs", type=_count, default=5)
+    gradcheck.add_argument("--seed", type=_seed, default=0)
+    gradcheck.add_argument("--eps", type=_step, default=1e-5)
+    gradcheck.add_argument("--threshold", type=_threshold, default=1e-6)
+    gradcheck.add_argument("--max-coords", type=_count, default=None)
     gradcheck.add_argument("--out")
     gradcheck.set_defaults(func=cmd_gradcheck)
 
@@ -402,13 +389,11 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s", force=True
     )
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, after printing the help text
+        return int(exc.code or 0)
     except UsageError as exc:
         logger.error("%s", exc)
         return 2

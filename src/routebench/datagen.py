@@ -270,7 +270,7 @@ class ClientShape:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClientShape":
-        check_known_keys(cls, doc, "client shape")
+        check_known_keys(cls.__dataclass_fields__, doc, "client shape")
         return cls(**doc)
 
 
@@ -327,7 +327,7 @@ class DatagenConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DatagenConfig":
-        check_known_keys(cls, doc, "config")
+        check_known_keys(cls.__dataclass_fields__, doc, "config")
         doc = dict(doc)
         shape_doc = doc.pop("shape", None)
         if shape_doc is not None:

@@ -184,8 +184,9 @@ def error_rates(judgements) -> CategoryReport:
 
 
 def is_run_name(name: str) -> bool:
-    """A run name is a CSV field: non-empty, without commas or newlines."""
-    return bool(name) and "," not in name and "\n" not in name
+    """A run name is a CSV field: non-empty, without commas or newlines,
+    where a newline is any line break ``str.splitlines`` splits at."""
+    return "," not in name and name.splitlines() == [name]
 
 
 def radar_csv(reports: dict) -> str:

@@ -169,12 +169,13 @@ def json_field(doc, key: str, kind: type):
     raise ValueError(f"{key} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
 
 
-def check_known_keys(cls, doc: dict, what: str) -> None:
-    """``ValueError`` unless ``doc`` is a JSON object whose keys are all
-    fields of the dataclass ``cls``; the message names the other keys."""
+def check_known_keys(known, doc: dict, what: str) -> None:
+    """``ValueError`` unless ``doc`` is a JSON object whose keys are all in
+    ``known`` (a dataclass's ``__dataclass_fields__``, say); the message
+    names the other keys."""
     if type(doc) is not dict:
         raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(cls.__dataclass_fields__)
+    unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
@@ -221,6 +222,7 @@ class LinearAdapter:
 
     @classmethod
     def _from_json_dict(cls, doc, what: str, in_key: str = "in_dim", out_key: str = "out_dim"):
+        check_known_keys((in_key, out_key, "weights", "bias"), doc, what)
         try:
             rows = json_field(doc, in_key, int)
             cols = json_field(doc, out_key, int)
@@ -231,9 +233,6 @@ class LinearAdapter:
             weights, bias = (np.array(a, dtype=np.float64) for a in arrays)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed {what}: {exc}") from exc
-        unknown = set(doc) - {in_key, out_key, "weights", "bias"}
-        if unknown:
-            raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
         if weights.size != rows * cols:
             raise ValueError(
                 f"{what}: weights length {weights.size} does not match "

@@ -226,10 +226,13 @@ def _route(cls, weights, bias, k) -> tuple:
     Stacked as ``(P, D, N)`` and ``(P, N)``, ``weights`` and ``bias`` add
     an axis of P routings (gradcheck).  Each row equals its own unstacked
     routing bit for bit: the logits are a ``(1, D) @ W`` product per row,
-    since a ``(B, D) @ W`` product rounds differently.  Logits that are not
-    finite give NaN weights.
+    since a ``(B, D) @ W`` product rounds differently.  A row whose logits
+    are not all finite is unrouted: its weights are NaN, as
+    :func:`routing_weights` rejects its logits.
     """
     logits = (cls[..., None, :] @ weights)[..., 0, :] + bias
+    if not np.isfinite(logits).all():  # the cheap check first: rows rarely fail
+        logits[~np.isfinite(logits).all(axis=-1)] = np.nan
     return _top_k_rows(softmax(logits), k)
 
 
@@ -335,10 +338,10 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     ``ValueError("malformed pipeline config: ...")``.
     """
     try:
-        check_known_keys(PipelineConfig, doc, "top-level")
+        check_known_keys(PipelineConfig.__dataclass_fields__, doc, "top-level")
         experts = []
         for e in doc["experts"]:
-            check_known_keys(ToyExpertSpec, e, "expert")
+            check_known_keys(ToyExpertSpec.__dataclass_fields__, e, "expert")
             experts.append(ToyExpertSpec(
                 id=json_field(e, "id", int),
                 persona=json_field(e, "persona", str),
@@ -347,13 +350,13 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
                 native_dim=json_field(e, "native_dim", int),
             ))
         strategy_doc = doc["strategy"]
-        check_known_keys(FusionStrategy, strategy_doc, "strategy")
+        check_known_keys(FusionStrategy.__dataclass_fields__, strategy_doc, "strategy")
         strategy = FusionStrategy(
             kind=json_field(strategy_doc, "kind", str),
             k=None if strategy_doc.get("k") is None else json_field(strategy_doc, "k", int),
         )
         projector_doc = doc["projector"]
-        check_known_keys(ProjectorParams, projector_doc, "projector")
+        check_known_keys(ProjectorParams.__dataclass_fields__, projector_doc, "projector")
         return PipelineConfig(
             experts=tuple(experts),
             router=RouterParams.from_json_dict(doc["router"]),

@@ -637,6 +637,13 @@ class TestDatasetBuild:
         monkeypatch.setattr(benchmark, "rasterize", fail)
         assert len(build_synthetic_dataset(2, seed=3)) == 20
 
+    def test_gives_up_after_the_attempt_limit(self, monkeypatch):
+        # An empty scene supports no category, so every attempt is skipped.
+        monkeypatch.setattr(benchmark, "draw_scene", lambda seed: SceneDescriptor(seed, ()))
+        want = "^could not generate 1 Color samples after 2000 attempts$"
+        with pytest.raises(RuntimeError, match=want):
+            build_synthetic_dataset(1, 0, [HallucinationCategory.COLOR])
+
 
 class TestDatasetIO:
     def test_round_trip_byte_identical(self, tmp_path):

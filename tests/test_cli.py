@@ -14,8 +14,15 @@ from routebench.fusion import pipeline_config_to_json, run_pipeline
 
 
 def run_cli(capsys, argv):
+    """``main(argv)``'s exit code, stdout and stderr.  A usage error (exit
+    2), argparse's own included, must print nothing to stdout and exactly
+    one stderr line, an ``ERROR`` line: no usage block, no traceback."""
     code = main(argv)
     captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("ERROR "), captured.err
     return code, captured.out, captured.err
 
 
@@ -44,6 +51,22 @@ class TestParsing:
         code, _, err = run_cli(capsys, ["eval"])
         assert code == 2
         assert "--dataset" in err
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["eval", "--dataset", "d.jsonl", "--parallelism", "abc"],
+             "argument --parallelism: invalid int value: 'abc'"),
+            (["eval", "--dataset", "d.jsonl", "--alpha", "strong"],
+             "argument --alpha: invalid float value: 'strong'"),
+            (["gradcheck", "--eps", "1e-5x"], "argument --eps: invalid float value: '1e-5x'"),
+        ],
+        ids=["int", "alpha", "eps"],
+    )
+    def test_malformed_number_exits_two(self, capsys, argv, want):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.splitlines() == [f"ERROR {want}"]
 
     @pytest.mark.parametrize("command", ["gen-synth", "gen-llm"])
     @pytest.mark.parametrize(
@@ -120,7 +143,7 @@ class TestGenSynth:
     def test_per_category_below_one_exits_two(self, capsys, value):
         code, stdout, err = run_cli(capsys, ["gen-synth", "--per-category", value])
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == [f"ERROR --per-category must be >= 1, got {value}"]
+        assert err.splitlines() == [f"ERROR argument --per-category: must be >= 1, got {value}"]
 
 
 class TestEval:
@@ -169,6 +192,14 @@ class TestEval:
             assert stats["ties"] == (0 if name == "Color" else 2), name
         assert doc["report"]["overall"]["ties"] == 18
 
+    def test_coinflip_scorer_follows_its_seed(self, capsys, dataset_path):
+        argv = ["eval", "--dataset", str(dataset_path), "--scorer", "coinflip", "--seed"]
+        outputs = [run_cli(capsys, argv + [seed]) for seed in ("1", "1", "2")]
+        assert [code for code, _, _ in outputs] == [0, 0, 0]
+        first, again, other = (stdout for _, stdout, _ in outputs)
+        assert first == again
+        assert first != other
+
     def test_missing_dataset_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["eval", "--dataset", str(tmp_path / "absent.jsonl"), "--scorer", "oracle"]
@@ -183,7 +214,7 @@ class TestEval:
              "--favor", "edge-shape"],
         )
         assert code == 2
-        assert "mutually exclusive" in err
+        assert "argument --favor: not allowed with argument --pipeline" in err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_parallelism_below_one_exits_two(self, capsys, dataset_path, value):
@@ -191,7 +222,7 @@ class TestEval:
             capsys, ["eval", "--dataset", str(dataset_path), "--parallelism", value]
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == [f"ERROR --parallelism must be >= 1, got {value}"]
+        assert err.splitlines() == [f"ERROR argument --parallelism: must be >= 1, got {value}"]
 
     def test_lenient_mode_reports_failures(self, capsys, dataset_path):
         lines = dataset_path.read_text().splitlines()
@@ -232,7 +263,7 @@ class TestEval:
             capsys, ["eval", "--dataset", str(missing), "--scorer", scorer, f"--alpha={alpha}"]
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == [f"ERROR --alpha must be finite, got {alpha}"]
+        assert err.splitlines() == [f"ERROR argument --alpha: must be finite, got {alpha}"]
 
     @pytest.mark.parametrize("scorer", ["affinity", "coinflip"])
     def test_negative_seed_exits_two(self, capsys, tmp_path, scorer):
@@ -241,7 +272,7 @@ class TestEval:
             capsys, ["eval", "--dataset", str(missing), "--scorer", scorer, "--seed", "-1"]
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == ["ERROR --seed must be >= 0, got -1"]
+        assert err.splitlines() == ["ERROR argument --seed: must be >= 0, got -1"]
 
     def test_negative_expert_seed_fails_before_judging(self, capsys, dataset_path, tmp_path):
         # Rejected when the config is read, not as a failure of every sample.
@@ -330,17 +361,18 @@ class TestRoute:
             capsys, ["route", "--image", str(image_path), "--scene-seed", "3"]
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == ["ERROR --image and --scene-seed are mutually exclusive"]
+        want = "ERROR argument --scene-seed: not allowed with argument --image"
+        assert err.splitlines() == [want]
 
     def test_requires_an_image_source(self, capsys):
         code, _, err = run_cli(capsys, ["route"])
         assert code == 2
-        assert "--image or --scene-seed" in err
+        assert "one of the arguments --image --scene-seed is required" in err
 
     def test_negative_seed_exits_two(self, capsys):
         code, stdout, err = run_cli(capsys, ["route", "--scene-seed", "1", "--seed", "-1"])
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == ["ERROR --seed must be >= 0, got -1"]
+        assert err.splitlines() == ["ERROR argument --seed: must be >= 0, got -1"]
 
     def test_unknown_persona_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["route", "--scene-seed", "1", "--favor", "bogus"])
@@ -407,21 +439,21 @@ class TestGradcheck:
     def test_negative_seed_exits_two(self, capsys):
         code, stdout, err = run_cli(capsys, ["gradcheck", "--seed", "-1"])
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == ["ERROR --seed must be >= 0, got -1"]
+        assert err.splitlines() == ["ERROR argument --seed: must be >= 0, got -1"]
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_eps_not_positive_exits_two(self, capsys, value):
         code, stdout, err = run_cli(capsys, ["gradcheck", "--eps", value])
         assert code == 2
         assert stdout == ""
-        assert err.splitlines() == [f"ERROR --eps must be positive, got {float(value)}"]
+        assert err.splitlines() == [f"ERROR argument --eps: must be positive, got {float(value)}"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_threshold_not_finite_and_positive_exits_two(self, capsys, value):
         code, stdout, err = run_cli(capsys, ["gradcheck", "--threshold", value])
         assert code == 2
         assert stdout == ""
-        want = f"ERROR --threshold must be finite and positive, got {float(value)}"
+        want = f"ERROR argument --threshold: must be finite and positive, got {float(value)}"
         assert err.splitlines() == [want]
 
 
@@ -477,8 +509,12 @@ class TestReport:
             ("a,", "['a', '']"),
             (",a", "['', 'a']"),
             ("a\nb,c", "['a\\nb', 'c']"),
+            ("a\rb,c", "['a\\rb', 'c']"),
+            ("a\x85b,c", "['a\\x85b', 'c']"),
+            ("a\u2028b,c", "['a\\u2028b', 'c']"),
         ],
-        ids=["repeated", "repeated-after-strip", "empty-last", "empty-first", "newline"],
+        ids=["repeated", "repeated-after-strip", "empty-last", "empty-first", "newline",
+             "carriage-return", "next-line", "line-separator"],
     )
     def test_bad_names_exit_two(self, capsys, tmp_path, names, parsed):
         # Two distinct non-empty names are needed for two runs: a repeated

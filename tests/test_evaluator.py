@@ -51,6 +51,7 @@ from routebench.evaluator import (
     dumps_judgements,
     error_rates,
     evaluate_dataset,
+    is_run_name,
     judge_sample,
     loads_judgements,
     oracle_scorer,
@@ -336,13 +337,24 @@ class TestRadarCsv:
             radar_csv({"a,b": self.report_with_rates(0.2)})
 
     @pytest.mark.parametrize(
+        "name, ok",
+        [("run-1", True), ("a b", True), ("", False), ("a,b", False), ("a\nb", False),
+         ("a\n", False), ("a\rb", False), ("a\x85b", False), ("a\u2028b", False)],
+    )
+    def test_run_name_is_one_csv_field(self, name, ok):
+        # Any line break a reader may split a row at is out, not just "\n".
+        assert is_run_name(name) is ok
+
+    @pytest.mark.parametrize(
         "names, message",
         [
             ((), "radar_csv needs at least one report"),
             (("",), "run name '' must be non-empty without commas/newlines"),
             (("a\nb",), "run name 'a\\nb' must be non-empty without commas/newlines"),
+            # A csv reader splits a row at "\r" too.
+            (("a\rb", "c"), "run name 'a\\rb' must be non-empty without commas/newlines"),
         ],
-        ids=["no-reports", "empty-name", "newline-name"],
+        ids=["no-reports", "empty-name", "newline-name", "carriage-return-name"],
     )
     def test_rejects_with_the_exact_message(self, names, message):
         with pytest.raises(ValueError) as excinfo:
@@ -884,17 +896,20 @@ class TestChunkedEvaluation:
         kept = [j for i, j in enumerate(want) if i not in bad]
         assert dumps_judgements(got) == dumps_judgements(kept)
 
-    def test_overflowing_logits_fail_only_their_own_samples(self, tmp_path):
-        # Expert 0's logit, bias[0] + 1e308 * cls[j], overflows to +inf for
-        # the scenes whose cls[j] lies above the chunk's median; their
-        # softmax is NaN, which fails the route stage of those images only.
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus-inf", "minus-inf"])
+    def test_overflowing_logits_fail_only_their_own_samples(self, tmp_path, sign):
+        # Expert 0's logit, sign * (max + 1e308 * (cls[j] - cut)), overflows
+        # to sign * inf for the scenes whose cls[j] lies above the chunk's
+        # median, cut.  That fails the route stage of those images only,
+        # -inf too, although its softmax would be finite.
         base, chunk, j = toy_judging_config(), self.DATASET[:_CHUNK], 0
         cls = [clip_encode(rasterize(s.image.scene), base.clip_params()).cls[j] for s in chunk]
         cut = float(np.median(cls))
         weights = np.zeros(base.router.weights.shape)
-        weights[j, 0] = scale = 1e308
+        scale = 1e308
+        weights[j, 0] = sign * scale
         bias = np.zeros(len(base.experts))
-        bias[0] = np.finfo(np.float64).max - scale * cut
+        bias[0] = sign * (np.finfo(np.float64).max - scale * cut)
         overflowing = dataclasses.replace(base, router=RouterParams(weights, bias))
         path = tmp_path / "overflowing.json"
         path.write_text(json.dumps(pipeline_config_to_json(overflowing)))
@@ -908,11 +923,11 @@ class TestChunkedEvaluation:
         scorer = affinity_scorer(AffinityConfig())
         kept = [s for i, s in enumerate(chunk) if i not in bad]
         want = dumps_judgements(single_image_judgements(scorer, config, kept))
-        failures = []
-        got, _ = evaluate_dataset(scorer, config, chunk, failures=failures)
-        assert failures == [f"sample {chunk[i].id}: {message}" for i in bad]
-        assert dumps_judgements(got) == want
         for parallelism in (1, 2):
+            failures = []
+            got, _ = evaluate_dataset(scorer, config, chunk, parallelism, failures=failures)
+            assert failures == [f"sample {chunk[i].id}: {message}" for i in bad]
+            assert dumps_judgements(got) == want
             with pytest.raises(EvaluationError) as excinfo:
                 evaluate_dataset(scorer, config, chunk, parallelism)
             assert str(excinfo.value) == f"sample {chunk[bad[0]].id}: {message}"

@@ -13,6 +13,7 @@ import pytest
 
 import routebench.experts as experts_module
 import routebench.fusion as fusion_module
+from routebench.benchmark import synth_scene
 from routebench.evaluator import toy_judging_config
 from routebench.experts import (
     PERSONAS,
@@ -357,6 +358,22 @@ class TestPipeline:
         b = run_pipeline(image, config)
         assert a.features.values.tobytes() == b.features.values.tobytes()
         np.testing.assert_array_equal(a.routing.weights, b.routing.weights)
+
+    def test_any_non_finite_logit_fails_the_route_stage(self):
+        # Logits [-inf, 0, 0, 0, 0, 0] have a finite softmax, yet
+        # routing_weights rejects them; the pipeline must fail them too.
+        base, image = toy_judging_config(), synth_scene(3)[1]
+        cls = clip_encode(image, base.clip_params()).cls
+        weights, bias = base.router.weights.copy(), base.router.bias.copy()
+        weights[:, 0], bias[0] = -1e308 * np.sign(cls), -1.7e308
+        with np.errstate(over="ignore"):
+            logits = route_logits(cls, RouterParams(weights, bias))
+        np.testing.assert_array_equal(logits, [-np.inf, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="^logits contain non-finite values$"):
+            routing_weights(logits)
+        config = dataclasses.replace(base, router=RouterParams(weights, bias))
+        with pytest.raises(PipelineError, match="^route: logits contain non-finite values$"):
+            run_pipeline(image, config)
 
     def test_stage_errors_carry_stage_name(self):
         config = small_config(FusionStrategy(kind="routed"))
@@ -989,10 +1006,14 @@ class TestConfigJson:
              "unknown router document keys: ['init']"),
             (lambda doc: doc["projector"]["stage1"].update(Bias=[0]),
              "unknown projector stage1 keys: ['Bias']"),
+            (lambda doc: doc.update(router=[1, 2]),
+             "router document must be a JSON object, got [1, 2]"),
+            (lambda doc: doc["projector"].update(stage2="w"),
+             "projector stage2 must be a JSON object, got 'w'"),
         ],
         ids=[
             "strategy-K", "top-level", "expert", "projector", "expert-string", "strategy-string",
-            "router", "projector-stage1",
+            "router", "projector-stage1", "router-list", "projector-stage2-string",
         ],
     )
     def test_unknown_key_rejected(self, breakage, message):
