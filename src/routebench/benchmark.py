@@ -38,7 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from .experts import ImageGrid, _unchecked, json_field
+from .experts import (
+    ImageGrid, _unchecked, check_known_keys, check_rules, json_field, json_fields, rule, ruled
+)
 
 
 class HallucinationCategory(enum.Enum):
@@ -95,29 +97,20 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SceneObject:
-    shape: str
-    color: str
+    shape: str = ruled("one of", SHAPES)
+    color: str = ruled("one of", COLORS)
     cell: tuple
-    count_group: int
+    count_group: int = ruled(">= 0")
     occluded: bool = False
-    label_text: Optional[str] = None
+    label_text: Optional[str] = ruled("one of", LABEL_WORDS, default=None)
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}; valid shapes: {', '.join(SHAPES)}")
-        if self.color not in COLORS:
-            raise ValueError(f"unknown color {self.color!r}; valid colors: {', '.join(COLORS)}")
+        check_rules(self)
         cell = tuple(self.cell) if isinstance(self.cell, (tuple, list)) else ()
         if len(cell) != 2 or not all(type(c) is int for c in cell):
             raise ValueError(f"cell must be two integers, got {self.cell!r}")
         if not all(0 <= c < SCENE_GRID for c in cell):
             raise ValueError(f"cell {cell!r} outside the {SCENE_GRID}x{SCENE_GRID} grid")
-        if self.label_text is not None and self.label_text not in LABEL_WORDS:
-            raise ValueError(
-                f"unknown label {self.label_text!r}; valid labels: {', '.join(LABEL_WORDS)}"
-            )
-        if self.count_group < 0:
-            raise ValueError("count_group must be non-negative")
         object.__setattr__(self, "cell", cell)
 
 
@@ -162,17 +155,11 @@ def scene_to_json_dict(desc: SceneDescriptor) -> dict:
     }
 
 
-def scene_from_json_dict(doc: dict) -> SceneDescriptor:
+def scene_from_json_dict(doc) -> SceneDescriptor:
+    check_known_keys(SceneDescriptor.__dataclass_fields__, doc, "scene")
     objects = tuple(
-        SceneObject(
-            shape=json_field(o, "shape", str),
-            color=json_field(o, "color", str),
-            cell=o["cell"],
-            count_group=json_field(o, "count_group", int),
-            occluded=json_field(o, "occluded", bool),
-            label_text=None if o.get("label_text") is None else json_field(o, "label_text", str),
-        )
-        for o in doc["objects"]
+        SceneObject(**json_fields(SceneObject, o, "scene object"))
+        for o in json_field(doc, "objects", list)
     )
     return SceneDescriptor(seed=json_field(doc, "seed", int), objects=objects)
 
@@ -536,8 +523,7 @@ def build_synthetic_dataset(
     deterministic for a given (n_per_category, seed, categories); the
     categories must be distinct, since a sample's id comes from its category.
     """
-    if n_per_category < 1:
-        raise ValueError(f"n_per_category must be positive, got {n_per_category}")
+    rule(">= 1").check(n_per_category, "n_per_category")
     categories = tuple(categories) if categories is not None else tuple(HallucinationCategory)
     if len(set(categories)) != len(categories):
         raise ValueError("categories must be distinct")
@@ -578,14 +564,11 @@ def image_ref_to_json_dict(ref: ImageRef) -> dict:
 
 
 def image_ref_from_json_dict(doc) -> ImageRef:
-    if not isinstance(doc, dict):
-        raise ValueError(f"image must be a JSON object, got {doc!r}")
-    kind = json_field(doc, "kind", str)
-    if kind == "file":
-        return ImageRef(kind="file", path=json_field(doc, "path", str))
-    if kind == "scene":
-        return ImageRef(kind="scene", scene=scene_from_json_dict(doc["scene"]))
-    raise ValueError(f"unknown image kind {kind!r}")
+    ref = json_fields(ImageRef, doc, "image")
+    # A key of the other kind is passed on for ImageRef to reject.
+    if "scene" in ref:
+        ref["scene"] = scene_from_json_dict(ref["scene"])
+    return ImageRef(**ref)
 
 
 def sample_to_json_dict(sample: BenchmarkSample) -> dict:
@@ -599,14 +582,12 @@ def sample_to_json_dict(sample: BenchmarkSample) -> dict:
 
 
 def _sample_from_json_dict(doc: dict) -> BenchmarkSample:
-    sample_id = json_field(doc, "id", str)
-    image = image_ref_from_json_dict(doc["image"])
-    real, hallucinated = json_field(doc, "real", str), json_field(doc, "hallucinated", str)
+    check_known_keys(("id", "image", "real", "hallucinated", "category"), doc, "sample")
     return BenchmarkSample(
-        id=sample_id,
-        image=image,
-        real_caption=real,
-        hallucinated_caption=hallucinated,
+        id=json_field(doc, "id", str),
+        image=image_ref_from_json_dict(doc["image"]),
+        real_caption=json_field(doc, "real", str),
+        hallucinated_caption=json_field(doc, "hallucinated", str),
         category=category_field(doc),
     )
 
@@ -615,12 +596,8 @@ def category_field(doc: dict) -> HallucinationCategory:
     """``doc["category"]`` as a category; ``ValueError`` listing the valid
     names for any other string."""
     name = json_field(doc, "category", str)
-    category = _CATEGORY_BY_NAME.get(name)
-    if category is None:
-        raise ValueError(
-            f"unknown category {name!r}; valid categories: " + ", ".join(CATEGORY_NAMES)
-        )
-    return category
+    rule("one of", CATEGORY_NAMES).check(name, "category")
+    return _CATEGORY_BY_NAME[name]
 
 
 def parse_jsonl(text: str, parse, empty_message: str) -> list:

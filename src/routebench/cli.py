@@ -22,7 +22,7 @@ import argparse
 import hashlib
 import json
 import logging
-import math
+import re
 import sys
 from pathlib import Path
 
@@ -57,7 +57,7 @@ from .evaluator import (
     radar_csv,
     toy_judging_config,
 )
-from .experts import PERSONAS, load_raw_image
+from .experts import PERSONAS, Rule, load_raw_image, rule
 from .fusion import load_pipeline_config, run_pipeline
 from .metrics import (
     autohallusion_aggregate,
@@ -78,7 +78,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises its errors as :class:`UsageError`; subparsers inherit the class."""
+    """Raises its errors as :class:`UsageError`; subparsers inherit the class.
+    A negative number in exponent, ``inf`` or ``nan`` form (``-1e3``) is a
+    value too, not a flag: argparse's own pattern knows only ``-12`` and ``-1.5``."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)
@@ -101,26 +109,25 @@ def _category_list(arg: str):
     for name in arg.split(","):
         name = name.strip()
         if name not in CATEGORY_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown category {name!r}; valid: {', '.join(CATEGORY_NAMES)}"
-            )
+            raise argparse.ArgumentTypeError(rule("one of", CATEGORY_NAMES).message(name))
         if HallucinationCategory(name) in categories:
             raise argparse.ArgumentTypeError(f"category {name!r} is listed more than once")
         categories.append(HallucinationCategory(name))
     return tuple(categories)
 
 
-def _checked(kind, ok, rule: str):
+def _checked(kind, value_rule: Rule):
     """An argparse type: ``kind(arg)``, rejected as ``must be <rule>, got
-    <value>`` unless ``ok(value)``."""
+    <value>`` unless the rule holds."""
 
     def check(arg: str):
         value = kind(arg)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        if not value_rule.ok(value):
+            raise argparse.ArgumentTypeError(value_rule.message(value))
         return value
 
     check.__name__ = kind.__name__  # argparse's "invalid int value: 'abc'"
+    check.rule = value_rule
     return check
 
 
@@ -129,11 +136,11 @@ def _checked(kind, ok, rule: str):
 # (gen-synth seeds from a string and takes any integer).  Finite
 # differences need a positive step, and only a finite, positive threshold
 # can both pass some gradients and fail others.
-_count = _checked(int, lambda n: n >= 1, ">= 1")
-_seed = _checked(int, lambda n: n >= 0, ">= 0")
-_finite = _checked(float, math.isfinite, "finite")
-_step = _checked(float, lambda e: e > 0, "positive")
-_threshold = _checked(float, lambda t: 0 < t < math.inf, "finite and positive")
+_count = _checked(int, rule(">= 1"))
+_seed = _checked(int, rule(">= 0"))
+_finite = _checked(float, rule("finite"))
+_step = _checked(float, rule("positive"))
+_threshold = _checked(float, rule("finite and positive"))
 
 
 def _pipeline_from_args(args):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import re
 import threading
@@ -57,7 +56,7 @@ from .benchmark import (
     image_ref_from_json_dict,
     parse_jsonl,
 )
-from .experts import check_known_keys, json_field
+from .experts import check_known_keys, check_rules, json_field, json_fields, ruled
 
 logger = logging.getLogger(__name__)
 
@@ -242,7 +241,7 @@ def parse_generation(raw: str):
 class ClientShape:
     """How to shape requests and unpack responses for a specific provider."""
 
-    prompt_mode: str = "messages"
+    prompt_mode: str = ruled("one of", ("messages", "text"), default="messages")
     model_key: str = "model"
     temperature_key: str = "temperature"
     max_tokens_key: str = "max_tokens"
@@ -252,11 +251,8 @@ class ClientShape:
     auth_scheme: str = "Bearer"
 
     def __post_init__(self):
-        if self.prompt_mode not in ("messages", "text"):
-            raise ValueError(f"prompt_mode must be 'messages' or 'text', got {self.prompt_mode!r}")
-        for key in ("model_key", "temperature_key", "max_tokens_key", "prompt_key",
-                    "auth_header", "auth_scheme"):
-            json_field(vars(self), key, str)
+        check_rules(self)
+        json_fields(ClientShape, vars(self), "client shape")  # each field's JSON type
         path = self.response_path
         if not isinstance(path, (list, tuple)) or not all(
             type(step) in (str, int) for step in path
@@ -285,54 +281,29 @@ class DatagenConfig:
     endpoint: str
     model: str
     auth_env: Optional[str] = None
-    temperature: float = 0.7
-    max_tokens: int = 256
-    max_retries: int = 3
-    backoff_base_ms: int = 500
-    max_in_flight: int = 4
-    max_failure_fraction: float = 0.2
-    timeout_seconds: float = 60.0
+    temperature: float = ruled("in [0, 2]", default=0.7)
+    max_tokens: int = ruled(">= 1", default=256)
+    max_retries: int = ruled(">= 0", default=3)
+    backoff_base_ms: int = ruled(">= 0", default=500)
+    max_in_flight: int = ruled(">= 1", default=4)
+    max_failure_fraction: float = ruled("in [0, 1]", default=0.2)
+    timeout_seconds: float = ruled("finite and positive", default=60.0)
     shape: ClientShape = field(default_factory=ClientShape)
 
     def __post_init__(self):
-        for kind, keys in (
-            (str, ("endpoint", "model")),
-            (float, ("temperature", "max_failure_fraction", "timeout_seconds")),
-            (int, ("max_tokens", "max_retries", "backoff_base_ms", "max_in_flight")),
-        ):
-            for key in keys:
-                json_field(vars(self), key, kind)
-        if self.auth_env is not None:
-            json_field(vars(self), "auth_env", str)
+        json_fields(DatagenConfig, vars(self), "config")  # each field's JSON type
         if not self.endpoint.startswith("https://"):
             raise ValueError(f"endpoint must be https://, got {self.endpoint!r}")
         if not self.model:
             raise ValueError("model must be non-empty")
-        if not (math.isfinite(self.temperature) and 0.0 <= self.temperature <= 2.0):
-            raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_ms < 0:
-            raise ValueError("backoff_base_ms must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if not 0.0 <= self.max_failure_fraction <= 1.0:
-            raise ValueError("max_failure_fraction must be in [0, 1]")
-        if not 0.0 < self.timeout_seconds < math.inf:
-            raise ValueError(
-                f"timeout_seconds must be finite and positive, got {self.timeout_seconds}"
-            )
+        check_rules(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DatagenConfig":
         check_known_keys(cls.__dataclass_fields__, doc, "config")
-        doc = dict(doc)
-        shape_doc = doc.pop("shape", None)
-        if shape_doc is not None:
-            doc["shape"] = ClientShape.from_json_dict(shape_doc)
-        return cls(**doc)
+        shape = doc.get("shape")
+        shape = ClientShape() if shape is None else ClientShape.from_json_dict(shape)
+        return cls(**{**doc, "shape": shape})
 
 
 def load_datagen_config(path) -> DatagenConfig:
@@ -609,6 +580,7 @@ def generate_dataset(
 
 
 def _caption_item(doc: dict) -> tuple:
+    check_known_keys(("image", "caption"), doc, "caption item")
     image = image_ref_from_json_dict(doc["image"])
     caption = json_field(doc, "caption", str)
     if not caption.strip():

@@ -50,9 +50,13 @@ from .experts import (
     ToyExpertSpec,
     _mean,
     _unchecked,
+    check_known_keys,
+    check_rules,
     identity_adapter,
     json_field,
     load_raw_image,
+    rule,
+    ruled,
 )
 from .fusion import FusionStrategy, PipelineConfig, ProjectorParams, _run_stack
 from .router import RouterParams
@@ -102,13 +106,7 @@ class Judgement:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "ppl_real": self.ppl_real,
-            "ppl_hall": self.ppl_hall,
-            "is_error": self.is_error,
-            "category": self.category.value,
-        }
+        return {**vars(self), "category": self.category.value}
 
 
 def judge_sample(scorer, pipeline_output: FeatureMap, sample: BenchmarkSample) -> Judgement:
@@ -224,6 +222,7 @@ def _perplexity_field(doc: dict, key: str) -> float:
 
 
 def _judgement_from_json_dict(doc: dict) -> Judgement:
+    check_known_keys(Judgement.__dataclass_fields__, doc, "judgement")
     return Judgement(
         sample_id=json_field(doc, "sample_id", str),
         ppl_real=_perplexity_field(doc, "ppl_real"),
@@ -284,8 +283,7 @@ def evaluate_dataset(
     samples = list(dataset)
     if not samples:
         raise ValueError("dataset is empty")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    rule(">= 1").check(parallelism, "parallelism")
 
     # Strict mode's lowest failing index so far: samples after it are skipped,
     # the ones before it still run, so the first failure in order is raised.
@@ -479,11 +477,9 @@ class AffinityConfig:
     """Strength of the affinity scorer: each unit of affinity lowers a
     keyword's NLL by ``alpha``."""
 
-    alpha: float = 8.0
+    alpha: float = ruled("finite", default=8.0)
 
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+    __post_init__ = check_rules
 
 
 class AffinityScorer:
@@ -560,10 +556,6 @@ def toy_judging_config(
     encodes only the favoured one.  Under soft routing the five would each
     weigh about exp(-25) ≈ 1.4e-11.
     """
-    if favored_persona is not None and favored_persona not in PERSONAS:
-        raise ValueError(
-            f"unknown persona {favored_persona!r}; valid personas: {', '.join(PERSONAS)}"
-        )
     experts = tuple(
         ToyExpertSpec(
             id=i,
@@ -576,6 +568,7 @@ def toy_judging_config(
     )
     bias = np.zeros(len(PERSONAS))
     if favored_persona is not None:
+        rule("one of", PERSONAS).check(favored_persona, "favored_persona")
         bias[PERSONAS.index(favored_persona)] = _FAVOR_BIAS
     router = RouterParams(weights=np.zeros((JUDGING_DIM, len(PERSONAS))), bias=bias)
     projector = ProjectorParams(

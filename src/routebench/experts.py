@@ -30,8 +30,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -128,35 +129,100 @@ def _unchecked(cls, **fields):
 
 
 @dataclass(frozen=True)
+class Rule:
+    """What a value must be, in words ``must be <text>``: ``ok(value)``
+    holds.  ``edges`` pairs each boundary value it accepts with the nearest
+    value it rejects."""
+
+    text: str
+    ok: Callable
+    edges: tuple
+
+    def message(self, value) -> str:
+        """``must be <text>, got <value>``: a number bare, a string quoted."""
+        return f"must be {self.text}, got {repr(value) if isinstance(value, str) else value}"
+
+    def check(self, value, name: str) -> None:
+        """``ValueError("<name> must be <text>, got <value>")`` unless ``ok(value)``."""
+        if not self.ok(value):
+            raise ValueError(f"{name} {self.message(value)}")
+
+
+_TOP, _TINY = math.nextafter(math.inf, 0.0), math.ulp(0.0)
+_RULES = {
+    ">= 0": (lambda v: v >= 0, ((0, -1),)),
+    ">= 1": (lambda v: v >= 1, ((1, 0),)),
+    "finite": (math.isfinite, ((_TOP, math.inf), (-_TOP, -math.inf))),
+    "positive": (lambda v: v > 0, ((_TINY, 0.0),)),
+    "finite and positive": (lambda v: 0 < v < math.inf, ((_TINY, 0.0), (_TOP, math.inf))),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def rule(text: str, choices: tuple = ()) -> Rule:
+    """The rule ``text`` names: a key of ``_RULES``, ``in [a, b]`` (which NaN
+    fails) or ``one of`` the ``choices``, whose edges swap their case."""
+    if text == "one of":
+        *rest, last = map(repr, choices)
+        edges = tuple((c, c.swapcase()) for c in choices)
+        return Rule(f"one of {', '.join(rest)} or {last}", choices.__contains__, edges)
+    if text.startswith("in ["):
+        lo, hi = map(float, text[4:-1].split(","))
+        edges = ((lo, math.nextafter(lo, -math.inf)), (hi, math.nextafter(hi, math.inf)))
+        return Rule(text, lambda v: lo <= v <= hi, edges)
+    return Rule(text, *_RULES[text])
+
+
+def ruled(text: str, choices: tuple = (), **kwargs):
+    """A dataclass field that :func:`check_rules` holds to ``rule(text, choices)``."""
+    return field(metadata={"rule": rule(text, choices)}, **kwargs)
+
+
+@functools.cache
+def _field_table(cls, ruled_only: bool = False) -> tuple:
+    """``(name, rule, kind, optional)`` of each field of ``cls`` (or each
+    ruled one) in field order: its rule (None without one), the JSON type
+    its annotation names (see :func:`json_fields`) and whether its default
+    is None."""
+    return tuple(
+        (f.name, f.metadata.get("rule"), _JSON_TYPES.get(f.type), f.default is None)
+        for f in fields(cls)
+        if "rule" in f.metadata or not ruled_only
+    )
+
+
+def check_rules(obj) -> None:
+    """:meth:`Rule.check` each ruled field of the dataclass ``obj``, in field
+    order; an optional field is unset at None, which is not checked."""
+    for name, field_rule, _, optional in _field_table(type(obj), True):
+        value = getattr(obj, name)
+        if not (optional and value is None or field_rule.ok(value)):
+            field_rule.check(value, name)
+
+
+@dataclass(frozen=True)
 class ToyExpertSpec:
     """Identity and geometry of one toy expert encoder."""
 
-    id: int
-    persona: str
-    seed: int
+    id: int = ruled(">= 0")
+    persona: str = ruled("one of", PERSONAS)
+    seed: int = ruled(">= 0")
     native_tokens: int
-    native_dim: int
+    native_dim: int = ruled(">= 1")
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"expert id must be non-negative, got {self.id}")
-        if self.seed < 0:
-            raise ValueError(f"expert seed must be non-negative, got {self.seed}")
-        if self.persona not in PERSONAS:
-            raise ValueError(
-                f"unknown persona {self.persona!r}; valid personas: {', '.join(PERSONAS)}"
-            )
+        check_rules(self)
         _grid_side(self.native_tokens, "native_tokens")
-        if self.native_dim < 1:
-            raise ValueError(f"native_dim must be positive, got {self.native_dim}")
 
 
-_JSON_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
+_JSON_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean", list: "array"}
+# The annotations (strings, under postponed evaluation) that name a JSON type.
+_JSON_TYPES = {a: k for k in _JSON_KINDS for a in (k.__name__, f"Optional[{k.__name__}]")}
 
 
 def json_field(doc, key: str, kind: type):
     """``doc[key]`` if it already has the JSON type ``kind`` (str, int,
-    float or bool), else ``ValueError``; nothing is cast.
+    float, bool or list), else ``ValueError``; nothing is cast.
 
     A bool is not an int, and only a float field takes a JSON integer, which
     it returns as a float.  Every document loader reads its scalars here.
@@ -175,9 +241,23 @@ def check_known_keys(known, doc: dict, what: str) -> None:
     names the other keys."""
     if type(doc) is not dict:
         raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(known)
+    unknown = doc.keys() - known
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def json_fields(cls, doc, what: str) -> dict:
+    """The fields of the dataclass ``cls`` in the JSON object ``doc``, for
+    ``cls(**...)``, after :func:`check_known_keys`.  A field annotated
+    ``str``, ``int``, ``float``, ``bool`` or ``list`` (or ``Optional`` of
+    one) is read by :func:`json_field`, any other is passed on as it is; a
+    field whose default is None may be absent or null, and is then left out."""
+    check_known_keys(cls.__dataclass_fields__, doc, what)
+    return {
+        name: doc[name] if kind is None else json_field(doc, name, kind)
+        for name, _, kind, optional in _field_table(cls)
+        if not (optional and doc.get(name) is None)
+    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,12 +34,13 @@ from .experts import (
     _grid_side,
     _unchecked,
     adapt_dim,
+    check_rules,
     descriptor_width,
     encode_toy_expert,
-    check_known_keys,
     fold_tiled_rows,
-    json_field,
+    json_fields,
     resample_tokens,
+    ruled,
     seeded_adapter,
     tile_columns,
 )
@@ -94,19 +95,13 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 class FusionStrategy:
     """Which fusion path to run; ``k`` only applies to ``routed``."""
 
-    kind: str
-    k: Optional[int] = None
+    kind: str = ruled("one of", FUSION_KINDS)
+    k: Optional[int] = ruled(">= 1", default=None)
 
     def __post_init__(self):
-        if self.kind not in FUSION_KINDS:
-            raise ValueError(
-                f"unknown fusion kind {self.kind!r}; valid kinds: {', '.join(FUSION_KINDS)}"
-            )
-        if self.k is not None:
-            if self.kind != "routed":
-                raise ValueError(f"k is only meaningful for routed fusion, not {self.kind!r}")
-            if self.k < 1:
-                raise ValueError(f"k must be positive, got {self.k}")
+        check_rules(self)
+        if self.k is not None and self.kind != "routed":
+            raise ValueError(f"k is only meaningful for routed fusion, not {self.kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +270,7 @@ class PipelineConfig:
     projector: ProjectorParams
     canonical_tokens: int = 576
     canonical_dim: int = 1024
-    clip_seed: int = 0
+    clip_seed: int = ruled(">= 0", default=0)
 
     def __post_init__(self):
         experts = tuple(self.experts)
@@ -287,8 +282,7 @@ class PipelineConfig:
                     f"expert ids must be 0..{len(experts) - 1} in order; position {i} has id {spec.id}"
                 )
         _grid_side(self.canonical_tokens, "canonical_tokens")
-        if self.clip_seed < 0:
-            raise ValueError(f"clip_seed must be non-negative, got {self.clip_seed}")
+        check_rules(self)
         if self.router.dim_in != self.canonical_dim:
             raise ValueError(
                 f"router dim_in {self.router.dim_in} does not match canonical_dim {self.canonical_dim}"
@@ -338,37 +332,25 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     ``ValueError("malformed pipeline config: ...")``.
     """
     try:
-        check_known_keys(PipelineConfig.__dataclass_fields__, doc, "top-level")
+        config = json_fields(PipelineConfig, doc, "top-level")
         experts = []
-        for e in doc["experts"]:
-            check_known_keys(ToyExpertSpec.__dataclass_fields__, e, "expert")
-            experts.append(ToyExpertSpec(
-                id=json_field(e, "id", int),
-                persona=json_field(e, "persona", str),
-                seed=json_field(e, "seed", int),
-                native_tokens=json_field(e, "native_tokens", int),
-                native_dim=json_field(e, "native_dim", int),
-            ))
-        strategy_doc = doc["strategy"]
-        check_known_keys(FusionStrategy.__dataclass_fields__, strategy_doc, "strategy")
-        strategy = FusionStrategy(
-            kind=json_field(strategy_doc, "kind", str),
-            k=None if strategy_doc.get("k") is None else json_field(strategy_doc, "k", int),
-        )
-        projector_doc = doc["projector"]
-        check_known_keys(ProjectorParams.__dataclass_fields__, projector_doc, "projector")
-        return PipelineConfig(
+        for i, e in enumerate(config["experts"]):
+            spec = json_fields(ToyExpertSpec, e, "expert")
+            try:
+                experts.append(ToyExpertSpec(**spec))
+            except ValueError as exc:
+                raise ValueError(f"expert {i}: {exc}") from exc
+        strategy = FusionStrategy(**json_fields(FusionStrategy, config["strategy"], "strategy"))
+        stages = json_fields(ProjectorParams, config["projector"], "projector")
+        config.update(
             experts=tuple(experts),
-            router=RouterParams.from_json_dict(doc["router"]),
+            router=RouterParams.from_json_dict(config["router"]),
             strategy=strategy,
             projector=ProjectorParams(
-                stage1=LinearAdapter._from_json_dict(projector_doc["stage1"], "projector stage1"),
-                stage2=LinearAdapter._from_json_dict(projector_doc["stage2"], "projector stage2"),
+                **{k: LinearAdapter._from_json_dict(v, f"projector {k}") for k, v in stages.items()}
             ),
-            canonical_tokens=json_field(doc, "canonical_tokens", int),
-            canonical_dim=json_field(doc, "canonical_dim", int),
-            clip_seed=json_field(doc, "clip_seed", int),
         )
+        return PipelineConfig(**config)
     except KeyError as exc:
         raise ValueError(f"malformed pipeline config: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .benchmark import parse_jsonl
-from .experts import json_field
+from .experts import check_known_keys, check_rules, json_field, json_fields, rule, ruled
 
 YES = "yes"
 NO = "no"
@@ -29,13 +29,10 @@ SCENARIOS = ("synthetic", "real")
 
 @dataclass(frozen=True)
 class BinaryOutcome:
-    pred: str
-    label: str
+    pred: str = ruled("one of", (YES, NO))
+    label: str = ruled("one of", (YES, NO))
 
-    def __post_init__(self):
-        for field_name, value in (("pred", self.pred), ("label", self.label)):
-            if value not in (YES, NO):
-                raise ValueError(f"{field_name} must be 'yes' or 'no', got {value!r}")
+    __post_init__ = check_rules
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,7 @@ def autohallusion_aggregate(results, scenario_mean: bool = False) -> dict:
     if not items:
         raise ValueError("autohallusion_aggregate needs at least one result")
     for scenario, _ in items:
-        if scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {scenario!r}; expected 'synthetic' or 'real'")
+        rule("one of", SCENARIOS).check(scenario, "scenario")
     per_scenario = {}
     for scenario in SCENARIOS:
         sub = [correct for s, correct in items if s == scenario]
@@ -103,27 +99,20 @@ def autohallusion_aggregate(results, scenario_mean: bool = False) -> dict:
         overall = sum(present) / len(present)
     else:
         overall = 100.0 * sum(correct for _, correct in items) / len(items)
-    return {
-        "overall": overall,
-        "synthetic": per_scenario["synthetic"],
-        "real": per_scenario["real"],
-    }
+    return {"overall": overall, **per_scenario}
 
 
 def avg_metric(pope_f1: float, autohallusion_overall: float) -> float:
     """Arithmetic mean of an F1 percentage and an overall-accuracy percentage."""
     for name, value in (("pope_f1", pope_f1), ("autohallusion_overall", autohallusion_overall)):
-        if not 0.0 <= value <= 100.0:
-            raise ValueError(f"{name} must be in [0, 100], got {value}")
+        rule("in [0, 100]").check(value, name)
     return (pope_f1 + autohallusion_overall) / 2.0
 
 
 def loads_binary_outcomes(text: str) -> list:
     return parse_jsonl(
         text,
-        lambda doc: BinaryOutcome(
-            pred=json_field(doc, "pred", str), label=json_field(doc, "label", str)
-        ),
+        lambda doc: BinaryOutcome(**json_fields(BinaryOutcome, doc, "outcome")),
         "outcome file contains no entries",
     )
 
@@ -133,9 +122,9 @@ def load_binary_outcomes(path) -> list:
 
 
 def _scenario_result(doc: dict) -> tuple:
+    check_known_keys(("scenario", "correct"), doc, "scenario result")
     scenario, correct = json_field(doc, "scenario", str), json_field(doc, "correct", bool)
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; expected 'synthetic' or 'real'")
+    rule("one of", SCENARIOS).check(scenario, "scenario")
     return scenario, correct
 
 

@@ -45,6 +45,7 @@ from .experts import (
     adapt_dim,
     encode_toy_expert,
     resample_tokens,
+    rule,
 )
 from .fusion import (
     FusionStrategy,
@@ -159,10 +160,9 @@ def check_router_fusion_gradients(
     ``ValueError`` naming the parameter and coordinate, the first in
     ``CHECKED_PARAMS`` and coordinate order.
     """
-    if max_coords_per_param is not None and max_coords_per_param < 1:
-        raise ValueError(f"max_coords_per_param must be >= 1, got {max_coords_per_param}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if max_coords_per_param is not None:
+        rule(">= 1").check(max_coords_per_param, "max_coords_per_param")
+    rule("positive").check(eps, "eps")
     chain = _RoutedChain(image, config)
     base = chain.params
     rng, picked = None, {}

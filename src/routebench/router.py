@@ -23,8 +23,11 @@ from .experts import (
     _grid_side,
     _mean,
     _unchecked,
+    check_rules,
     encode_toy_expert,
     resample_tokens,
+    rule,
+    ruled,
 )
 
 
@@ -38,16 +41,13 @@ class ToyClipParams:
     resampled up to it.
     """
 
-    seed: int
+    seed: int = ruled(">= 0")
     tokens: int
-    dim: int
+    dim: int = ruled(">= 1")
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_rules(self)
         _grid_side(self.tokens, "tokens")
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +205,7 @@ def select_top_k(routing: RoutingWeights, k: int) -> RoutingWeights:
     without ``RoutingWeights``' checks.  It never shares the input's array.
     """
     n = routing.n_experts
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    rule(f"in [1, {n}]").check(k, "k")
     # A copy in, since at k = n the kernel hands its input back.
     weights, kept = _top_k_rows(routing.weights.copy(), k)
     active = range(n) if kept is None else np.flatnonzero(kept).tolist()

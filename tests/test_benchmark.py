@@ -44,7 +44,7 @@ from routebench.benchmark import (
 )
 from routebench.datagen import loads_caption_items
 from routebench.experts import ImageGrid
-from routebench.evaluator import Judgement, loads_judgements
+from routebench.evaluator import Judgement, dumps_judgements, loads_judgements
 from routebench.fusion import pipeline_config_from_json, pipeline_config_to_json
 from routebench.metrics import loads_binary_outcomes, loads_scenario_results
 from routebench.numerics import small_gradcheck_config
@@ -159,11 +159,11 @@ class TestSceneDescriptor:
             SceneDescriptor(seed=0, objects=objs)
 
     def test_rejects_bad_shape_color_label_cell(self):
-        with pytest.raises(ValueError, match="unknown shape"):
+        with pytest.raises(ValueError, match="shape must be one of"):
             SceneObject("hexagon", "red", (0, 0), 0)
-        with pytest.raises(ValueError, match="unknown color"):
+        with pytest.raises(ValueError, match="color must be one of"):
             SceneObject("circle", "purple", (0, 0), 0)
-        with pytest.raises(ValueError, match="unknown label"):
+        with pytest.raises(ValueError, match="label_text must be one of"):
             SceneObject("circle", "red", (0, 0), 0, label_text="HELLO")
         with pytest.raises(ValueError, match="outside"):
             SceneObject("circle", "red", (4, 0), 0)
@@ -185,7 +185,7 @@ def _sample(**fields):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: SceneObject("circle", "red", (0, 0), -1), "count_group must be non-negative"),
+        (lambda: SceneObject("circle", "red", (0, 0), -1), "count_group must be >= 0, got -1"),
         (lambda: ImageRef(kind="file"), "file image refs need a path and no scene"),
         (lambda: ImageRef(kind="scene", path="a.raw"), "scene image refs need a scene and no path"),
         (lambda: ImageRef(kind="url", path="a.raw"),
@@ -627,7 +627,7 @@ class TestDatasetBuild:
             build_synthetic_dataset(2, seed=0, categories=cats)
 
     def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=">= 1"):
             build_synthetic_dataset(0, seed=1)
 
     def test_build_draws_scenes_without_rasterizing(self, monkeypatch):
@@ -736,6 +736,21 @@ class TestDatasetIO:
         doc["image"] = {"kind": "url", "path": "http://x"}
         with pytest.raises(DatasetError, match="image kind"):
             loads_dataset(json.dumps(doc) + "\n")
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            ({"kind": "file"}, "file image refs need a path and no scene"),
+            ({"kind": "file", "path": None}, "file image refs need a path and no scene"),
+            ({"kind": "scene"}, "scene image refs need a scene and no path"),
+        ],
+    )
+    def test_image_ref_without_its_source_rejected(self, image, message):
+        doc = sample_to_json_dict(build_synthetic_dataset(1, seed=1)[0])
+        doc["image"] = image
+        with pytest.raises(DatasetError) as excinfo:
+            loads_dataset(json.dumps(doc) + "\n")
+        assert str(excinfo.value) == f"line 1: {message}"
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError, match="no samples"):
@@ -879,3 +894,56 @@ class TestJsonFieldTypes:
         (judgement,) = loads_judgements(json.dumps(doc) + "\n")
         assert type(judgement.ppl_real) is float and judgement.ppl_real == 1.0
         assert type(judgement.ppl_hall) is float and judgement.ppl_hall == 3.0
+
+
+# (loader, path to a JSON object, keys added to it or, as "=", the value it
+# is replaced with, the loader's message after "line 1: "): an unknown key
+# at each object level, a nested value that is not an object (or, for the
+# objects list, not an array), and a key of the other image kind.
+_UNKNOWN = [
+    ("dataset", [], {"Real": "A red circle."}, "unknown sample keys: ['Real']"),
+    ("dataset", ["image"], {"Path": "a.raw"}, "unknown image keys: ['Path']"),
+    ("dataset", ["image", "scene"], {"object": []}, "unknown scene keys: ['object']"),
+    ("dataset", _OBJECT, {"labl": "EXIT"}, "unknown scene object keys: ['labl']"),
+    ("dataset", ["image", "scene"], ("=", [1]), "scene must be a JSON object, got [1]"),
+    ("dataset", _OBJECT, ("=", "circle"), "scene object must be a JSON object, got 'circle'"),
+    ("dataset", ["image", "scene", "objects"], ("=", {}), "objects must be a JSON array, got {}"),
+    ("dataset", ["image"], {"path": "a.raw"}, "scene image refs need a scene and no path"),
+    ("file-dataset", ["image"], {"scene": {"seed": 0, "objects": []}},
+     "file image refs need a path and no scene"),
+    ("judgements", [], {"error": True}, "unknown judgement keys: ['error']"),
+    ("items", [], {"captions": []}, "unknown caption item keys: ['captions']"),
+    ("items", ["image"], ("=", None), "image must be a JSON object, got None"),
+    ("outcomes", [], {"Pred": "no"}, "unknown outcome keys: ['Pred']"),
+    ("scenarios", [], {"correct ": True}, "unknown scenario result keys: ['correct ']"),
+]
+
+
+class TestUnknownKeys:
+    """Every JSONL loader checks the keys of each object level, so a
+    misspelled key fails its line instead of being dropped."""
+
+    @pytest.mark.parametrize(
+        "name, path, change, message",
+        _UNKNOWN,
+        ids=[f"{name}-{'.'.join(map(str, path))}-{change!r}" for name, path, change, _ in _UNKNOWN],
+    )
+    def test_rejected_with_its_line(self, name, path, change, message):
+        loads, make_doc = _LOADERS[name]
+        doc = make_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(change, tuple):
+            parent[path[-1]] = change[1]
+        else:
+            (parent[path[-1]] if path else doc).update(change)
+        with pytest.raises(DatasetError) as excinfo:
+            loads(json.dumps(doc) + "\n")
+        assert str(excinfo.value) == f"line 1: {message}"
+
+    def test_dumps_still_round_trip(self):
+        samples = build_synthetic_dataset(3, seed=2) + loads_dataset(json.dumps(_file_sample_doc()))
+        assert loads_dataset(dumps_dataset(samples)) == samples
+        judgements = loads_judgements(json.dumps(_judgement_doc()) + "\n")
+        assert loads_judgements(dumps_judgements(judgements)) == judgements

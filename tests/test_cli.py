@@ -68,11 +68,37 @@ class TestParsing:
         assert code == 2
         assert err.splitlines() == [f"ERROR {want}"]
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["eval", "--dataset", "d.jsonl", "--alpha", "-inf"],
+             "argument --alpha: must be finite, got -inf"),
+            (["eval", "--dataset", "d.jsonl", "--alpha", "-NaN"],
+             "argument --alpha: must be finite, got nan"),
+            (["gradcheck", "--eps", "-1e-5"], "argument --eps: must be positive, got -1e-05"),
+            (["gradcheck", "--threshold", "-.5E+2"],
+             "argument --threshold: must be finite and positive, got -50.0"),
+            (["gradcheck", "--seed", "-1e3"], "argument --seed: invalid int value: '-1e3'"),
+        ],
+        ids=["alpha-inf", "alpha-nan", "eps-exponent", "threshold-exponent", "seed-exponent"],
+    )
+    def test_negative_number_in_exponent_or_inf_form_is_a_value(self, capsys, argv, want):
+        # argparse's own pattern knows only -12 and -1.5, and would read these
+        # as flags: "argument --eps: expected one argument".
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.splitlines() == [f"ERROR {want}"]
+
     @pytest.mark.parametrize("command", ["gen-synth", "gen-llm"])
     @pytest.mark.parametrize(
         "categories, message",
         [
-            ("Sizes", "unknown category 'Sizes'"),
+            (
+                "Sizes",
+                "must be one of 'Category', 'Counting', 'Occlusion', 'Text', 'Shape', "
+                "'AbsolutePosition', 'RelativePosition', 'Color', 'Action' or "
+                "'RelativeInteraction', got 'Sizes'",
+            ),
             # A repeated category would give two samples the same id.
             ("Color,Counting, Color", "category 'Color' is listed more than once"),
         ],
@@ -274,6 +300,25 @@ class TestEval:
         assert (code, stdout) == (2, "")
         assert err.splitlines() == ["ERROR argument --seed: must be >= 0, got -1"]
 
+    def test_negative_alpha_in_exponent_form_runs(self, capsys, dataset_path):
+        runs = [
+            run_cli(capsys, ["eval", "--dataset", str(dataset_path), *alpha])
+            for alpha in (["--alpha", "-1e3"], ["--alpha=-1e3"])
+        ]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    def test_unknown_scene_object_key_exits_one(self, capsys, dataset_path, tmp_path):
+        # A misspelled label_text would otherwise be dropped: the scene would
+        # render with no label.
+        doc = json.loads(dataset_path.read_text().splitlines()[0])
+        doc["image"]["scene"]["objects"][0]["labl"] = "EXIT"
+        path = tmp_path / "labl.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        code, stdout, err = run_cli(capsys, ["eval", "--dataset", str(path), "--lenient"])
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["ERROR line 1: unknown scene object keys: ['labl']"]
+
     def test_negative_expert_seed_fails_before_judging(self, capsys, dataset_path, tmp_path):
         # Rejected when the config is read, not as a failure of every sample.
         doc = pipeline_config_to_json(toy_judging_config())
@@ -285,7 +330,7 @@ class TestEval:
             ["eval", "--dataset", str(dataset_path), "--pipeline", str(path), "--lenient"],
         )
         assert (code, stdout) == (1, "")
-        want = "ERROR malformed pipeline config: expert seed must be non-negative, got -3"
+        want = "ERROR malformed pipeline config: expert 0: seed must be >= 0, got -3"
         assert err.splitlines() == [want]
 
 

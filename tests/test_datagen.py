@@ -905,7 +905,7 @@ def _shape_doc(**shape):
         (lambda path: CategorySpec(HallucinationCategory.COLOR, "a", " ", "c", "d"),
          ValueError, "existence_condition must be non-empty"),
         (lambda path: ClientShape(prompt_mode="chat"),
-         ValueError, "prompt_mode must be 'messages' or 'text', got 'chat'"),
+         ValueError, "prompt_mode must be one of 'messages' or 'text', got 'chat'"),
         (lambda path: ClientShape(response_path=()), ValueError, "response_path must be non-empty"),
         (lambda path: _shape_doc(response_path="text"), ValueError,
          "response_path must be a JSON array of strings and integers, got 'text'"),
@@ -923,9 +923,9 @@ def _shape_doc(**shape):
         (lambda path: _shape_doc(auth_scheme=False), ValueError,
          "auth_scheme must be a JSON string, got False"),
         (lambda path: _config(model=""), ValueError, "model must be non-empty"),
-        (lambda path: _config(max_tokens=0), ValueError, "max_tokens must be >= 1"),
-        (lambda path: _config(max_retries=-1), ValueError, "max_retries must be >= 0"),
-        (lambda path: _config(backoff_base_ms=-1), ValueError, "backoff_base_ms must be >= 0"),
+        (lambda path: _config(max_tokens=0), ValueError, "max_tokens must be >= 1, got 0"),
+        (lambda path: _config(max_retries=-1), ValueError, "max_retries must be >= 0, got -1"),
+        (lambda path: _config(backoff_base_ms=-1), ValueError, "backoff_base_ms must be >= 0, got -1"),
         (lambda path: _config(timeout_seconds=0.0), ValueError,
          "timeout_seconds must be finite and positive, got 0.0"),
         (lambda path: _load_config_text(

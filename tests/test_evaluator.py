@@ -385,9 +385,9 @@ class TestJudgementIO:
             ("ppl_real", "0.5", "ppl_real must be finite and >= 1, got 0.5"),
             ("ppl_hall", "-3.0", "ppl_hall must be finite and >= 1, got -3.0"),
             ("category", '"Colour"',
-             "unknown category 'Colour'; valid categories: Category, Counting, Occlusion, "
-             "Text, Shape, AbsolutePosition, RelativePosition, Color, Action, "
-             "RelativeInteraction"),
+             "category must be one of 'Category', 'Counting', 'Occlusion', 'Text', 'Shape', "
+             "'AbsolutePosition', 'RelativePosition', 'Color', 'Action' or "
+             "'RelativeInteraction', got 'Colour'"),
         ],
         ids=["ppl-nan", "ppl-infinity", "ppl-below-one", "ppl-negative", "unknown-category"],
     )
@@ -972,7 +972,7 @@ class TestJudgingConfig:
         assert calls == list(PERSONAS) * len(images)
 
     def test_unknown_persona_rejected(self):
-        with pytest.raises(ValueError, match="unknown persona"):
+        with pytest.raises(ValueError, match="favored_persona must be one of"):
             toy_judging_config("nonexistent")
 
     def test_color_routing_beats_uniform_on_color_samples(self):

@@ -94,10 +94,10 @@ def _load_zero_wide_image(path):
     [
         (lambda path: ToyExpertSpec(
             id=0, persona="edge-shape", seed=0, native_tokens=16, native_dim=0
-        ), "native_dim must be positive, got 0"),
+        ), "native_dim must be >= 1, got 0"),
         (lambda path: ToyExpertSpec(
             id=0, persona="edge-shape", seed=-1, native_tokens=16, native_dim=8
-        ), "expert seed must be non-negative, got -1"),
+        ), "seed must be >= 0, got -1"),
         (_load_zero_wide_image, "{path}: invalid dimensions 0x2"),
     ],
     ids=["spec-native-dim-zero", "spec-seed-negative", "raw-image-zero-wide"],

@@ -904,13 +904,13 @@ class TestConfigValidation:
             FusionStrategy(kind="add", k=2)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fusion kind"):
+        with pytest.raises(ValueError, match="kind must be one of"):
             FusionStrategy(kind="mean")
 
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda config: FusionStrategy(kind="routed", k=0), "k must be positive, got 0"),
+            (lambda config: FusionStrategy(kind="routed", k=0), "k must be >= 1, got 0"),
             (lambda config: dataclasses.replace(config, experts=()),
              "pipeline needs at least one expert"),
             (lambda config: dataclasses.replace(
@@ -979,8 +979,8 @@ class TestConfigJson:
         "breakage, message",
         [
             (lambda doc: doc["experts"][1].update(seed=-3),
-             "expert seed must be non-negative, got -3"),
-            (lambda doc: doc.update(clip_seed=-1), "clip_seed must be non-negative, got -1"),
+             "expert 1: seed must be >= 0, got -3"),
+            (lambda doc: doc.update(clip_seed=-1), "clip_seed must be >= 0, got -1"),
         ],
         ids=["expert-seed", "clip-seed"],
     )

@@ -173,7 +173,7 @@ class TestAutohallusion:
     def test_rejects_empty_and_unknown_scenario(self):
         with pytest.raises(ValueError, match="at least one"):
             autohallusion_aggregate([])
-        with pytest.raises(ValueError, match="unknown scenario"):
+        with pytest.raises(ValueError, match="scenario must be one of"):
             autohallusion_aggregate([("synthetic", True), ("mixed", False)])
 
 
@@ -213,7 +213,7 @@ class TestOutcomeIO:
         assert loads_scenario_results(text) == [("synthetic", True), ("real", False)]
 
     def test_scenario_errors(self):
-        with pytest.raises(DatasetError, match="line 1.*unknown scenario"):
+        with pytest.raises(DatasetError, match="line 1.*scenario must be one of"):
             loads_scenario_results('{"scenario": "cgi", "correct": true}\n')
         with pytest.raises(DatasetError, match="line 1.*boolean"):
             loads_scenario_results('{"scenario": "real", "correct": "yes"}\n')

@@ -343,12 +343,12 @@ class TestClipEncode:
     def test_params_reject_nonpositive_dim(self, dim):
         with pytest.raises(ValueError) as excinfo:
             ToyClipParams(seed=0, tokens=4, dim=dim)
-        assert str(excinfo.value) == f"dim must be positive, got {dim}"
+        assert str(excinfo.value) == f"dim must be >= 1, got {dim}"
 
     def test_params_reject_negative_seed(self):
         with pytest.raises(ValueError) as excinfo:
             ToyClipParams(seed=-1, tokens=4, dim=4)
-        assert str(excinfo.value) == "seed must be non-negative, got -1"
+        assert str(excinfo.value) == "seed must be >= 0, got -1"
 
     def test_params_have_no_default_geometry(self):
         with pytest.raises(TypeError):
