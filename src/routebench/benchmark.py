@@ -57,6 +57,7 @@ class HallucinationCategory(enum.Enum):
 
 CATEGORY_NAMES = tuple(c.value for c in HallucinationCategory)
 _CATEGORY_BY_NAME = {c.value: c for c in HallucinationCategory}
+_CATEGORY = rule("one of", CATEGORY_NAMES)
 
 SHAPES = ("circle", "square", "triangle")
 COLORS = ("red", "green", "blue", "yellow")
@@ -168,34 +169,29 @@ def scene_from_json_dict(doc) -> SceneDescriptor:
 class ImageRef:
     """Where a sample's pixels come from: a raw image file or an inline scene."""
 
-    kind: str
+    kind: str = ruled("one of", ("file", "scene"))
     path: Optional[str] = None
     scene: Optional[SceneDescriptor] = None
 
     def __post_init__(self):
+        check_rules(self)
         if self.kind == "file":
             if not self.path or self.scene is not None:
                 raise ValueError("file image refs need a path and no scene")
-        elif self.kind == "scene":
-            if self.scene is None or self.path is not None:
-                raise ValueError("scene image refs need a scene and no path")
-        else:
-            raise ValueError(f"unknown image kind {self.kind!r}; expected 'file' or 'scene'")
+        elif self.scene is None or self.path is not None:
+            raise ValueError("scene image refs need a scene and no path")
 
 
 @dataclass(frozen=True)
 class BenchmarkSample:
-    id: str
+    id: str = ruled("non-blank")
     image: ImageRef
-    real_caption: str
-    hallucinated_caption: str
+    real_caption: str = ruled("non-blank")
+    hallucinated_caption: str = ruled("non-blank")
     category: HallucinationCategory
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("sample id must be non-empty")
-        if not self.real_caption or not self.hallucinated_caption:
-            raise ValueError(f"sample {self.id}: captions must be non-empty")
+        check_rules(self)
         if self.real_caption == self.hallucinated_caption:
             raise ValueError(f"sample {self.id}: hallucinated caption equals the real caption")
         if not isinstance(self.category, HallucinationCategory):
@@ -595,9 +591,7 @@ def _sample_from_json_dict(doc: dict) -> BenchmarkSample:
 def category_field(doc: dict) -> HallucinationCategory:
     """``doc["category"]`` as a category; ``ValueError`` listing the valid
     names for any other string."""
-    name = json_field(doc, "category", str)
-    rule("one of", CATEGORY_NAMES).check(name, "category")
-    return _CATEGORY_BY_NAME[name]
+    return _CATEGORY_BY_NAME[_CATEGORY.check(json_field(doc, "category", str), "category")]
 
 
 def parse_jsonl(text: str, parse, empty_message: str) -> list:

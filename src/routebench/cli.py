@@ -51,7 +51,6 @@ from .evaluator import (
     dumps_judgements,
     error_rates,
     evaluate_dataset,
-    is_run_name,
     loads_judgements,
     oracle_scorer,
     radar_csv,
@@ -277,24 +276,17 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     paths = [Path(p) for p in args.judgements]
-    if args.names is not None:
-        names = [n.strip() for n in args.names.split(",")]
-        if len(names) != len(paths):
-            raise UsageError(
-                f"--names lists {len(names)} name(s) for {len(paths)} judgement file(s)"
-            )
-        if len(set(names)) != len(names) or not all(map(is_run_name, names)):
-            raise UsageError(f"--names must be distinct, non-empty and without newlines: {names}")
+    if args.names is None:
+        names, what = [p.stem for p in paths], "--names (default: the file stems)"
     else:
-        names = [p.stem for p in paths]
-        for name in names:
-            if not is_run_name(name):
-                raise UsageError(
-                    f"judgement file stem {name!r} cannot be a run name (empty, or with a "
-                    "comma or newline); pass explicit --names"
-                )
-        if len(set(names)) != len(names):
-            raise UsageError("judgement file stems collide; pass explicit --names")
+        names, what = [n.strip() for n in args.names.split(",")], "--names"
+    # Checked before any file is read; a repeated name would overwrite a run.
+    if not len(set(names)) == len(names) == len(paths):
+        raise UsageError(f"{what} must be one distinct run name per file, got {names}")
+    run_name = rule("non-empty without commas or line breaks")
+    for name in names:
+        if not run_name.ok(name):
+            raise UsageError(f"{what}: run name {run_name.message(name)}")
     reports = {}
     for name, path in zip(names, paths):
         judgements = loads_judgements(path.read_text(encoding="utf-8"))

@@ -56,7 +56,7 @@ from .benchmark import (
     image_ref_from_json_dict,
     parse_jsonl,
 )
-from .experts import check_known_keys, check_rules, json_field, json_fields, ruled
+from .experts import check_known_keys, check_rules, json_field, json_fields, rule, ruled
 
 logger = logging.getLogger(__name__)
 
@@ -121,15 +121,12 @@ class CategorySpec:
     """Per-category texts substituted into the unified template."""
 
     category: HallucinationCategory
-    modification_task: str
-    existence_condition: str
-    modified_elements: str
-    unchanged_constraint: str
+    modification_task: str = ruled("non-blank")
+    existence_condition: str = ruled("non-blank")
+    modified_elements: str = ruled("non-blank")
+    unchanged_constraint: str = ruled("non-blank")
 
-    def __post_init__(self):
-        for name, text in vars(self).items():
-            if name != "category" and not text.strip():
-                raise ValueError(f"{name} must be non-empty")
+    __post_init__ = check_rules
 
 
 _SHARED_CONSTRAINT = "every other object, attribute, count, position, and relation"
@@ -209,6 +206,7 @@ CATEGORY_SPECS = (
 
 
 _SPEC_BY_CATEGORY = {spec.category: spec for spec in CATEGORY_SPECS}
+_CAPTION = rule("non-blank")
 
 
 def category_spec(category: HallucinationCategory) -> CategorySpec:
@@ -217,8 +215,7 @@ def category_spec(category: HallucinationCategory) -> CategorySpec:
 
 def render_prompt(template: PromptTemplate, spec: CategorySpec, caption: str) -> str:
     """Substitute a category spec and the caption into the template."""
-    if not caption.strip():
-        raise ValueError("caption must be non-empty")
+    _CAPTION.check(caption, "caption")
     rendered = template.body
     rendered = rendered.replace("{{MODIFICATION_TASK_SPECIFICS}}", spec.modification_task)
     rendered = rendered.replace("{{EXISTENCE_CONDITION_DESCRIPTION}}", spec.existence_condition)
@@ -242,17 +239,17 @@ class ClientShape:
     """How to shape requests and unpack responses for a specific provider."""
 
     prompt_mode: str = ruled("one of", ("messages", "text"), default="messages")
-    model_key: str = "model"
-    temperature_key: str = "temperature"
-    max_tokens_key: str = "max_tokens"
-    prompt_key: str = "messages"
+    model_key: str = ruled("non-blank", default="model")
+    temperature_key: str = ruled("non-blank", default="temperature")
+    max_tokens_key: str = ruled("non-blank", default="max_tokens")
+    prompt_key: str = ruled("non-blank", default="messages")
     response_path: tuple = ("choices", 0, "message", "content")
-    auth_header: str = "Authorization"
-    auth_scheme: str = "Bearer"
+    auth_header: str = ruled("non-blank", default="Authorization")
+    auth_scheme: str = "Bearer"  # "" sends the bare token
 
     def __post_init__(self):
-        check_rules(self)
         json_fields(ClientShape, vars(self), "client shape")  # each field's JSON type
+        check_rules(self)
         path = self.response_path
         if not isinstance(path, (list, tuple)) or not all(
             type(step) in (str, int) for step in path
@@ -279,8 +276,8 @@ class DatagenConfig:
     """
 
     endpoint: str
-    model: str
-    auth_env: Optional[str] = None
+    model: str = ruled("non-blank")
+    auth_env: Optional[str] = ruled("non-blank", default=None)
     temperature: float = ruled("in [0, 2]", default=0.7)
     max_tokens: int = ruled(">= 1", default=256)
     max_retries: int = ruled(">= 0", default=3)
@@ -294,8 +291,6 @@ class DatagenConfig:
         json_fields(DatagenConfig, vars(self), "config")  # each field's JSON type
         if not self.endpoint.startswith("https://"):
             raise ValueError(f"endpoint must be https://, got {self.endpoint!r}")
-        if not self.model:
-            raise ValueError("model must be non-empty")
         check_rules(self)
 
     @classmethod
@@ -497,10 +492,10 @@ def generate_dataset(
     """
     item_list = list(items)
     if not item_list:
-        raise ValueError("items must be non-empty")
+        raise ValueError("generate_dataset needs at least one item")
     spec_list = list(specs)
     if not spec_list:
-        raise ValueError("specs must be non-empty")
+        raise ValueError("generate_dataset needs at least one spec")
     if len({s.category for s in spec_list}) != len(spec_list):
         raise ValueError("specs must cover distinct categories")
     # Rendered up front, so a blank caption raises before any request is sent.
@@ -582,10 +577,7 @@ def generate_dataset(
 def _caption_item(doc: dict) -> tuple:
     check_known_keys(("image", "caption"), doc, "caption item")
     image = image_ref_from_json_dict(doc["image"])
-    caption = json_field(doc, "caption", str)
-    if not caption.strip():
-        raise ValueError("caption must be non-empty")
-    return image, caption
+    return image, _CAPTION.check(json_field(doc, "caption", str), "caption")
 
 
 def loads_caption_items(text: str) -> list:

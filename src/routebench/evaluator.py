@@ -181,10 +181,9 @@ def error_rates(judgements) -> CategoryReport:
     return CategoryReport(per_category=per_category, overall=_stats(items))
 
 
-def is_run_name(name: str) -> bool:
-    """A run name is a CSV field: non-empty, without commas or newlines,
-    where a newline is any line break ``str.splitlines`` splits at."""
-    return "," not in name and name.splitlines() == [name]
+# Resolved once, not per record: the judgement loader checks every line.
+_RUN_NAME = rule("non-empty without commas or line breaks")
+_SAMPLE_ID, _PERPLEXITY = rule("non-blank"), rule("finite and >= 1")
 
 
 def radar_csv(reports: dict) -> str:
@@ -197,8 +196,7 @@ def radar_csv(reports: dict) -> str:
     if not reports:
         raise ValueError("radar_csv needs at least one report")
     for name in reports:
-        if not is_run_name(name):
-            raise ValueError(f"run name {name!r} must be non-empty without commas/newlines")
+        _RUN_NAME.check(name, "run name")
     lines = ["category,run,error_rate,normalized"]
     runs = list(reports.items())
     for category in HallucinationCategory:
@@ -214,19 +212,12 @@ def dumps_judgements(judgements) -> str:
     return dumps_jsonl(j.to_json_dict() for j in judgements)
 
 
-def _perplexity_field(doc: dict, key: str) -> float:
-    value = json_field(doc, key, float)
-    if not 1.0 <= value < math.inf:  # a NaN fails the comparison too
-        raise ValueError(f"{key} must be finite and >= 1, got {value}")
-    return value
-
-
 def _judgement_from_json_dict(doc: dict) -> Judgement:
     check_known_keys(Judgement.__dataclass_fields__, doc, "judgement")
     return Judgement(
-        sample_id=json_field(doc, "sample_id", str),
-        ppl_real=_perplexity_field(doc, "ppl_real"),
-        ppl_hall=_perplexity_field(doc, "ppl_hall"),
+        sample_id=_SAMPLE_ID.check(json_field(doc, "sample_id", str), "sample_id"),
+        ppl_real=_PERPLEXITY.check(json_field(doc, "ppl_real", float), "ppl_real"),
+        ppl_hall=_PERPLEXITY.check(json_field(doc, "ppl_hall", float), "ppl_hall"),
         is_error=json_field(doc, "is_error", bool),
         category=category_field(doc),
     )

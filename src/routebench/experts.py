@@ -142,19 +142,29 @@ class Rule:
         """``must be <text>, got <value>``: a number bare, a string quoted."""
         return f"must be {self.text}, got {repr(value) if isinstance(value, str) else value}"
 
-    def check(self, value, name: str) -> None:
-        """``ValueError("<name> must be <text>, got <value>")`` unless ``ok(value)``."""
+    def check(self, value, name: str):
+        """``value``; ``ValueError("<name> must be <text>, got <value>")``
+        unless ``ok(value)``."""
         if not self.ok(value):
             raise ValueError(f"{name} {self.message(value)}")
+        return value
 
 
-_TOP, _TINY = math.nextafter(math.inf, 0.0), math.ulp(0.0)
+_TOP, _TINY, _BELOW_ONE = math.nextafter(math.inf, 0.0), math.ulp(0.0), math.nextafter(1.0, 0.0)
 _RULES = {
     ">= 0": (lambda v: v >= 0, ((0, -1),)),
     ">= 1": (lambda v: v >= 1, ((1, 0),)),
     "finite": (math.isfinite, ((_TOP, math.inf), (-_TOP, -math.inf))),
     "positive": (lambda v: v > 0, ((_TINY, 0.0),)),
     "finite and positive": (lambda v: 0 < v < math.inf, ((_TINY, 0.0), (_TOP, math.inf))),
+    "finite and >= 1": (lambda v: 1 <= v < math.inf, ((1.0, _BELOW_ONE), (_TOP, math.inf))),
+    # A string with a character that is not white space.
+    "non-blank": (lambda v: v.strip() != "", (("a", ""), ("a", " \n"))),
+    # A CSV field: a comma or any line break str.splitlines splits at ends it.
+    "non-empty without commas or line breaks": (
+        lambda v: "," not in v and v.splitlines() == [v],
+        (("a", ""), ("a", "a,"), ("a", "a\r"), ("a", "a\u2028")),
+    ),
 }
 
 

@@ -189,9 +189,9 @@ def _sample(**fields):
         (lambda: ImageRef(kind="file"), "file image refs need a path and no scene"),
         (lambda: ImageRef(kind="scene", path="a.raw"), "scene image refs need a scene and no path"),
         (lambda: ImageRef(kind="url", path="a.raw"),
-         "unknown image kind 'url'; expected 'file' or 'scene'"),
-        (lambda: _sample(id=""), "sample id must be non-empty"),
-        (lambda: _sample(real_caption=""), "sample s: captions must be non-empty"),
+         "kind must be one of 'file' or 'scene', got 'url'"),
+        (lambda: _sample(id=""), "id must be non-blank, got ''"),
+        (lambda: _sample(real_caption=""), "real_caption must be non-blank, got ''"),
         (lambda: _sample(category="Color"), "sample s: category must be a HallucinationCategory"),
         (lambda: image_ref_from_json_dict(["file", "a.raw"]),
          "image must be a JSON object, got ['file', 'a.raw']"),
@@ -731,10 +731,22 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 1.*missing field"):
             loads_dataset('{"id": "x"}\n')
 
+    @pytest.mark.parametrize(
+        "key, field",
+        [("real", "real_caption"), ("hallucinated", "hallucinated_caption"), ("id", "id")],
+    )
+    def test_blank_text_rejected_where_the_file_is_read(self, key, field):
+        # No scorer can judge a blank caption, so it never reaches one.
+        doc = sample_to_json_dict(build_synthetic_dataset(1, seed=1)[0])
+        doc[key] = "   "
+        with pytest.raises(DatasetError) as excinfo:
+            loads_dataset(json.dumps(doc) + "\n")
+        assert str(excinfo.value) == f"line 1: {field} must be non-blank, got '   '"
+
     def test_unknown_image_kind_rejected(self):
         doc = sample_to_json_dict(build_synthetic_dataset(1, seed=1)[0])
         doc["image"] = {"kind": "url", "path": "http://x"}
-        with pytest.raises(DatasetError, match="image kind"):
+        with pytest.raises(DatasetError, match="kind must be one of 'file' or 'scene'"):
             loads_dataset(json.dumps(doc) + "\n")
 
     @pytest.mark.parametrize(

@@ -319,6 +319,26 @@ class TestEval:
         assert (code, stdout) == (1, "")
         assert err.splitlines() == ["ERROR line 1: unknown scene object keys: ['labl']"]
 
+    @pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+    def test_blank_caption_fails_before_judging(
+        self, capsys, dataset_path, tmp_path, monkeypatch, lenient
+    ):
+        # No scorer can judge a blank caption, so the dataset is rejected
+        # when it is read, not sample by sample as an empty caption.
+        import routebench.cli as cli_module
+
+        def no_judging(*args, **kwargs):
+            raise AssertionError("a sample was judged")
+
+        monkeypatch.setattr(cli_module, "evaluate_dataset", no_judging)
+        doc = json.loads(dataset_path.read_text().splitlines()[0])
+        doc["real"] = "   "
+        path = tmp_path / "blank.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        code, stdout, err = run_cli(capsys, ["eval", "--dataset", str(path), *lenient])
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["ERROR line 1: real_caption must be non-blank, got '   '"]
+
     def test_negative_expert_seed_fails_before_judging(self, capsys, dataset_path, tmp_path):
         # Rejected when the config is read, not as a failure of every sample.
         doc = pipeline_config_to_json(toy_judging_config())
@@ -502,6 +522,9 @@ class TestGradcheck:
         assert err.splitlines() == [want]
 
 
+RUN_NAME_RULE = "--names: run name must be non-empty without commas or line breaks"
+
+
 class TestReport:
     def make_judgements(self, capsys, tmp_path, name, favor=None):
         ds = tmp_path / "color.jsonl"
@@ -544,24 +567,24 @@ class TestReport:
             capsys, ["report", "--judgements", str(uniform), "--names", "a,b"]
         )
         assert code == 2
-        assert "name(s)" in err
+        assert "must be one distinct run name per file, got ['a', 'b']" in err
 
     @pytest.mark.parametrize(
-        "names, parsed",
+        "names, message",
         [
-            ("a,a", "['a', 'a']"),
-            (" a ,a", "['a', 'a']"),
-            ("a,", "['a', '']"),
-            (",a", "['', 'a']"),
-            ("a\nb,c", "['a\\nb', 'c']"),
-            ("a\rb,c", "['a\\rb', 'c']"),
-            ("a\x85b,c", "['a\\x85b', 'c']"),
-            ("a\u2028b,c", "['a\\u2028b', 'c']"),
+            ("a,a", "--names must be one distinct run name per file, got ['a', 'a']"),
+            (" a ,a", "--names must be one distinct run name per file, got ['a', 'a']"),
+            ("a,", f"{RUN_NAME_RULE}, got ''"),
+            (",a", f"{RUN_NAME_RULE}, got ''"),
+            ("a\nb,c", f"{RUN_NAME_RULE}, got 'a\\nb'"),
+            ("a\rb,c", f"{RUN_NAME_RULE}, got 'a\\rb'"),
+            ("a\x85b,c", f"{RUN_NAME_RULE}, got 'a\\x85b'"),
+            ("a\u2028b,c", f"{RUN_NAME_RULE}, got 'a\\u2028b'"),
         ],
         ids=["repeated", "repeated-after-strip", "empty-last", "empty-first", "newline",
              "carriage-return", "next-line", "line-separator"],
     )
-    def test_bad_names_exit_two(self, capsys, tmp_path, names, parsed):
+    def test_bad_names_exit_two(self, capsys, tmp_path, names, message):
         # Two distinct non-empty names are needed for two runs: a repeated
         # name would overwrite the first run's rows.
         uniform = self.make_judgements(capsys, tmp_path, "uniform")
@@ -569,7 +592,6 @@ class TestReport:
             capsys, ["report", "--judgements", str(uniform), str(uniform), "--names", names]
         )
         assert (code, stdout) == (2, "")
-        message = f"--names must be distinct, non-empty and without newlines: {parsed}"
         assert err.splitlines() == [f"ERROR {message}"]
 
     def test_colliding_stems_exit_two(self, capsys, tmp_path):
@@ -581,7 +603,10 @@ class TestReport:
             capsys, ["report", "--judgements", str(uniform), str(other)]
         )
         assert (code, stdout) == (2, "")
-        assert err.splitlines() == ["ERROR judgement file stems collide; pass explicit --names"]
+        assert err.splitlines() == [
+            "ERROR --names (default: the file stems) must be one distinct run name per file, "
+            "got ['uniform', 'uniform']"
+        ]
 
     @pytest.mark.parametrize("stem", ["a,b", "a\nb"], ids=["comma", "newline"])
     def test_stem_that_cannot_be_a_run_name_exits_two(self, capsys, tmp_path, stem):
@@ -590,8 +615,8 @@ class TestReport:
         code, stdout, err = run_cli(capsys, ["report", "--judgements", str(path)])
         assert (code, stdout) == (2, "")
         assert err.splitlines() == [
-            f"ERROR judgement file stem {stem!r} cannot be a run name (empty, or with a "
-            "comma or newline); pass explicit --names"
+            "ERROR --names (default: the file stems): run name must be non-empty without "
+            f"commas or line breaks, got {stem!r}"
         ]
 
 
@@ -663,8 +688,21 @@ class TestGenLlm:
             ({"endpoint": "https://api.test.invalid", "model": "m",
               "shape": {"response_path": "text"}},
              "response_path must be a JSON array of strings and integers, got 'text'"),
+            # A blank auth_env would send every request without a token, and
+            # a blank body key would send {"": ...}.
+            ({"endpoint": "https://api.test.invalid", "model": "m", "auth_env": ""},
+             "auth_env must be non-blank, got ''"),
+            ({"endpoint": "https://api.test.invalid", "model": "   "},
+             "model must be non-blank, got '   '"),
+            ({"endpoint": "https://api.test.invalid", "model": "m",
+              "shape": {"auth_header": ""}},
+             "auth_header must be non-blank, got ''"),
+            ({"endpoint": "https://api.test.invalid", "model": "m",
+              "shape": {"model_key": " "}},
+             "model_key must be non-blank, got ' '"),
         ],
-        ids=["endpoint", "response-path"],
+        ids=["endpoint", "response-path", "blank-auth-env", "blank-model", "blank-auth-header",
+             "blank-body-key"],
     )
     def test_mistyped_config_exits_one(self, capsys, tmp_path, monkeypatch, doc, message):
         import routebench.cli as cli_module

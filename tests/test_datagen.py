@@ -467,7 +467,7 @@ class TestGenerateDataset:
 
     def test_rejects_empty_items_and_duplicate_specs(self):
         client = ScriptedClient("NO")
-        with pytest.raises(ValueError, match="items"):
+        with pytest.raises(ValueError, match="at least one item"):
             generate_dataset(client, [], config=DEFAULT_CONFIG, sleep=no_sleep)
         with pytest.raises(ValueError, match="distinct categories"):
             generate_dataset(
@@ -901,9 +901,9 @@ def _shape_doc(**shape):
     [
         (lambda path: generate_dataset(
             ScriptedClient("NO"), [ITEM], specs=[], config=DEFAULT_CONFIG, sleep=no_sleep
-        ), ValueError, "specs must be non-empty"),
+        ), ValueError, "generate_dataset needs at least one spec"),
         (lambda path: CategorySpec(HallucinationCategory.COLOR, "a", " ", "c", "d"),
-         ValueError, "existence_condition must be non-empty"),
+         ValueError, "existence_condition must be non-blank, got ' '"),
         (lambda path: ClientShape(prompt_mode="chat"),
          ValueError, "prompt_mode must be one of 'messages' or 'text', got 'chat'"),
         (lambda path: ClientShape(response_path=()), ValueError, "response_path must be non-empty"),
@@ -922,7 +922,7 @@ def _shape_doc(**shape):
          "auth_header must be a JSON string, got None"),
         (lambda path: _shape_doc(auth_scheme=False), ValueError,
          "auth_scheme must be a JSON string, got False"),
-        (lambda path: _config(model=""), ValueError, "model must be non-empty"),
+        (lambda path: _config(model=""), ValueError, "model must be non-blank, got ''"),
         (lambda path: _config(max_tokens=0), ValueError, "max_tokens must be >= 1, got 0"),
         (lambda path: _config(max_retries=-1), ValueError, "max_retries must be >= 0, got -1"),
         (lambda path: _config(backoff_base_ms=-1), ValueError, "backoff_base_ms must be >= 0, got -1"),

@@ -51,7 +51,6 @@ from routebench.evaluator import (
     dumps_judgements,
     error_rates,
     evaluate_dataset,
-    is_run_name,
     judge_sample,
     loads_judgements,
     oracle_scorer,
@@ -62,7 +61,7 @@ from routebench.evaluator import (
     _CHUNK,
     _token_kind,
 )
-from routebench.experts import PERSONAS, FeatureMap, _mean, seeded_adapter
+from routebench.experts import PERSONAS, FeatureMap, _mean, rule, seeded_adapter
 from routebench.fusion import (
     FusionStrategy,
     PipelineError,
@@ -343,16 +342,17 @@ class TestRadarCsv:
     )
     def test_run_name_is_one_csv_field(self, name, ok):
         # Any line break a reader may split a row at is out, not just "\n".
-        assert is_run_name(name) is ok
+        assert rule("non-empty without commas or line breaks").ok(name) is ok
 
     @pytest.mark.parametrize(
         "names, message",
         [
             ((), "radar_csv needs at least one report"),
-            (("",), "run name '' must be non-empty without commas/newlines"),
-            (("a\nb",), "run name 'a\\nb' must be non-empty without commas/newlines"),
+            (("",), "run name must be non-empty without commas or line breaks, got ''"),
+            (("a\nb",), "run name must be non-empty without commas or line breaks, got 'a\\nb'"),
             # A csv reader splits a row at "\r" too.
-            (("a\rb", "c"), "run name 'a\\rb' must be non-empty without commas/newlines"),
+            (("a\rb", "c"),
+             "run name must be non-empty without commas or line breaks, got 'a\\rb'"),
         ],
         ids=["no-reports", "empty-name", "newline-name", "carriage-return-name"],
     )

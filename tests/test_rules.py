@@ -12,14 +12,17 @@ the exact ``<field> must be <rule>, got <value>`` message (``argument
 import builtins
 import dataclasses
 import importlib
+import math
 import pkgutil
 
 import pytest
 
 import routebench
-from routebench.benchmark import SceneObject
+from routebench.benchmark import (
+    BenchmarkSample, HallucinationCategory, ImageRef, SceneDescriptor, SceneObject
+)
 from routebench.cli import build_parser, main
-from routebench.datagen import ClientShape, DatagenConfig
+from routebench.datagen import CATEGORY_SPECS, CategorySpec, ClientShape, DatagenConfig
 from routebench.evaluator import AffinityConfig, toy_judging_config
 from routebench.experts import ToyExpertSpec, json_fields, rule
 from routebench.fusion import FusionStrategy, PipelineConfig
@@ -38,7 +41,23 @@ VALID = {
     DatagenConfig: DatagenConfig(endpoint="https://x.invalid", model="m"),
     SceneObject: SceneObject("circle", "red", (0, 0), 0),
     BinaryOutcome: BinaryOutcome("yes", "no"),
+    ImageRef: ImageRef("file", path="a.raw"),
+    BenchmarkSample: BenchmarkSample(
+        "s", ImageRef("file", path="a.raw"), "A red circle.", "A blue circle.",
+        HallucinationCategory.COLOR,
+    ),
+    CategorySpec: CATEGORY_SPECS[0],
 }
+# Further valid instances, for an edge value the VALID instance's other
+# fields do not allow: an image ref's source follows its kind.
+ALSO_VALID = [ImageRef("scene", scene=SceneDescriptor(0, ()))]
+
+
+def _valid(cls, name: str, value):
+    """The instance in ALSO_VALID of ``cls`` whose ``name`` is ``value``, else VALID[cls]."""
+    return next(
+        (v for v in ALSO_VALID if type(v) is cls and getattr(v, name) == value), VALID[cls]
+    )
 
 
 def _ruled_classes() -> list:
@@ -98,7 +117,7 @@ def test_every_ruled_class_has_a_valid_instance():
     ids=[f"{c[0].__name__}.{c[1]}={c[4]!r}" for c in FIELD_CASES],
 )
 def test_field_rule_edges(cls, name, field_rule, accepted, rejected):
-    valid = VALID[cls]
+    valid = _valid(cls, name, accepted)
     assert getattr(dataclasses.replace(valid, **{name: accepted}), name) == accepted
     with pytest.raises(ValueError) as excinfo:
         dataclasses.replace(valid, **{name: rejected})
@@ -155,6 +174,30 @@ def test_rule_text_and_edges():
     assert rule("in [0, 2]").edges == ((0.0, -5e-324), (2.0, 2.0000000000000004))
 
 
+TOP = math.nextafter(math.inf, 0.0)
+
+
+@pytest.mark.parametrize(
+    "text, edges",
+    [
+        ("non-blank", (("a", ""), ("a", " \n"))),
+        ("finite and >= 1", ((1.0, 0.9999999999999999), (TOP, math.inf))),
+        ("non-empty without commas or line breaks",
+         (("a", ""), ("a", "a,"), ("a", "a\r"), ("a", "a\u2028"))),
+    ],
+)
+def test_string_perplexity_and_run_name_rule_edges(text, edges):
+    # A perplexity or run name is no dataclass field and no flag, so the
+    # walks above miss their rules; non-blank is walked here beside them.
+    string_rule = rule(text)
+    assert string_rule.edges == edges
+    for accepted, rejected in edges:
+        assert string_rule.check(accepted, "x") == accepted
+        with pytest.raises(ValueError) as excinfo:
+            string_rule.check(rejected, "x")
+        assert str(excinfo.value) == f"x must be {text}, got {_shown(rejected)}"
+
+
 JSON_KINDS = {"str": "string", "int": "integer", "float": "number", "Optional[str]": "string"}
 
 
@@ -164,7 +207,7 @@ JSON_KINDS = {"str": "string", "int": "integer", "float": "number", "Optional[st
         (cls, f.name, JSON_KINDS[f.type])
         for cls in (ClientShape, DatagenConfig)
         for f in dataclasses.fields(cls)
-        if f.type in JSON_KINDS and "rule" not in f.metadata
+        if f.type in JSON_KINDS
     ],
 )
 def test_config_field_types_come_from_annotations(cls, name, kind):
