@@ -3,9 +3,9 @@
 Builds hallucination samples from existing (image, caption) pairs by asking a
 chat-completion endpoint to inject exactly one category-specific edit into
 each caption.  One unified prompt template is specialized per category by a
-small spec (what to modify, when the edit is possible, what must stay
-unchanged); the model answers either the rewritten caption or the literal
-"NO" when the caption cannot support the category.
+small spec (what to modify, when the edit is possible, which words change;
+what must stay unchanged is shared); the model answers either the rewritten
+caption or the literal "NO" when the caption cannot support the category.
 
 The HTTP client is a generic JSON-over-HTTPS adapter: request body keys, the
 prompt shape, the auth header, and the response text path are all
@@ -65,13 +65,19 @@ class DatagenError(RuntimeError):
     """Generation could not produce a usable dataset."""
 
 
-PLACEHOLDER_COUNTS = {
-    "{{MODIFICATION_TASK_SPECIFICS}}": 2,
-    "{{EXISTENCE_CONDITION_DESCRIPTION}}": 2,
-    "{{MODIFIED_ELEMENTS_NAME}}": 1,
-    "{{UNCHANGED_CONSTRAINT_TEXT}}": 1,
-    "{input}": 1,
-}
+# What every category's edit must leave alone: one text, the same for all ten.
+_SHARED_CONSTRAINT = "every other object, attribute, count, position, and relation"
+
+# Each placeholder, how many times a template must hold it, and what fills it
+# from a category spec and a caption, in the order render_prompt substitutes
+# them: the caption last, so a placeholder written in a caption passes through.
+PLACEHOLDERS = (
+    ("{{MODIFICATION_TASK_SPECIFICS}}", 2, lambda spec, caption: spec.modification_task),
+    ("{{EXISTENCE_CONDITION_DESCRIPTION}}", 2, lambda spec, caption: spec.existence_condition),
+    ("{{MODIFIED_ELEMENTS_NAME}}", 1, lambda spec, caption: spec.modified_elements),
+    ("{{UNCHANGED_CONSTRAINT_TEXT}}", 1, lambda spec, caption: _SHARED_CONSTRAINT),
+    ("{input}", 1, lambda spec, caption: caption),
+)
 
 DEFAULT_TEMPLATE_BODY = """\
 You edit image captions to inject exactly one visual error.
@@ -93,13 +99,13 @@ Caption: {input}
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Unified generation prompt: fixed placeholder counts, no other ``{{``."""
+    """Unified generation prompt: each ``PLACEHOLDERS`` row's count, no other ``{{``."""
 
     body: str
 
     def __post_init__(self):
         rest = self.body
-        for placeholder, expected in PLACEHOLDER_COUNTS.items():
+        for placeholder, expected, _ in PLACEHOLDERS:
             got = self.body.count(placeholder)
             if got != expected:
                 raise ValueError(
@@ -124,12 +130,9 @@ class CategorySpec:
     modification_task: str = ruled("non-blank")
     existence_condition: str = ruled("non-blank")
     modified_elements: str = ruled("non-blank")
-    unchanged_constraint: str = ruled("non-blank")
 
     __post_init__ = check_rules
 
-
-_SHARED_CONSTRAINT = "every other object, attribute, count, position, and relation"
 
 CATEGORY_SPECS = (
     CategorySpec(
@@ -137,76 +140,66 @@ CATEGORY_SPECS = (
         "describes one mentioned object as a different kind of object that does not appear anywhere in the scene",
         "an object mention that could be swapped for an absent object kind",
         "that object's class word",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.COUNTING,
         "states the quantity of one object group as exactly one more or one fewer than written",
         "an explicit object count",
         "the count word",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.OCCLUSION,
         "claims a partly hidden object is fully visible, or a fully visible object is partly hidden",
         "a statement about an object's visibility",
         "the visibility phrase",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.TEXT,
         "replaces written text, a sign, or a label with different text",
         "quoted or written text on an object",
         "the written text",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.SHAPE,
         "describes one object with the shape of a different object that is also present",
         "a shape mention with another distinct shape present",
         "the shape word",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.ABSOLUTE_POSITION,
         "places one object at a position adjacent to where the caption puts it",
         "an absolute position statement",
         "the position value",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.RELATIVE_POSITION,
         "reverses the spatial relation between two mentioned objects",
         "a relative position statement between two objects",
         "the relation word",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.COLOR,
         "gives one object a color that appears nowhere in the scene",
         "a color mention",
         "the color word",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.ACTION,
         "describes one object performing a different action than written",
         "an action description",
         "the action verb",
-        _SHARED_CONSTRAINT,
     ),
     CategorySpec(
         HallucinationCategory.RELATIVE_INTERACTION,
         "claims two separate objects are interacting, or two interacting objects are separate",
         "an interaction statement between two objects",
         "the interaction word",
-        _SHARED_CONSTRAINT,
     ),
 )
 
 
 _SPEC_BY_CATEGORY = {spec.category: spec for spec in CATEGORY_SPECS}
-_CAPTION = rule("non-blank")
+_NON_BLANK = rule("non-blank")
 
 
 def category_spec(category: HallucinationCategory) -> CategorySpec:
@@ -214,21 +207,18 @@ def category_spec(category: HallucinationCategory) -> CategorySpec:
 
 
 def render_prompt(template: PromptTemplate, spec: CategorySpec, caption: str) -> str:
-    """Substitute a category spec and the caption into the template."""
-    _CAPTION.check(caption, "caption")
+    """Fill the template's ``PLACEHOLDERS`` from a category spec and the caption."""
+    _NON_BLANK.check(caption, "caption")
     rendered = template.body
-    rendered = rendered.replace("{{MODIFICATION_TASK_SPECIFICS}}", spec.modification_task)
-    rendered = rendered.replace("{{EXISTENCE_CONDITION_DESCRIPTION}}", spec.existence_condition)
-    rendered = rendered.replace("{{MODIFIED_ELEMENTS_NAME}}", spec.modified_elements)
-    rendered = rendered.replace("{{UNCHANGED_CONSTRAINT_TEXT}}", spec.unchanged_constraint)
-    return rendered.replace("{input}", caption)
+    for placeholder, _, fill in PLACEHOLDERS:
+        rendered = rendered.replace(placeholder, fill(spec, caption))
+    return rendered
 
 
 def parse_generation(raw: str):
     """Trimmed model output; None for a (case-insensitive) "NO" answer."""
-    stripped = raw.strip()
-    if not stripped:
-        raise ValueError("empty generation cannot be parsed")
+    # Stripped first, so a reply that is not a string stays a client bug.
+    stripped = _NON_BLANK.check(raw.strip(), "generation")
     if stripped.upper() == "NO":
         return None
     return stripped
@@ -298,7 +288,8 @@ class DatagenConfig:
         check_known_keys(cls.__dataclass_fields__, doc, "config")
         shape = doc.get("shape")
         shape = ClientShape() if shape is None else ClientShape.from_json_dict(shape)
-        return cls(**{**doc, "shape": shape})
+        required = {key: doc[key] for key in ("endpoint", "model")}  # KeyError if missing
+        return cls(**{**doc, **required, "shape": shape})
 
 
 def load_datagen_config(path) -> DatagenConfig:
@@ -308,6 +299,8 @@ def load_datagen_config(path) -> DatagenConfig:
         raise DatagenError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return DatagenConfig.from_json_dict(doc)
+    except KeyError as exc:
+        raise DatagenError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DatagenError(f"{path}: {exc}") from exc
 
@@ -365,26 +358,23 @@ class HttpChatClient:
 
     def _headers(self) -> dict:
         """The auth token header, if the config names a token variable."""
-        headers = {}
         config = self.config
-        if config.auth_env:
-            token = os.environ.get(config.auth_env)
-            if not token:
-                raise DatagenError(
-                    f"auth environment variable {config.auth_env!r} is not set"
-                )
-            shape = config.shape
-            value = f"{shape.auth_scheme} {token}" if shape.auth_scheme else token
-            try:
-                check_header_validity((shape.auth_header, value))
-            except requests.exceptions.InvalidHeader as exc:
-                # Its message quotes the token, and as an OSError it would be retried.
-                raise DatagenError(
-                    f"auth environment variable {config.auth_env!r} does not give a "
-                    f"valid {shape.auth_header!r} header"
-                ) from exc
-            headers[shape.auth_header] = value
-        return headers
+        if config.auth_env is None:
+            return {}
+        token = os.environ.get(config.auth_env)
+        if not token:
+            raise DatagenError(f"auth environment variable {config.auth_env!r} is not set")
+        shape = config.shape
+        value = f"{shape.auth_scheme} {token}" if shape.auth_scheme else token
+        try:
+            check_header_validity((shape.auth_header, value))
+        except requests.exceptions.InvalidHeader as exc:
+            # Its message quotes the token, and as an OSError it would be retried.
+            raise DatagenError(
+                f"auth environment variable {config.auth_env!r} does not give a "
+                f"valid {shape.auth_header!r} header"
+            ) from exc
+        return {shape.auth_header: value}
 
     def _prepare(self, body: dict) -> requests.PreparedRequest:
         # A fresh request, not ``template.copy()``: a copy shares the hook
@@ -577,7 +567,7 @@ def generate_dataset(
 def _caption_item(doc: dict) -> tuple:
     check_known_keys(("image", "caption"), doc, "caption item")
     image = image_ref_from_json_dict(doc["image"])
-    return image, _CAPTION.check(json_field(doc, "caption", str), "caption")
+    return image, _NON_BLANK.check(json_field(doc, "caption", str), "caption")
 
 
 def loads_caption_items(text: str) -> list:

@@ -130,13 +130,20 @@ def _unchecked(cls, **fields):
 
 @dataclass(frozen=True)
 class Rule:
-    """What a value must be, in words ``must be <text>``: ``ok(value)``
-    holds.  ``edges`` pairs each boundary value it accepts with the nearest
-    value it rejects."""
+    """What a value must be, in words ``must be <text>``: ``test(value)``
+    holds, and ``ok(value)`` tells whether; a value of a type the test cannot
+    take fails.  ``edges`` pairs each boundary value it accepts with the
+    nearest value it rejects."""
 
     text: str
-    ok: Callable
+    test: Callable
     edges: tuple
+
+    def ok(self, value) -> bool:
+        try:
+            return self.test(value)
+        except (AttributeError, TypeError):
+            return False
 
     def message(self, value) -> str:
         """``must be <text>, got <value>``: a number bare, a string quoted."""
@@ -241,8 +248,17 @@ def json_field(doc, key: str, kind: type):
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:
-        return float(value)
+        return _json_float(value, key)
     raise ValueError(f"{key} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def _json_float(value, name: str) -> float:
+    """``float(value)``; an integer too large for a float is a ``ValueError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        size = len(str(abs(value)))
+        raise ValueError(f"{name} must be within float range, got a {size}-digit integer") from None
 
 
 def check_known_keys(known, doc: dict, what: str) -> None:
@@ -320,7 +336,14 @@ class LinearAdapter:
             # The array form of json_field's rule: numbers only, a bool is not one.
             if not all(type(a) is list and set(map(type, a)) <= {int, float} for a in arrays):
                 raise ValueError("weights and bias must be JSON arrays of numbers")
-            weights, bias = (np.array(a, dtype=np.float64) for a in arrays)
+            try:
+                weights, bias = (np.array(a, dtype=np.float64) for a in arrays)
+            except OverflowError:
+                # Name the first entry too large for a float, as json_field would.
+                for key, a in zip(("weights", "bias"), arrays):
+                    for i, value in enumerate(a):
+                        _json_float(value, f"{key}[{i}]")
+                raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed {what}: {exc}") from exc
         if weights.size != rows * cols:

@@ -38,6 +38,7 @@ from .experts import (
     descriptor_width,
     encode_toy_expert,
     fold_tiled_rows,
+    json_field,
     json_fields,
     resample_tokens,
     ruled,
@@ -334,7 +335,7 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     try:
         config = json_fields(PipelineConfig, doc, "top-level")
         experts = []
-        for i, e in enumerate(config["experts"]):
+        for i, e in enumerate(json_field(config, "experts", list)):
             spec = json_fields(ToyExpertSpec, e, "expert")
             try:
                 experts.append(ToyExpertSpec(**spec))

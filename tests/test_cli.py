@@ -353,6 +353,32 @@ class TestEval:
         want = "ERROR malformed pipeline config: expert 0: seed must be >= 0, got -3"
         assert err.splitlines() == [want]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(experts=5), "experts must be a JSON array, got 5"),
+            # A JSON object is no array, though iterating it yields its keys.
+            (lambda doc: doc.update(experts={"a": 1}),
+             "experts must be a JSON array, got {'a': 1}"),
+            (lambda doc: doc["router"]["bias"].__setitem__(1, -(10**400)),
+             "malformed router document: bias[1] must be within float range, "
+             "got a 401-digit integer"),
+        ],
+        ids=["experts-number", "experts-object", "huge-router-bias"],
+    )
+    def test_malformed_pipeline_config_exits_one(
+        self, capsys, dataset_path, tmp_path, edit, message
+    ):
+        doc = pipeline_config_to_json(toy_judging_config())
+        edit(doc)
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            capsys, ["eval", "--dataset", str(dataset_path), "--pipeline", str(path)]
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [f"ERROR malformed pipeline config: {message}"]
+
 
 class TestRoute:
     def test_scene_route_deterministic(self, capsys):
@@ -608,6 +634,17 @@ class TestReport:
             "got ['uniform', 'uniform']"
         ]
 
+    def test_perplexity_too_large_for_a_float_exits_one(self, capsys, tmp_path):
+        path = self.make_judgements(capsys, tmp_path, "uniform")
+        doc = json.loads(path.read_text().splitlines()[0])
+        path.write_text(json.dumps({**doc, "ppl_real": 10**400}) + "\n")
+        code, stdout, err = run_cli(capsys, ["report", "--judgements", str(path)])
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            "ERROR line 1: ppl_real must be within float range, "
+            "got a 401-digit integer"
+        ]
+
     @pytest.mark.parametrize("stem", ["a,b", "a\nb"], ids=["comma", "newline"])
     def test_stem_that_cannot_be_a_run_name_exits_two(self, capsys, tmp_path, stem):
         # Checked before any file is read, so the file need not exist.
@@ -700,9 +737,13 @@ class TestGenLlm:
             ({"endpoint": "https://api.test.invalid", "model": "m",
               "shape": {"model_key": " "}},
              "model_key must be non-blank, got ' '"),
+            ({"endpoint": "https://api.test.invalid", "model": "m", "temperature": 10**400},
+             "temperature must be within float range, got a 401-digit integer"),
+            ({"model": "m"}, "missing field 'endpoint'"),
+            ({"endpoint": "https://api.test.invalid"}, "missing field 'model'"),
         ],
         ids=["endpoint", "response-path", "blank-auth-env", "blank-model", "blank-auth-header",
-             "blank-body-key"],
+             "blank-body-key", "huge-temperature", "no-endpoint", "no-model"],
     )
     def test_mistyped_config_exits_one(self, capsys, tmp_path, monkeypatch, doc, message):
         import routebench.cli as cli_module

@@ -112,7 +112,7 @@ ALL_OUTCOME_ITEMS = [
 ]
 TASK_INDEX = {spec.modification_task: k for k, spec in enumerate(CATEGORY_SPECS)}
 # sha256 of dumps_dataset(samples) + the sorted stats JSON of the run above.
-ALL_OUTCOMES_SHA256 = "6af89e4fc562743772bf62862a9df76ecd3aa470fdf5431eb99951a1288d71fc"
+ALL_OUTCOMES_SHA256 = "ca097129f2e06894fcd4a6a6b96ef4662d7c6cf4cf8e65b212bc15c48c7e607d"
 
 
 class AllOutcomeClient:
@@ -169,6 +169,16 @@ class TestPromptTemplate:
         with pytest.raises(ValueError, match=r"\{\{UNCHANGED_CONSTRAINT_TEXT\}\}"):
             PromptTemplate(body)
 
+    @pytest.mark.parametrize("copies, found", [(0, 0), (2, 2)])
+    def test_shared_constraint_placeholder_held_once(self, copies, found):
+        marker = "{{UNCHANGED_CONSTRAINT_TEXT}}"
+        body = DEFAULT_TEMPLATE_BODY.replace(marker, " ".join([marker] * copies))
+        with pytest.raises(ValueError) as excinfo:
+            PromptTemplate(body)
+        assert str(excinfo.value) == (
+            f"template must contain {marker} exactly 1 time(s), found {found}"
+        )
+
     def test_single_braces_beside_a_placeholder_accepted(self):
         marker = "{{MODIFIED_ELEMENTS_NAME}}"
         PromptTemplate(DEFAULT_TEMPLATE_BODY.replace(marker, "{" + marker + "{"))
@@ -186,7 +196,6 @@ class TestCategorySpecs:
             assert spec.modification_task.strip()
             assert spec.existence_condition.strip()
             assert spec.modified_elements.strip()
-            assert spec.unchanged_constraint.strip()
 
     def test_accessor(self):
         assert category_spec(HallucinationCategory.TEXT).category is HallucinationCategory.TEXT
@@ -221,6 +230,25 @@ class TestRenderPrompt:
         caption = "A sign reading {{SALE}} hangs on the wall."
         assert caption_from_prompt(render_prompt(DEFAULT_TEMPLATE, COLOR_SPEC, caption)) == caption
 
+    def test_rendered_prompts_are_frozen(self):
+        # Every prompt the default template renders, pinned byte for byte:
+        # perfbench's datagen workload scripts its replies from the prompts
+        # this same function renders, so it cannot see a changed prompt.
+        # The captions hold a placeholder and "{input}", which pass through
+        # only because the caption is substituted last.
+        captions = (
+            "A red circle sits at row 0 column 1.",
+            "A sign reading {{MODIFIED_ELEMENTS_NAME}} hangs on the wall.",
+            "A note says {input} twice: {input}.",
+        )
+        prompts = [
+            render_prompt(DEFAULT_TEMPLATE, spec, caption)
+            for spec in CATEGORY_SPECS
+            for caption in captions
+        ]
+        digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
+        assert digest == "05c5206ddfba32d38c01e06dcde192bea5f3c759b70952813c9071af2ea537a3"
+
 
 class TestParseGeneration:
     def test_literal_no(self):
@@ -234,8 +262,9 @@ class TestParseGeneration:
         assert parse_generation("  A blue car parked.  \n") == "A blue car parked."
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError) as excinfo:
             parse_generation("   \n")
+        assert str(excinfo.value) == "generation must be non-blank, got ''"
 
 
 class TestGenerateDataset:
@@ -356,7 +385,7 @@ class TestGenerateDataset:
             stats.produced + stats.skipped_no + stats.skipped_echo
             + stats.skipped_invalid + stats.failed
         )
-        reasons = {4: "empty generation cannot be parsed", 5: "unreachable on attempt 3"}
+        reasons = {4: "generation must be non-blank, got ''", 5: "unreachable on attempt 3"}
         assert stats.failures == [
             f"item {i} {spec.category.value}: " + (
                 reasons[4] if (i + k) % 6 == 4 else f"unit {i}:{k} {reasons[5]}"
@@ -441,6 +470,11 @@ class TestGenerateDataset:
         assert sleeps == []
         # Each worker thread calls once at most: no unit starts after the bug.
         assert client.calls == 1 if max_in_flight == 1 else 1 <= client.calls <= max_in_flight
+
+    def test_reply_that_is_not_a_string_propagates(self):
+        # A client that returns no string has a bug; it is no invalid unit.
+        with pytest.raises(AttributeError, match="strip"):
+            generate_dataset(ScriptedClient(None), [ITEM], config=DEFAULT_CONFIG, sleep=no_sleep)
 
     def test_http_error_status_is_retried(self):
         reply = {"choices": [{"message": {"content": "An entirely different caption."}}]}
@@ -902,7 +936,7 @@ def _shape_doc(**shape):
         (lambda path: generate_dataset(
             ScriptedClient("NO"), [ITEM], specs=[], config=DEFAULT_CONFIG, sleep=no_sleep
         ), ValueError, "generate_dataset needs at least one spec"),
-        (lambda path: CategorySpec(HallucinationCategory.COLOR, "a", " ", "c", "d"),
+        (lambda path: CategorySpec(HallucinationCategory.COLOR, "a", " ", "c"),
          ValueError, "existence_condition must be non-blank, got ' '"),
         (lambda path: ClientShape(prompt_mode="chat"),
          ValueError, "prompt_mode must be one of 'messages' or 'text', got 'chat'"),

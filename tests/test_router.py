@@ -243,6 +243,24 @@ class TestRouteLogits:
         with pytest.raises(ValueError, match="^malformed router document: .*JSON arrays of numbers"):
             RouterParams.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "weights, bias, entry",
+        [
+            ([0.5, 10**400], [0, 1], "weights[1]"),
+            ([0.5, 1.0], [0, -(10**309)], "bias[1]"),
+            ([10**400, 1.0], [10**400, 1], "weights[0]"),  # the first one is named
+        ],
+    )
+    def test_integer_entry_too_large_for_a_float_rejected(self, weights, bias, entry):
+        doc = {"dim_in": 1, "n_experts": 2, "weights": weights, "bias": bias}
+        with pytest.raises(ValueError) as excinfo:
+            RouterParams.from_json_dict(doc)
+        digits = len(str(max(abs(v) for v in weights + bias)))
+        assert str(excinfo.value) == (
+            f"malformed router document: {entry} must be within float range, "
+            f"got a {digits}-digit integer"
+        )
+
     def test_integer_entries_load_as_floats(self):
         params = RouterParams.from_json_dict(
             {"dim_in": 1, "n_experts": 2, "weights": [1, 0.5], "bias": [0, -2]}

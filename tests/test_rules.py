@@ -23,7 +23,7 @@ from routebench.benchmark import (
 )
 from routebench.cli import build_parser, main
 from routebench.datagen import CATEGORY_SPECS, CategorySpec, ClientShape, DatagenConfig
-from routebench.evaluator import AffinityConfig, toy_judging_config
+from routebench.evaluator import AffinityConfig, radar_csv, toy_judging_config
 from routebench.experts import ToyExpertSpec, json_fields, rule
 from routebench.fusion import FusionStrategy, PipelineConfig
 from routebench.metrics import BinaryOutcome
@@ -196,6 +196,48 @@ def test_string_perplexity_and_run_name_rule_edges(text, edges):
         with pytest.raises(ValueError) as excinfo:
             string_rule.check(rejected, "x")
         assert str(excinfo.value) == f"x must be {text}, got {_shown(rejected)}"
+
+
+def _every_rule() -> dict:
+    """Each rule the walks above reach, by its text: the field and flag rules
+    and the three no field or flag carries."""
+    rules = {field_rule.text: field_rule for _, _, field_rule, _, _ in FIELD_CASES}
+    rules.update((flag_type.rule.text, flag_type.rule) for _, _, flag_type, _, _ in FLAG_CASES)
+    for text in ("non-blank", "finite and >= 1", "non-empty without commas or line breaks"):
+        rules[text] = rule(text)
+    return rules
+
+
+@pytest.mark.parametrize("text", sorted(_every_rule()))
+def test_rule_rejects_a_value_of_another_type(text):
+    # A rule's test may assume its value's type (a string method, a number
+    # comparison); a value it cannot take fails the rule, not Python.
+    value_rule = _every_rule()[text]
+    accepted = value_rule.edges[0][0]
+    for wrong in (5 if isinstance(accepted, str) else "5", None, []):
+        with pytest.raises(ValueError) as excinfo:
+            value_rule.check(wrong, "x")
+        assert str(excinfo.value) == f"x must be {text}, got {_shown(wrong)}"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BenchmarkSample(5, ImageRef("file", path="a.raw"), "a", "b",
+                                 HallucinationCategory.COLOR),
+         "id must be non-blank, got 5"),
+        (lambda: radar_csv({5: None}),
+         "run name must be non-empty without commas or line breaks, got 5"),
+        (lambda: ToyExpertSpec(id="0", persona="edge-shape", seed=0, native_tokens=16,
+                               native_dim=8),
+         "id must be >= 0, got '0'"),
+    ],
+    ids=["sample-id-number", "run-name-number", "expert-id-string"],
+)
+def test_wrong_typed_value_fails_its_rule(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 JSON_KINDS = {"str": "string", "int": "integer", "float": "number", "Optional[str]": "string"}
